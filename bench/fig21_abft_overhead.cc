@@ -5,18 +5,21 @@
  * For each (transform size, GPU count), compares the resilient engine
  * with the ABFT checksums off (baseline), on over a clean machine
  * (the hardening tax), and on under seeded in-kernel bit flips (the
- * recovery cost). Reports both the priced simulator seconds — the
- * analytic tax every executor charges — and host wall-clock of the
- * functional executor, plus the check/catch/recompute counters.
- * Every completed run is verified bit-exact against the host
+ * recovery cost), next to the plain engine. Every resilient arm runs
+ * with the spot check off (spotChecks = 0), so the tax is ABFT's own.
+ * Reports both the priced simulator seconds — the analytic tax every
+ * executor charges — and host wall-clock of the functional executor
+ * with its ratio to the plain run, plus the check/catch/recompute
+ * counters. Every completed run is verified bit-exact against the host
  * reference, flips and all.
  *
  * Flags:
  *   --smoke   tiny sizes for CI. The run fails if any completed run
  *             is not bit-exact or if the flip campaigns catch nothing.
  *
- * In full mode the run additionally fails if the clean-machine wall
- * overhead at the largest size exceeds the 10% target.
+ * In full mode the run additionally fails if the clean-machine priced
+ * overhead at the largest size exceeds the 10% target. The priced tax
+ * is deterministic; the wall tax is printed, not gated.
  */
 
 #include <cstdio>
@@ -55,6 +58,7 @@ runCampaign(UniNttEngine<F> &engine, const std::vector<F> &input,
     Cell cell;
     ResilienceConfig rc;
     rc.abft = abft;
+    rc.spotChecks = 0;
     double best = 1e300;
     for (uint64_t seed : seeds) {
         FaultModel m;
@@ -90,6 +94,23 @@ runCampaign(UniNttEngine<F> &engine, const std::vector<F> &input,
     return cell;
 }
 
+/** The plain engine's forward on the same input: the hardening base. */
+Cell
+runPlain(UniNttEngine<F> &engine, const std::vector<F> &input,
+         const std::vector<F> &expect, unsigned gpus, int reps)
+{
+    Cell cell;
+    auto dist = DistributedVector<F>::fromGlobal(input, gpus);
+    cell.pricedSeconds = engine.forward(dist).totalSeconds();
+    if (dist.toGlobal() != expect)
+        fatal("plain run is not bit-exact");
+    cell.wallSeconds = bestWallSeconds(reps, [&] {
+        auto d = DistributedVector<F>::fromGlobal(input, gpus);
+        (void)engine.forward(d);
+    });
+    return cell;
+}
+
 } // namespace
 
 int
@@ -122,8 +143,8 @@ main(int argc, char **argv)
     const std::vector<uint64_t> clean_seed{0};
 
     Table t({"log2(N)", "GPUs", "scenario", "wall", "wall ovh",
-             "priced", "priced ovh", "checks", "catches", "tiles",
-             "escal"});
+             "x plain", "priced", "priced ovh", "checks", "catches",
+             "tiles", "escal"});
     uint64_t total_catches = 0, total_flips = 0;
     bool overhead_ok = true;
     Rng rng(2121);
@@ -138,6 +159,7 @@ main(int argc, char **argv)
             std::vector<F> expect = x;
             nttNoPermute(expect, NttDirection::Forward);
 
+            const Cell plain = runPlain(engine, x, expect, gpus, reps);
             const Cell off = runCampaign(engine, x, expect, gpus,
                                          false, 0.0, clean_seed, reps);
             const Cell clean = runCampaign(engine, x, expect, gpus,
@@ -155,10 +177,10 @@ main(int argc, char **argv)
                 (clean.pricedSeconds / off.pricedSeconds - 1.0) *
                 100.0;
             // The 10% target is gated on the headline configuration
-            // (largest size on the full machine); the smaller cells
-            // are context and too noisy on a loaded host to gate.
+            // (largest size on the full machine) and on the priced tax,
+            // which is deterministic; wall time on a shared host is not.
             if (!smoke && logN == log_ns.back() &&
-                gpus == gpu_counts.back() && wall_ovh > 10.0)
+                gpus == gpu_counts.back() && priced_ovh > 10.0)
                 overhead_ok = false;
 
             auto row = [&](const char *name, const Cell &c,
@@ -166,6 +188,7 @@ main(int argc, char **argv)
                 t.addRow({std::to_string(logN), std::to_string(gpus),
                           name, formatSeconds(c.wallSeconds),
                           ovh ? fmtF(wall_ovh, 1) + "%" : "-",
+                          fmtF(c.wallSeconds / plain.wallSeconds, 2) + "x",
                           formatSeconds(c.pricedSeconds),
                           ovh ? fmtF(priced_ovh, 1) + "%" : "-",
                           fmtI(c.faults.abftChecks),
@@ -173,6 +196,7 @@ main(int argc, char **argv)
                           fmtI(c.faults.tilesRecomputed),
                           fmtI(c.faults.abftEscalations)});
             };
+            row("plain engine", plain, false);
             row("abft off", off, false);
             row("abft on, clean", clean, true);
             row("abft on, flips p=0.02", flips, false);
@@ -191,7 +215,7 @@ main(int argc, char **argv)
         return 1;
     }
     if (!overhead_ok) {
-        std::fprintf(stderr, "FAIL: clean-machine ABFT wall overhead "
+        std::fprintf(stderr, "FAIL: clean-machine ABFT priced overhead "
                              "exceeded the 10%% target at 2^%u\n",
                      log_ns.back());
         return 1;

@@ -135,6 +135,15 @@ EOF
     fi
 fi
 
+if command -v python3 >/dev/null 2>&1; then
+    echo "==> benchmark self-tests (perfbench/test_benchlib.py)"
+    # Builds the benchmark and replays short ntt-hardened and
+    # service-mix runs: resilient bytes equal the plain engine's,
+    # injected == caught + escalated, deterministic counters repeat
+    # exactly, and --inject-wrong outputs are counted as failed.
+    python3 perfbench/test_benchlib.py
+fi
+
 echo "==> fig23 autotune smoke (tuned >= heuristic per point)"
 "$BUILD_DIR"/bench/fig23_autotune --smoke
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * The batched span-kernel API: every butterfly/scale/dot inner loop of
- * the host execution path, expressed once as primitives over raw
- * `Field *` spans. A FieldKernels<F> table is a bundle of function
- * pointers implementing those primitives for one acceleration path
- * (scalar, AVX2, AVX-512, ...); the runtime router in
+ * The batched span-kernel API: every butterfly/scale/dot/evaluation
+ * inner loop of the host execution path, expressed once as primitives
+ * over raw `Field *` spans. A FieldKernels<F> table is a bundle of
+ * function pointers implementing those primitives for one acceleration
+ * path (scalar, AVX2, AVX-512, ...); the runtime router in
  * field/dispatch.hh probes the CPU once and hands callers the best
  * table for their field.
  *
@@ -15,7 +15,8 @@
  *    different span indices are independent, so lane-parallel
  *    execution reorders nothing an element can observe: outputs are
  *    byte-identical to the scalar table for every span length,
- *    alignment, and stride.
+ *    alignment, and stride. The two reductions (dotSpan, hornerSpan)
+ *    choose their own order; they return the same canonical value.
  *  - No alignment requirements; spans may start anywhere.
  *  - Any span length, including lengths below the vector width (the
  *    vector kernels peel scalar tails / fall back wholesale).
@@ -125,6 +126,15 @@ struct FieldKernels
      * field returns the same canonical value for the same input.
      */
     F (*dotSpan)(const F *coef, const F *x, size_t n) = nullptr;
+
+    /**
+     * Multi-point polynomial evaluation (spot checks):
+     *   out[c] = sum_{i<n} coef[i] * x[c]^i   for c < k.
+     * Same contract as dotSpan: every table of one field returns the
+     * same canonical values for the same input.
+     */
+    void (*hornerSpan)(const F *coef, size_t n, const F *x, F *out,
+                       size_t k) = nullptr;
 };
 
 namespace spankernels {
@@ -313,6 +323,40 @@ dotSpanScalar(const F *coef, const F *x, size_t n)
     }
 }
 
+/**
+ * M interleaved Horner chains over one coefficient span: the chains
+ * share every coef[i] read, and their multiply latencies overlap.
+ */
+template <typename F, size_t M>
+void
+hornerChains(const F *coef, size_t n, const F *x, F *out)
+{
+    F acc[M];
+    for (size_t c = 0; c < M; ++c)
+        acc[c] = F::fromU64(0);
+    for (size_t i = n; i-- > 0;)
+        for (size_t c = 0; c < M; ++c)
+            acc[c] = acc[c] * x[c] + coef[i];
+    for (size_t c = 0; c < M; ++c)
+        out[c] = acc[c];
+}
+
+/** Scalar multi-point evaluation: the points four chains at a time. */
+template <typename F>
+void
+hornerSpanScalar(const F *coef, size_t n, const F *x, F *out, size_t k)
+{
+    size_t c = 0;
+    for (; c + 4 <= k; c += 4)
+        hornerChains<F, 4>(coef, n, x + c, out + c);
+    if (k - c == 3)
+        hornerChains<F, 3>(coef, n, x + c, out + c);
+    else if (k - c == 2)
+        hornerChains<F, 2>(coef, n, x + c, out + c);
+    else if (k - c == 1)
+        hornerChains<F, 1>(coef, n, x + c, out + c);
+}
+
 // ----- multi-word ILP implementations (wide fields) --------------------
 //
 // Two independent element chains per iteration: the multi-limb
@@ -429,6 +473,7 @@ scalarKernelTable()
     t.r8Fwd = &spankernels::r8FwdScalar<F>;
     t.scaleSpan = &spankernels::scaleSpanScalar<F>;
     t.dotSpan = &spankernels::dotSpanScalar<F>;
+    t.hornerSpan = &spankernels::hornerSpanScalar<F>;
     return t;
 }
 

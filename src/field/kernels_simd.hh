@@ -270,6 +270,60 @@ struct VecKernels
             p[j] *= s;
     }
 
+    /**
+     * Lane-split evaluation of M points: P(x) = T(x) + x^t * S(x) with
+     * T the t = n mod L lowest coefficients and
+     * S(x) = sum_{r<L} x^r * Q_r(x^L), where lane r of a point's
+     * accumulator runs the Horner chain of Q_r in x^L. The M points
+     * share every vector load; an L-term fold in x and a scalar Horner
+     * tail over T finish each sum.
+     */
+    template <size_t M>
+    static void
+    hornerLanes(const F *coef, size_t n, const F *x, F *out)
+    {
+        static_assert((L & (L - 1)) == 0, "lane count is a power of two");
+        const size_t t = n % L;
+        const F *body = coef + t;
+        decltype(Ops::bcast(x[0])) acc[M], y[M];
+        for (size_t c = 0; c < M; ++c) {
+            F xl = x[c];
+            for (size_t s = 1; s < L; s <<= 1)
+                xl = xl * xl;
+            acc[c] = Ops::bcast(F::fromU64(0));
+            y[c] = Ops::bcast(xl);
+        }
+        for (size_t j = n / L; j-- > 0;) {
+            const auto v = Ops::load(body + j * L);
+            for (size_t c = 0; c < M; ++c)
+                acc[c] = Ops::add(Ops::mul(acc[c], y[c]), v);
+        }
+        F lane[L];
+        for (size_t c = 0; c < M; ++c) {
+            Ops::store(lane, acc[c]);
+            F s = lane[L - 1];
+            for (size_t r = L - 1; r-- > 0;)
+                s = s * x[c] + lane[r];
+            for (size_t i = t; i-- > 0;)
+                s = s * x[c] + coef[i];
+            out[c] = s;
+        }
+    }
+
+    static void
+    hornerSpan(const F *coef, size_t n, const F *x, F *out, size_t k)
+    {
+        size_t c = 0;
+        for (; c + 4 <= k; c += 4)
+            hornerLanes<4>(coef, n, x + c, out + c);
+        if (k - c == 3)
+            hornerLanes<3>(coef, n, x + c, out + c);
+        else if (k - c == 2)
+            hornerLanes<2>(coef, n, x + c, out + c);
+        else if (k - c == 1)
+            hornerLanes<1>(coef, n, x + c, out + c);
+    }
+
     /** Build the full table from this backend's shapes. */
     static FieldKernels<F>
     table(IsaPath path, const char *name)
@@ -286,6 +340,7 @@ struct VecKernels
         t.r8Fwd = &r8Fwd;
         t.scaleSpan = &scaleSpan;
         t.dotSpan = &dotSpanScalar<F>; // ABFT-only; scalar is exact
+        t.hornerSpan = &hornerSpan;
         return t;
     }
 };

@@ -217,7 +217,8 @@ struct ResilienceConfig
 
     /**
      * Random output positions verified against a direct evaluation
-     * after the transform (unintt/verify.hh). 0 disables the check.
+     * after the transform (unintt/verify.hh). 0 disables the check and
+     * the input snapshot it compares against.
      */
     unsigned spotChecks = 4;
 

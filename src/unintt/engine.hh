@@ -613,8 +613,10 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
     const TunedConfig tc = tunedFor(logN, "functional");
     const UniNttConfig &ecfg = tc.cfg;
 
-    // Input snapshot for the post-transform spot check.
-    const std::vector<F> input = data.toGlobal();
+    // Input snapshot for the post-transform spot check, taken only when
+    // the schedule carries one (spotChecks > 0).
+    const std::vector<F> input =
+        rc.spotChecks > 0 ? data.toGlobal() : std::vector<F>{};
     bool slab_hit = false;
     bool tw_hit = false;
     const auto slabs_ptr = twiddleSlabsCached(n, dir, &slab_hit, &tw_hit);

@@ -1733,12 +1733,14 @@ class ResilientStepExecutor
     /**
      * Post-transform spot check against a direct evaluation
      * (unintt/verify.hh): the backstop that catches whatever the
-     * exchange checksums cannot see.
+     * exchange checksums cannot see. It reads the shards in place: the
+     * forward check finds output position bitReverse(k) as a (chunk,
+     * offset) pair, the inverse check evaluates chunk g's coefficients
+     * as x^(g*C) * P_g(x).
      */
     StepAction
     spotCheckStep(const ScheduleStep &st)
     {
-        const std::vector<F> out_global = data_.toGlobal();
         report_.addKernelPhase(st.name, st.stats, perf_);
         tagPhase(st);
         fs_.spotChecks += rc_.spotChecks;
@@ -1748,12 +1750,14 @@ class ResilientStepExecutor
         // executes, so earlier-failing runs do not advance the
         // engine's seed sequence.
         const uint64_t spot_seed = hooks_.nextSpotSeed(rc_.spotCheckSeed);
+        SpanList<F> shards;
+        for (unsigned g = 0; g < data_.numGpus(); ++g)
+            shards.emplace_back(data_.chunk(g));
+        const SpanList<F> input{input_};
+        const bool forward = dir_ == NttDirection::Forward;
         const bool good =
-            dir_ == NttDirection::Forward
-                ? spotCheckForward(input_, out_global, rc_.spotChecks,
-                                   spot_seed)
-                : spotCheckInverse(input_, out_global, rc_.spotChecks,
-                                   spot_seed);
+            spotCheck(forward ? input : shards, forward ? shards : input,
+                      F::one(), rc_.spotChecks, spot_seed, fk_, lanes_);
         if (!good) {
             fs_.spotCheckFailures++;
             report_.addFaultStats(fs_);

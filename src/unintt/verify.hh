@@ -1,126 +1,124 @@
 /**
  * @file
- * Randomized output verification. At the scales multi-GPU NTTs run
- * (2^24 and up), re-checking a transform with a second full algorithm
- * is as expensive as the transform itself; spot-checking k output
- * positions against a direct Horner evaluation of the input costs
- * O(k*n) field ops, catches any single corrupted output with
- * probability k/n per check set, and — because the positions are
- * random — catches the systematic corruptions that actually occur
- * (a wrong twiddle table, a mis-routed exchange) with overwhelming
- * probability. Production provers run exactly this kind of check after
- * data-movement-heavy kernels.
- *
- * The seed is deliberately caller-supplied with no default: a fixed
- * default made every call sample the same positions, so repeated
- * checks of the same transform added no coverage. Callers that check
- * repeatedly must derive a fresh seed per call (the resilient engine
- * mixes a per-engine counter into ResilienceConfig::spotCheckSeed).
+ * Randomized output verification: checking k random output positions
+ * against a direct evaluation of the input costs k*n multiply-adds (no
+ * second transform), and catches a single corrupted output with
+ * probability k/n and systematic corruptions (a wrong twiddle table, a
+ * mis-routed exchange) almost surely. The multiply-adds run as one
+ * lane-parallel pass over the coefficients (shards read in place):
+ * blocks on the host pool evaluate all k points at once through the
+ * kernel table's hornerSpan, and their partials, shifted to their
+ * offsets, are summed in block order. Exact field arithmetic makes
+ * every value and verdict independent of the table, threads and
+ * sharding. The seed has no default: a fixed one would sample the same
+ * positions on every call.
  */
 
 #ifndef UNINTT_UNINTT_VERIFY_HH
 #define UNINTT_UNINTT_VERIFY_HH
 
+#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "field/dispatch.hh"
 #include "field/field_traits.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "util/thread_pool.hh"
 
 namespace unintt {
 
+/** A sequence stored as consecutive parts (shards, or one vector). */
+template <typename F>
+using SpanList = std::vector<std::span<const F>>;
+
 /**
- * Spot-check a forward transform: @p input in natural order,
- * @p output in the engine's bit-reversed order. Verifies
- * @p checks random positions k by comparing output against the Horner
- * evaluation of the input polynomial at w^k.
- *
- * @return true iff every sampled position matches.
+ * The one spot check. @p coef holds a polynomial's natural-order
+ * coefficients, @p evals its claimed evaluations in bit-reversed order
+ * (position bitReverse(k) holds P(shift * w^k)). Draws @p checks
+ * positions k in Rng(@p seed).below(n) order, evaluates P at all of
+ * them on up to @p lanes pool lanes, and returns true iff all match.
  */
+template <NttField F>
+bool
+spotCheck(const SpanList<F> &coef, const SpanList<F> &evals, F shift,
+          unsigned checks, uint64_t seed,
+          const FieldKernels<F> &fk = fieldKernels<F>(),
+          unsigned lanes = 0)
+{
+    constexpr size_t kBlock = size_t{1} << 16;
+    std::vector<std::pair<std::span<const F>, uint64_t>> blocks;
+    uint64_t n = 0, evals_n = 0;
+    for (const std::span<const F> &part : coef) {
+        for (size_t b = 0; b < part.size(); b += kBlock)
+            blocks.emplace_back(
+                part.subspan(b, std::min(kBlock, part.size() - b)), n + b);
+        n += part.size();
+    }
+    for (const std::span<const F> &part : evals)
+        evals_n += part.size();
+    UNINTT_ASSERT(n == evals_n, "size mismatch");
+    UNINTT_ASSERT(isPow2(n), "size must be a power of two");
+    const unsigned log_n = log2Exact(n);
+    const F w = F::rootOfUnity(log_n);
+    Rng rng(seed);
+    std::vector<uint64_t> pos(checks);
+    std::vector<F> x(checks);
+    for (unsigned c = 0; c < checks; ++c) {
+        pos[c] = rng.below(n);
+        x[c] = shift * w.pow(pos[c]);
+    }
+    std::vector<F> partial(blocks.size() * checks);
+    hostParallelFor(blocks.size(), kBlock * checks, lanes, [&](size_t b) {
+        const auto &[span, offset] = blocks[b];
+        F *out = partial.data() + b * checks;
+        fk.hornerSpan(span.data(), span.size(), x.data(), out, checks);
+        for (unsigned c = 0; c < checks; ++c)
+            out[c] = out[c] * x[c].pow(offset);
+    });
+    for (unsigned c = 0; c < checks; ++c) {
+        F want = F::zero();
+        for (size_t b = 0; b < blocks.size(); ++b)
+            want = want + partial[b * checks + c];
+        // The bit-reversed position as a (part, offset) pair.
+        uint64_t at = bitReverse(pos[c], log_n);
+        size_t part = 0;
+        while (at >= evals[part].size())
+            at -= evals[part++].size();
+        if (!(evals[part][at] == want))
+            return false;
+    }
+    return true;
+}
+
+/** Forward: @p input natural order, @p output bit-reversed. */
 template <NttField F>
 bool
 spotCheckForward(const std::vector<F> &input, const std::vector<F> &output,
                  unsigned checks, uint64_t seed)
 {
-    UNINTT_ASSERT(input.size() == output.size(), "size mismatch");
-    const size_t n = input.size();
-    UNINTT_ASSERT(isPow2(n), "size must be a power of two");
-    const unsigned log_n = log2Exact(n);
-    const F w = F::rootOfUnity(log_n);
-
-    Rng rng(seed);
-    for (unsigned c = 0; c < checks; ++c) {
-        uint64_t k = rng.below(n);
-        F x = w.pow(k);
-        // Horner from the highest coefficient down.
-        F acc = F::zero();
-        for (size_t i = n; i-- > 0;)
-            acc = acc * x + input[i];
-        if (!(output[bitReverse(k, log_n)] == acc))
-            return false;
-    }
-    return true;
+    return spotCheck<F>({input}, {output}, F::one(), checks, seed);
 }
 
-/**
- * Spot-check an inverse transform: @p input the bit-reversed-order
- * evaluations the inverse NTT consumed, @p output the natural-order
- * coefficients it produced (n^-1 scaling included). Verifies @p checks
- * random positions k by re-evaluating the output polynomial at w^k
- * (Horner) and comparing against the original evaluation
- * input[bitReverse(k)].
- */
+/** Inverse: @p input bit-reversed evaluations, @p output coefficients. */
 template <NttField F>
 bool
 spotCheckInverse(const std::vector<F> &input, const std::vector<F> &output,
                  unsigned checks, uint64_t seed)
 {
-    UNINTT_ASSERT(input.size() == output.size(), "size mismatch");
-    const size_t n = input.size();
-    UNINTT_ASSERT(isPow2(n), "size must be a power of two");
-    const unsigned log_n = log2Exact(n);
-    const F w = F::rootOfUnity(log_n);
-
-    Rng rng(seed);
-    for (unsigned c = 0; c < checks; ++c) {
-        uint64_t k = rng.below(n);
-        F x = w.pow(k);
-        F acc = F::zero();
-        for (size_t i = n; i-- > 0;)
-            acc = acc * x + output[i];
-        if (!(input[bitReverse(k, log_n)] == acc))
-            return false;
-    }
-    return true;
+    return spotCheck<F>({output}, {input}, F::one(), checks, seed);
 }
 
-/**
- * Spot-check a coset forward transform (see
- * UniNttEngine::forwardCoset): output position k should hold
- * P(shift * w^k).
- */
+/** Coset forward (UniNttEngine::forwardCoset): points shift * w^k. */
 template <NttField F>
 bool
 spotCheckCoset(const std::vector<F> &input, const std::vector<F> &output,
                F shift, unsigned checks, uint64_t seed)
 {
-    UNINTT_ASSERT(input.size() == output.size(), "size mismatch");
-    const size_t n = input.size();
-    const unsigned log_n = log2Exact(n);
-    const F w = F::rootOfUnity(log_n);
-
-    Rng rng(seed);
-    for (unsigned c = 0; c < checks; ++c) {
-        uint64_t k = rng.below(n);
-        F x = shift * w.pow(k);
-        F acc = F::zero();
-        for (size_t i = n; i-- > 0;)
-            acc = acc * x + input[i];
-        if (!(output[bitReverse(k, log_n)] == acc))
-            return false;
-    }
-    return true;
+    return spotCheck<F>({input}, {output}, shift, checks, seed);
 }
 
 } // namespace unintt

@@ -809,6 +809,35 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
                                      lo0.data() + off, len),
                           scalar.dotSpan(tw.data() + off,
                                          lo0.data() + off, len));
+
+                // hornerSpan across the four-chain grouping (k = 1..5:
+                // every chain count, and a full group plus one), with
+                // the points 0 and 1 in different chain slots; the
+                // scalar table is also held to the slot's definition.
+                const F r0 = F::fromU64(rng.next());
+                const F r1 = F::fromU64(rng.next());
+                const F r2 = F::fromU64(rng.next());
+                const F zero = F::zero(), one = F::one();
+                const std::vector<std::vector<F>> point_sets{
+                    {zero}, {one}, {r0}, {r1, one}, {one, r2, zero},
+                    {zero, one, r0, r1}, {r0, r1, zero, r2, one}};
+                for (const std::vector<F> &pts : point_sets) {
+                    std::vector<F> got(pts.size()), want(pts.size());
+                    fk.hornerSpan(lo0.data() + off, len, pts.data(),
+                                  got.data(), pts.size());
+                    scalar.hornerSpan(lo0.data() + off, len, pts.data(),
+                                      want.data(), pts.size());
+                    ASSERT_EQ(got, want) << "k=" << pts.size();
+                    for (size_t c = 0; c < pts.size(); ++c) {
+                        F direct = zero, xp = one;
+                        for (size_t i = 0; i < len; ++i) {
+                            direct = direct + lo0[off + i] * xp;
+                            xp = xp * pts[c];
+                        }
+                        ASSERT_EQ(want[c], direct)
+                            << "k=" << pts.size() << " point " << c;
+                    }
+                }
             }
         }
     }
