@@ -13,8 +13,8 @@
  *   2. the simulated timeline (every phase, counter and second) is
  *      identical — parallelism changes who computes, never what.
  *
- * A second table shows the plan/twiddle cache effect: the same
- * transform with cold caches versus warm ones.
+ * A second table shows the plan/schedule/twiddle cache effect: the
+ * same transform with cold caches versus warm ones.
  */
 
 #include <chrono>
@@ -166,6 +166,7 @@ main()
     // misses both; a warm run hits the slab and never consults the
     // table.
     PlanCache::global().clear();
+    ScheduleCache::global().clear();
     TwiddleCache<F>::global().clear();
     TwiddleSlabCache<F>::global().clear();
     RunResult cold = runOnce(sys, input, 0, 1);
@@ -176,13 +177,15 @@ main()
     const auto &cold_hx = cold.report.hostExecStats();
     const auto &warm_hx = warm.report.hostExecStats();
     std::printf("\ncache effect (single run each):\n");
-    Table c({"caches", "plan", "twiddle", "twiddle slabs",
+    Table c({"caches", "plan", "schedule", "twiddle", "twiddle slabs",
              "wall clock"});
     auto hitmiss = [](uint64_t h, uint64_t m) {
         return std::to_string(h) + " hit/" + std::to_string(m) + " miss";
     };
     c.addRow({"cold",
               hitmiss(cold_hx.planCacheHits, cold_hx.planCacheMisses),
+              hitmiss(cold_hx.scheduleCacheHits,
+                      cold_hx.scheduleCacheMisses),
               hitmiss(cold_hx.twiddleCacheHits,
                       cold_hx.twiddleCacheMisses),
               hitmiss(cold_hx.twiddleSlabHits,
@@ -190,6 +193,8 @@ main()
               formatSeconds(cold.bestWallSeconds)});
     c.addRow({"warm",
               hitmiss(warm_hx.planCacheHits, warm_hx.planCacheMisses),
+              hitmiss(warm_hx.scheduleCacheHits,
+                      warm_hx.scheduleCacheMisses),
               hitmiss(warm_hx.twiddleCacheHits,
                       warm_hx.twiddleCacheMisses),
               hitmiss(warm_hx.twiddleSlabHits,

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full CI pipeline: build the regular tree and run the complete
-# test suite, then do the same under ASan + UBSan via
-# scripts/check_sanitize.sh (separate build tree). Both steps must pass
-# for a change to merge. Local usage is identical: ./scripts/ci.sh
+# test suite, run the concurrency-heavy tests under ThreadSanitizer,
+# then run the suite under ASan + UBSan via scripts/check_sanitize.sh
+# (separate build trees). Every step must pass for a change to merge.
+# Local usage is identical: ./scripts/ci.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,6 +22,27 @@ UNINTT_FORCE_ISA=scalar \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 echo "==> tests, auto-routed kernels"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
+# The shared caches' single-flight contract must hold on every run, not
+# most: repeat the concurrency stress binary until it fails (it must not).
+echo "==> cache concurrency stress, 200 repeats"
+ctest --test-dir "$BUILD_DIR" -R test_concurrency --output-on-failure \
+    --repeat until-fail:200
+
+echo "==> ThreadSanitizer tree ($BUILD_DIR-tsan)"
+# Races are caught here, not by luck: the concurrency stress tests, the
+# proving service, the differential harness (thread-count sweeps) and
+# both soaks run under -fsanitize=thread, which exits non-zero on any
+# report.
+cmake -B "$BUILD_DIR-tsan" -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+cmake --build "$BUILD_DIR-tsan" -j"$JOBS" --target test_concurrency \
+    test_service test_differential unintt-cli
+# Through ctest, so the binaries run in the build tree as in the regular
+# passes (from the repo root they would consult tuning/tunedb.json).
+ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure -j"$JOBS" \
+    -R '^(test_concurrency|test_service|test_differential)$'
+"$BUILD_DIR-tsan"/src/tools/unintt-cli soak --campaigns 4 --small
+"$BUILD_DIR-tsan"/src/tools/unintt-cli soak --service --small
 
 echo "==> acceleration router smoke (--list-kernels + report line)"
 "$BUILD_DIR"/src/tools/unintt-cli list-kernels \
@@ -75,8 +97,8 @@ grep -Eq "abftCatches=[1-9][0-9]*" /tmp/ci_fig21.txt
 echo "==> service chaos soak (multi-tenant load + seeded device kills)"
 # Exits non-zero on silent corruption, unaccounted jobs, or a healthy
 # tenant's p99 blowing past 2x its fault-free baseline. The same gate
-# also runs as the service_soak_smoke ctest (including the sanitizer
-# tree, which covers the concurrency stress test too).
+# also runs as the service_soak_smoke ctest (including the ASan tree)
+# and under ThreadSanitizer above.
 "$BUILD_DIR"/src/tools/unintt-cli soak --service --small
 
 echo "==> schedule IR smoke (table + JSON + fused groups)"
@@ -90,8 +112,8 @@ fi
 
 echo "==> DAG overlap smoke (4-GPU 2^22 plan must carry the overlay)"
 # The differential DAG matrix and the mid-overlap chaos tests run in
-# both ctest trees above (test_differential, test_fault,
-# test_concurrency under sanitizers); this gate additionally pins the
+# the ctest passes above (test_differential, test_fault, and
+# test_concurrency under ThreadSanitizer); this gate additionally pins the
 # user-visible surface: the compiled schedule reports overlap.
 "$BUILD_DIR"/src/tools/unintt-cli schedule --log-n=22 --gpus=4 --json \
     | tee /tmp/ci_schedule_dag.json | grep -q '"overlap": true'

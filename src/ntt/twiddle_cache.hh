@@ -7,7 +7,7 @@
  * regenerating the powers of the root of unity on every call is pure
  * waste. The cache hands out shared_ptr<const TwiddleTable> so hits are
  * one mutex acquisition plus a refcount, safe to use from the host
- * thread pool.
+ * thread pool (util/lru_cache.hh holds the shared contract).
  *
  * Eviction is LRU, bounded both by entry count and by total bytes so a
  * sweep over many sizes cannot pin unbounded memory (a 2^24 BN254 table
@@ -18,16 +18,14 @@
 #define UNINTT_NTT_TWIDDLE_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "field/field_traits.hh"
 #include "ntt/ntt.hh"
 #include "ntt/twiddle.hh"
 #include "util/bitops.hh"
+#include "util/lru_cache.hh"
 
 namespace unintt {
 
@@ -91,17 +89,21 @@ class TwiddleSlabs
     std::vector<F> flat_;
 };
 
-/** Hit/miss counters of one cache; monotone over the process. */
-struct CacheCounters
+/** Key of the twiddle table and slab caches. */
+struct TwiddleKey
 {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
+    size_t n;
+    NttDirection dir;
+
+    bool operator==(const TwiddleKey &) const = default;
 };
 
 /** Thread-safe LRU cache of TwiddleTable<F> keyed by (size, direction). */
 template <NttField F>
-class TwiddleCache
+class TwiddleCache : public LruCache<TwiddleKey, TwiddleTable<F>>
 {
+    using Base = LruCache<TwiddleKey, TwiddleTable<F>>;
+
   public:
     /**
      * @param max_entries LRU bound on cached tables.
@@ -109,7 +111,7 @@ class TwiddleCache
      */
     explicit TwiddleCache(size_t max_entries = 32,
                           size_t max_bytes = 256ULL << 20)
-        : maxEntries_(max_entries), maxBytes_(max_bytes)
+        : Base(max_entries, max_bytes)
     {
     }
 
@@ -121,56 +123,8 @@ class TwiddleCache
     std::shared_ptr<const TwiddleTable<F>>
     get(size_t n, NttDirection dir, bool *hit_out = nullptr)
     {
-        std::lock_guard<std::mutex> lk(mutex_);
-        for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-            if (it->n == n && it->dir == dir) {
-                counters_.hits++;
-                if (hit_out)
-                    *hit_out = true;
-                lru_.splice(lru_.begin(), lru_, it); // refresh recency
-                return lru_.front().table;
-            }
-        }
-        counters_.misses++;
-        if (hit_out)
-            *hit_out = false;
-        Entry e;
-        e.n = n;
-        e.dir = dir;
-        e.table = std::make_shared<const TwiddleTable<F>>(n, dir);
-        bytes_ += e.table->sizeBytes();
-        lru_.push_front(std::move(e));
-        while (lru_.size() > maxEntries_ ||
-               (bytes_ > maxBytes_ && lru_.size() > 1)) {
-            bytes_ -= lru_.back().table->sizeBytes();
-            lru_.pop_back(); // outstanding shared_ptrs stay valid
-        }
-        return lru_.front().table;
-    }
-
-    /** Drop every cached table (cold-cache tests). Counters persist. */
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        lru_.clear();
-        bytes_ = 0;
-    }
-
-    /** Lifetime hit/miss counters. */
-    CacheCounters
-    counters() const
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return counters_;
-    }
-
-    /** Cached tables currently resident. */
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return lru_.size();
+        return Base::get(
+            {n, dir}, [&] { return TwiddleTable<F>(n, dir); }, hit_out);
     }
 
     /** The process-wide instance for field F. */
@@ -180,21 +134,6 @@ class TwiddleCache
         static TwiddleCache cache;
         return cache;
     }
-
-  private:
-    struct Entry
-    {
-        size_t n;
-        NttDirection dir;
-        std::shared_ptr<const TwiddleTable<F>> table;
-    };
-
-    mutable std::mutex mutex_;
-    std::list<Entry> lru_; // front = most recently used
-    size_t maxEntries_;
-    size_t maxBytes_;
-    size_t bytes_ = 0;
-    CacheCounters counters_;
 };
 
 /** Cached lookup on the field's global cache. */
@@ -213,13 +152,15 @@ cachedTwiddles(size_t n, NttDirection dir, bool *hit_out = nullptr)
  * regeneration.
  */
 template <NttField F>
-class TwiddleSlabCache
+class TwiddleSlabCache : public LruCache<TwiddleKey, TwiddleSlabs<F>>
 {
+    using Base = LruCache<TwiddleKey, TwiddleSlabs<F>>;
+
   public:
     /** Bounds mirror TwiddleCache; slabs are ~2x a table. */
     explicit TwiddleSlabCache(size_t max_entries = 32,
                               size_t max_bytes = 512ULL << 20)
-        : maxEntries_(max_entries), maxBytes_(max_bytes)
+        : Base(max_entries, max_bytes)
     {
     }
 
@@ -233,60 +174,13 @@ class TwiddleSlabCache
     get(size_t n, NttDirection dir, bool *hit_out = nullptr,
         bool *table_hit_out = nullptr)
     {
-        {
-            std::lock_guard<std::mutex> lk(mutex_);
-            for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-                if (it->n == n && it->dir == dir) {
-                    counters_.hits++;
-                    if (hit_out)
-                        *hit_out = true;
-                    lru_.splice(lru_.begin(), lru_, it);
-                    return lru_.front().slabs;
-                }
-            }
-        }
-        // Build outside the lock (concurrent misses of one key are
-        // merely redundant work); the table comes from the table cache.
-        auto table = cachedTwiddles<F>(n, dir, table_hit_out);
-        auto slabs = std::make_shared<const TwiddleSlabs<F>>(*table);
-
-        std::lock_guard<std::mutex> lk(mutex_);
-        counters_.misses++;
-        if (hit_out)
-            *hit_out = false;
-        bytes_ += slabs->sizeBytes();
-        lru_.push_front(Entry{n, dir, slabs});
-        while (lru_.size() > maxEntries_ ||
-               (bytes_ > maxBytes_ && lru_.size() > 1)) {
-            bytes_ -= lru_.back().slabs->sizeBytes();
-            lru_.pop_back(); // outstanding shared_ptrs stay valid
-        }
-        return lru_.front().slabs;
-    }
-
-    /** Drop every cached slab set (cold-cache tests). */
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        lru_.clear();
-        bytes_ = 0;
-    }
-
-    /** Lifetime hit/miss counters. */
-    CacheCounters
-    counters() const
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return counters_;
-    }
-
-    /** Cached slab sets currently resident. */
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return lru_.size();
+        return Base::get(
+            {n, dir},
+            [&] {
+                return TwiddleSlabs<F>(
+                    *cachedTwiddles<F>(n, dir, table_hit_out));
+            },
+            hit_out);
     }
 
     /** The process-wide instance for field F. */
@@ -296,21 +190,6 @@ class TwiddleSlabCache
         static TwiddleSlabCache cache;
         return cache;
     }
-
-  private:
-    struct Entry
-    {
-        size_t n;
-        NttDirection dir;
-        std::shared_ptr<const TwiddleSlabs<F>> slabs;
-    };
-
-    mutable std::mutex mutex_;
-    std::list<Entry> lru_; // front = most recently used
-    size_t maxEntries_;
-    size_t maxBytes_;
-    size_t bytes_ = 0;
-    CacheCounters counters_;
 };
 
 /** Cached slab lookup on the field's global slab cache. */

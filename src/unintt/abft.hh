@@ -39,18 +39,16 @@
  * tile, and recompute only that tile (executors.hh).
  *
  * The vectors are immutable and shared through a process-wide LRU
- * cache keyed by a fingerprint of the checked-step geometry, mirroring
- * TwiddleSlabCache: proving loops re-run the same schedule shapes, and
- * regeneration costs about one transform.
+ * cache (util/lru_cache.hh) keyed by the full identity of the seed and
+ * the checked-step geometry (AbftKey): proving loops re-run the same
+ * schedule shapes, and regeneration costs about one transform.
  */
 
 #ifndef UNINTT_UNINTT_ABFT_HH
 #define UNINTT_UNINTT_ABFT_HH
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "field/dispatch.hh"
@@ -62,6 +60,7 @@
 #include "unintt/schedule.hh"
 #include "util/checksum.hh"
 #include "util/logging.hh"
+#include "util/lru_cache.hh"
 #include "util/thread_pool.hh"
 
 namespace unintt {
@@ -74,30 +73,43 @@ abftChecked(const ScheduleStep &st)
 }
 
 /**
- * Fingerprint of everything the coefficient vectors depend on: the
- * seed, the transform geometry, and the (kind, stage range, distance,
- * scaling) signature of every checked step. Schedules that agree here
+ * Identity of everything the coefficient vectors depend on: the seed,
+ * the transform geometry, and the (kind, stage range, distance,
+ * scaling) signature of every checked step. Schedules with equal keys
  * produce identical vectors, so resume schedules after degradation key
  * their own entries while repeated clean runs share one.
  */
-inline uint64_t
-abftFingerprint(const StageSchedule &sched, uint64_t seed)
+struct AbftKey
 {
-    uint64_t h = mix64(seed ^ 0xabf7f19e50d5eedfULL);
-    h = mix64(h ^ sched.logN);
-    h = mix64(h ^ (sched.dir == NttDirection::Forward ? 1u : 2u));
-    h = mix64(h ^ sched.plan.chunkElems());
-    for (const ScheduleStep &st : sched.steps) {
-        if (!abftChecked(st))
-            continue;
-        h = mix64(h ^ static_cast<uint64_t>(st.kind));
-        h = mix64(h ^ st.sBegin);
-        h = mix64(h ^ st.sEnd);
-        h = mix64(h ^ st.distance);
-        h = mix64(h ^ (st.applyInverseScale ? 1u : 0u));
+    struct CheckedStep
+    {
+        StepKind kind;
+        unsigned sBegin;
+        unsigned sEnd;
+        unsigned distance;
+        bool applyInverseScale;
+
+        bool operator==(const CheckedStep &) const = default;
+    };
+
+    AbftKey(const StageSchedule &sched, uint64_t coef_seed)
+        : seed(coef_seed), logN(sched.logN), dir(sched.dir),
+          chunkElems(sched.plan.chunkElems())
+    {
+        for (const ScheduleStep &st : sched.steps)
+            if (abftChecked(st))
+                steps.push_back({st.kind, st.sBegin, st.sEnd, st.distance,
+                                 st.applyInverseScale});
     }
-    return h;
-}
+
+    uint64_t seed;
+    unsigned logN;
+    NttDirection dir;
+    uint64_t chunkElems;
+    std::vector<CheckedStep> steps;
+
+    bool operator==(const AbftKey &) const = default;
+};
 
 /**
  * RLC dot product over @p count elements (checks and tile
@@ -317,17 +329,19 @@ class AbftCoefficients
 };
 
 /**
- * Thread-safe LRU cache of AbftCoefficients<F> keyed by the schedule
- * fingerprint. A 2^22 Goldilocks entry is ~250 MiB, so the bounds are
- * tight: a handful of resident shapes, evicted by recency.
+ * Thread-safe LRU cache of AbftCoefficients<F> keyed by AbftKey. A 2^22
+ * Goldilocks entry is ~250 MiB, so the bounds are tight: a handful of
+ * resident shapes, evicted by recency.
  */
 template <NttField F>
-class AbftCoefficientCache
+class AbftCoefficientCache : public LruCache<AbftKey, AbftCoefficients<F>>
 {
+    using Base = LruCache<AbftKey, AbftCoefficients<F>>;
+
   public:
     explicit AbftCoefficientCache(size_t max_entries = 4,
                                   size_t max_bytes = 768ULL << 20)
-        : maxEntries_(max_entries), maxBytes_(max_bytes)
+        : Base(max_entries, max_bytes)
     {
     }
 
@@ -335,61 +349,12 @@ class AbftCoefficientCache
     get(const StageSchedule &sched, const TwiddleSlabs<F> &slabs,
         uint64_t seed, unsigned lanes, bool *hit_out = nullptr)
     {
-        const uint64_t key = abftFingerprint(sched, seed);
-        {
-            std::lock_guard<std::mutex> lk(mutex_);
-            for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-                if (it->key == key) {
-                    counters_.hits++;
-                    if (hit_out)
-                        *hit_out = true;
-                    lru_.splice(lru_.begin(), lru_, it);
-                    return lru_.front().coef;
-                }
-            }
-        }
-        // Build outside the lock (concurrent misses of one key are
-        // merely redundant work), like the twiddle slab cache.
-        auto coef = std::make_shared<const AbftCoefficients<F>>(
-            sched, slabs, seed, lanes);
-
-        std::lock_guard<std::mutex> lk(mutex_);
-        counters_.misses++;
-        if (hit_out)
-            *hit_out = false;
-        bytes_ += coef->sizeBytes();
-        lru_.push_front(Entry{key, coef});
-        while (lru_.size() > maxEntries_ ||
-               (bytes_ > maxBytes_ && lru_.size() > 1)) {
-            bytes_ -= lru_.back().coef->sizeBytes();
-            lru_.pop_back(); // outstanding shared_ptrs stay valid
-        }
-        return lru_.front().coef;
-    }
-
-    /** Drop every cached vector set (cold-cache tests). */
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        lru_.clear();
-        bytes_ = 0;
-    }
-
-    /** Lifetime hit/miss counters. */
-    CacheCounters
-    counters() const
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return counters_;
-    }
-
-    /** Cached vector sets currently resident. */
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return lru_.size();
+        return Base::get(
+            AbftKey(sched, seed),
+            [&] {
+                return AbftCoefficients<F>(sched, slabs, seed, lanes);
+            },
+            hit_out);
     }
 
     /** The process-wide instance for field F. */
@@ -399,20 +364,6 @@ class AbftCoefficientCache
         static AbftCoefficientCache cache;
         return cache;
     }
-
-  private:
-    struct Entry
-    {
-        uint64_t key;
-        std::shared_ptr<const AbftCoefficients<F>> coef;
-    };
-
-    mutable std::mutex mutex_;
-    std::list<Entry> lru_; // front = most recently used
-    size_t maxEntries_;
-    size_t maxBytes_;
-    size_t bytes_ = 0;
-    CacheCounters counters_;
 };
 
 /** Cached lookup on the field's global coefficient cache. */

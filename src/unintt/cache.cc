@@ -9,62 +9,21 @@ PlanCache::get(unsigned logN, const MultiGpuSystem &sys,
                size_t element_bytes, unsigned force_log_tile,
                bool *hit_out)
 {
-    Key key{logN,
-            sys.numGpus,
-            element_bytes,
-            force_log_tile,
-            sys.gpu.maxThreadsPerBlock,
-            sys.gpu.smemBytesPerBlock,
-            sys.gpu.warpSize,
-            sys.gpu.dramCapacityBytes};
-
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-            if (it->key == key) {
-                counters_.hits++;
-                if (hit_out)
-                    *hit_out = true;
-                lru_.splice(lru_.begin(), lru_, it);
-                return lru_.front().plan;
-            }
-        }
-    }
-
-    // Plan outside the lock: the planner may fatal() on user error and
-    // concurrent misses of the same key are merely redundant work.
-    NttPlan plan = planNttWithTile(logN, sys, element_bytes,
+    const PlanKey key{logN,
+                      sys.numGpus,
+                      element_bytes,
+                      force_log_tile,
+                      sys.gpu.maxThreadsPerBlock,
+                      sys.gpu.smemBytesPerBlock,
+                      sys.gpu.warpSize,
+                      sys.gpu.dramCapacityBytes};
+    return *LruCache::get(
+        key,
+        [&] {
+            return planNttWithTile(logN, sys, element_bytes,
                                    force_log_tile);
-
-    std::lock_guard<std::mutex> lk(mutex_);
-    counters_.misses++;
-    if (hit_out)
-        *hit_out = false;
-    lru_.push_front(Entry{key, plan});
-    while (lru_.size() > maxEntries_)
-        lru_.pop_back();
-    return plan;
-}
-
-void
-PlanCache::clear()
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    lru_.clear();
-}
-
-CacheCounters
-PlanCache::counters() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return counters_;
-}
-
-size_t
-PlanCache::size() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return lru_.size();
+        },
+        hit_out);
 }
 
 PlanCache &
@@ -80,81 +39,40 @@ ScheduleCache::get(const NttPlan &pl, const MultiGpuSystem &sys,
                    const UniNttConfig &cfg, const CostConstants &costs,
                    size_t batch, bool *hit_out, bool tuned)
 {
-    Key key{pl.logN,
-            sys.numGpus,
-            sys.gpusPerNode,
-            static_cast<int>(dir),
-            element_bytes,
-            batch,
-            cfg.forceLogBlockTile,
-            cfg.fuseTwiddles,
-            cfg.onTheFlyTwiddles,
-            cfg.paddedSmem,
-            cfg.warpShuffle,
-            cfg.naturalOrderOutput,
-            cfg.fuseLocalPasses,
-            cfg.overlapComm,
-            cfg.hostTileLog2,
-            static_cast<unsigned>(resolveIsaPath(cfg.isaPath)),
-            tuned,
-            costs.twiddleTableDramFraction,
-            costs.onTheFlyExtraMuls,
-            costs.unpaddedConflictReplays,
-            sys.gpu.maxThreadsPerBlock,
-            sys.gpu.smemBytesPerBlock,
-            sys.gpu.warpSize,
-            sys.gpu.dramCapacityBytes,
-            sys.gpu.dramSectorBytes};
-
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-            if (it->key == key) {
-                counters_.hits++;
-                if (hit_out)
-                    *hit_out = true;
-                lru_.splice(lru_.begin(), lru_, it);
-                return lru_.front().schedule;
-            }
-        }
-    }
-
-    // Compile outside the lock; concurrent misses of the same key are
-    // merely redundant work.
-    ScheduleOptions opts;
-    opts.batch = batch;
-    auto sched = std::make_shared<const StageSchedule>(
-        compileSchedule(pl, sys, dir, element_bytes, cfg, costs, opts));
-
-    std::lock_guard<std::mutex> lk(mutex_);
-    counters_.misses++;
-    if (hit_out)
-        *hit_out = false;
-    lru_.push_front(Entry{key, sched});
-    while (lru_.size() > maxEntries_)
-        lru_.pop_back();
-    return sched;
-}
-
-void
-ScheduleCache::clear()
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    lru_.clear();
-}
-
-CacheCounters
-ScheduleCache::counters() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return counters_;
-}
-
-size_t
-ScheduleCache::size() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return lru_.size();
+    const ScheduleKey key{pl.logN,
+                          sys.numGpus,
+                          sys.gpusPerNode,
+                          static_cast<int>(dir),
+                          element_bytes,
+                          batch,
+                          cfg.forceLogBlockTile,
+                          cfg.fuseTwiddles,
+                          cfg.onTheFlyTwiddles,
+                          cfg.paddedSmem,
+                          cfg.warpShuffle,
+                          cfg.naturalOrderOutput,
+                          cfg.fuseLocalPasses,
+                          cfg.overlapComm,
+                          cfg.hostTileLog2,
+                          static_cast<unsigned>(resolveIsaPath(cfg.isaPath)),
+                          tuned,
+                          costs.twiddleTableDramFraction,
+                          costs.onTheFlyExtraMuls,
+                          costs.unpaddedConflictReplays,
+                          sys.gpu.maxThreadsPerBlock,
+                          sys.gpu.smemBytesPerBlock,
+                          sys.gpu.warpSize,
+                          sys.gpu.dramCapacityBytes,
+                          sys.gpu.dramSectorBytes};
+    return LruCache::get(
+        key,
+        [&] {
+            ScheduleOptions opts;
+            opts.batch = batch;
+            return compileSchedule(pl, sys, dir, element_bytes, cfg, costs,
+                                   opts);
+        },
+        hit_out);
 }
 
 ScheduleCache &

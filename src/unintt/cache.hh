@@ -11,84 +11,104 @@
  *
  * The cache key is everything the planner reads: the transform size,
  * the GPU count, the element footprint (the field), the forced tile
- * override, and the per-GPU limits of the hardware model. Entries are
- * LRU-evicted beyond a fixed bound; lookups are mutex-protected so the
- * cache can be shared by concurrent host threads.
+ * override, and the per-GPU limits of the hardware model. Both caches
+ * are LruCache subclasses (util/lru_cache.hh): LRU-evicted beyond a
+ * fixed bound, shared by concurrent host threads, one build per key.
  */
 
 #ifndef UNINTT_UNINTT_CACHE_HH
 #define UNINTT_UNINTT_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 
-#include "ntt/twiddle_cache.hh"
 #include "sim/multi_gpu.hh"
 #include "unintt/plan.hh"
 #include "unintt/schedule.hh"
+#include "util/lru_cache.hh"
 
 namespace unintt {
 
+/** Exactly the planner inputs; equality means the plans match. */
+struct PlanKey
+{
+    unsigned logN;
+    unsigned numGpus;
+    size_t elementBytes;
+    unsigned forceLogTile;
+    unsigned maxThreadsPerBlock;
+    uint64_t smemBytesPerBlock;
+    unsigned warpSize;
+    uint64_t dramCapacityBytes;
+
+    bool operator==(const PlanKey &) const = default;
+};
+
 /** Thread-safe LRU memo of planNttWithTile results. */
-class PlanCache
+class PlanCache : public LruCache<PlanKey, NttPlan>
 {
   public:
-    explicit PlanCache(size_t max_entries = 64)
-        : maxEntries_(max_entries)
-    {
-    }
+    explicit PlanCache(size_t max_entries = 64) : LruCache(max_entries) {}
 
     /**
      * The plan for a 2^logN transform on @p sys, computed on the first
      * request with planNttWithTile and replayed afterwards. @p hit_out
      * (optional) reports whether this call was served from the cache.
-     * Invalid sizes are fatal exactly as in planNttWithTile (the
-     * planner runs before anything is inserted).
+     * Invalid sizes are fatal exactly as in planNttWithTile.
      */
     NttPlan get(unsigned logN, const MultiGpuSystem &sys,
                 size_t element_bytes, unsigned force_log_tile,
                 bool *hit_out = nullptr);
 
-    /** Drop every cached plan (cold-cache tests). Counters persist. */
-    void clear();
-
-    /** Lifetime hit/miss counters. */
-    CacheCounters counters() const;
-
-    /** Cached plans currently resident. */
-    size_t size() const;
-
     /** The process-wide instance. */
     static PlanCache &global();
+};
 
-  private:
-    /** Exactly the planner inputs; equality means the plans match. */
-    struct Key
-    {
-        unsigned logN;
-        unsigned numGpus;
-        size_t elementBytes;
-        unsigned forceLogTile;
-        unsigned maxThreadsPerBlock;
-        uint64_t smemBytesPerBlock;
-        unsigned warpSize;
-        uint64_t dramCapacityBytes;
+/** Everything compileSchedule reads (for the plain variant). */
+struct ScheduleKey
+{
+    unsigned logN;
+    unsigned numGpus;
+    unsigned gpusPerNode;
+    int dir;
+    size_t elementBytes;
+    size_t batch;
+    unsigned forceLogTile;
+    bool fuseTwiddles;
+    bool onTheFlyTwiddles;
+    bool paddedSmem;
+    bool warpShuffle;
+    bool naturalOrderOutput;
+    bool fuseLocalPasses;
+    /**
+     * Overlap gates the DAG overlay: a linear schedule must never be
+     * served to a wave dispatch (or vice versa).
+     */
+    bool overlapComm;
+    unsigned hostTileLog2;
+    /**
+     * Resolved acceleration path (field/dispatch.hh): the fused tile
+     * floor depends on the active lane width, so schedules compiled
+     * under different paths must never alias.
+     */
+    unsigned isaPath;
+    /**
+     * Tuning-DB provenance: a schedule compiled from a DB entry must
+     * never alias a heuristic one (or vice versa), even when today's
+     * knobs happen to coincide — a DB refresh changes the tuned side
+     * without touching the heuristic side.
+     */
+    bool tuned;
+    double twiddleTableDramFraction;
+    double onTheFlyExtraMuls;
+    double unpaddedConflictReplays;
+    unsigned maxThreadsPerBlock;
+    uint64_t smemBytesPerBlock;
+    unsigned warpSize;
+    uint64_t dramCapacityBytes;
+    unsigned dramSectorBytes;
 
-        bool operator==(const Key &) const = default;
-    };
-
-    struct Entry
-    {
-        Key key;
-        NttPlan plan;
-    };
-
-    mutable std::mutex mutex_;
-    std::list<Entry> lru_; // front = most recently used
-    size_t maxEntries_;
-    CacheCounters counters_;
+    bool operator==(const ScheduleKey &) const = default;
 };
 
 /**
@@ -101,13 +121,10 @@ class PlanCache
  * non-resume) schedules are cached; resilient runs recompile after
  * every degradation and are the cold path by definition.
  */
-class ScheduleCache
+class ScheduleCache : public LruCache<ScheduleKey, StageSchedule>
 {
   public:
-    explicit ScheduleCache(size_t max_entries = 64)
-        : maxEntries_(max_entries)
-    {
-    }
+    explicit ScheduleCache(size_t max_entries = 64) : LruCache(max_entries) {}
 
     /**
      * The compiled schedule of @p pl for one direction and batch size,
@@ -121,76 +138,8 @@ class ScheduleCache
         const CostConstants &costs, size_t batch,
         bool *hit_out = nullptr, bool tuned = false);
 
-    /** Drop every cached schedule. Counters persist. */
-    void clear();
-
-    /** Lifetime hit/miss counters. */
-    CacheCounters counters() const;
-
-    /** Cached schedules currently resident. */
-    size_t size() const;
-
     /** The process-wide instance. */
     static ScheduleCache &global();
-
-  private:
-    /** Everything compileSchedule reads (for the plain variant). */
-    struct Key
-    {
-        unsigned logN;
-        unsigned numGpus;
-        unsigned gpusPerNode;
-        int dir;
-        size_t elementBytes;
-        size_t batch;
-        unsigned forceLogTile;
-        bool fuseTwiddles;
-        bool onTheFlyTwiddles;
-        bool paddedSmem;
-        bool warpShuffle;
-        bool naturalOrderOutput;
-        bool fuseLocalPasses;
-        /**
-         * Overlap gates the DAG overlay: a linear schedule must never
-         * be served to a wave dispatch (or vice versa).
-         */
-        bool overlapComm;
-        unsigned hostTileLog2;
-        /**
-         * Resolved acceleration path (field/dispatch.hh): the fused
-         * tile floor depends on the active lane width, so schedules
-         * compiled under different paths must never alias.
-         */
-        unsigned isaPath;
-        /**
-         * Tuning-DB provenance: a schedule compiled from a DB entry
-         * must never alias a heuristic one (or vice versa), even when
-         * today's knobs happen to coincide — a DB refresh changes the
-         * tuned side without touching the heuristic side.
-         */
-        bool tuned;
-        double twiddleTableDramFraction;
-        double onTheFlyExtraMuls;
-        double unpaddedConflictReplays;
-        unsigned maxThreadsPerBlock;
-        uint64_t smemBytesPerBlock;
-        unsigned warpSize;
-        uint64_t dramCapacityBytes;
-        unsigned dramSectorBytes;
-
-        bool operator==(const Key &) const = default;
-    };
-
-    struct Entry
-    {
-        Key key;
-        std::shared_ptr<const StageSchedule> schedule;
-    };
-
-    mutable std::mutex mutex_;
-    std::list<Entry> lru_; // front = most recently used
-    size_t maxEntries_;
-    CacheCounters counters_;
 };
 
 } // namespace unintt

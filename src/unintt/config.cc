@@ -57,7 +57,6 @@ UniNttConfig::toString() const
     os << " radix=r" << (1u << std::clamp(fusedRadixLog2, 1u, 3u))
        << " tune-db=" << (useTuneDb ? "on" : "off")
        << " isa=" << isaPathName(isaPath)
-       << " host-caches=" << onoff(useHostCaches)
        << " host-threads=";
     if (hostThreads == 0)
         os << "auto";

@@ -167,14 +167,6 @@ struct UniNttConfig
      */
     unsigned hostThreads = 0;
 
-    /**
-     * Consult the process-wide PlanCache / TwiddleCache (unintt/
-     * cache.hh) instead of re-planning and regenerating roots of unity
-     * per transform. Off forces cold-path behavior (determinism
-     * tests); results are bit-identical either way.
-     */
-    bool useHostCaches = true;
-
     /** Human-readable on/off summary for reports. */
     std::string toString() const;
 

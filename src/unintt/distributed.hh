@@ -75,17 +75,25 @@ class DistributedVector
     std::vector<F>
     toGlobal() const
     {
+        std::vector<F> out;
+        toGlobal(out);
+        return out;
+    }
+
+    /** toGlobal() into @p out, reusing its storage. */
+    void
+    toGlobal(std::vector<F> &out) const
+    {
         std::vector<size_t> offsets(chunks_.size() + 1, 0);
         for (size_t g = 0; g < chunks_.size(); ++g)
             offsets[g + 1] = offsets[g] + chunks_[g].size();
-        std::vector<F> out(offsets.back());
+        out.resize(offsets.back());
         const size_t avg =
             chunks_.empty() ? 0 : offsets.back() / chunks_.size();
         hostParallelFor(chunks_.size(), avg, 0, [&](size_t g) {
             std::copy(chunks_[g].begin(), chunks_[g].end(),
                       out.begin() + offsets[g]);
         });
-        return out;
     }
 
     /** Number of devices. */

@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,8 +121,8 @@ class UniNttEngine
     /**
      * The compiled stage schedule for a 2^logN x batch transform — the
      * IR every entry point dispatches (served from the process-wide
-     * ScheduleCache unless host caches are off). @p plan_hit_out and
-     * @p sched_hit_out (optional) report how the caches behaved.
+     * ScheduleCache). @p plan_hit_out and @p sched_hit_out (optional)
+     * report how the caches behaved.
      */
     std::shared_ptr<const StageSchedule>
     schedule(unsigned logN, NttDirection dir, size_t batch = 1,
@@ -133,8 +134,9 @@ class UniNttEngine
         const TunedConfig tc = tunedFor(logN, "functional");
         if (tuned_out)
             *tuned_out = tc.tuned;
-        return scheduleCached(pl, dir, batch, tc.cfg, tc.tuned,
-                              sched_hit_out);
+        return ScheduleCache::global().get(pl, sys_, dir, sizeof(F), tc.cfg,
+                                           costs_, batch, sched_hit_out,
+                                           tc.tuned);
     }
 
     /**
@@ -385,42 +387,13 @@ class UniNttEngine
         return mix64(base ^ mix64(++spotCheckEpoch_));
     }
 
-    /** Plan via the shared PlanCache (or directly when caching is off). */
+    /** Plan via the shared PlanCache. */
     NttPlan
     planCached(unsigned logN, const MultiGpuSystem &sys,
                bool *hit_out) const
     {
-        if (cfg_.useHostCaches)
-            return PlanCache::global().get(logN, sys, sizeof(F),
-                                           cfg_.forceLogBlockTile,
-                                           hit_out);
-        if (hit_out)
-            *hit_out = false;
-        return planNttWithTile(logN, sys, sizeof(F),
-                               cfg_.forceLogBlockTile);
-    }
-
-    /**
-     * Schedule via the shared ScheduleCache (or freshly compiled).
-     * @p cfg is the *effective* (possibly DB-tuned) config and
-     * @p tuned its provenance — part of the cache key, so tuned and
-     * heuristic schedules never alias.
-     */
-    std::shared_ptr<const StageSchedule>
-    scheduleCached(const NttPlan &pl, NttDirection dir, size_t batch,
-                   const UniNttConfig &cfg, bool tuned,
-                   bool *hit_out) const
-    {
-        if (cfg.useHostCaches)
-            return ScheduleCache::global().get(pl, sys_, dir, sizeof(F),
-                                               cfg, costs_, batch,
-                                               hit_out, tuned);
-        if (hit_out)
-            *hit_out = false;
-        ScheduleOptions opts;
-        opts.batch = batch;
-        return std::make_shared<const StageSchedule>(compileSchedule(
-            pl, sys_, dir, sizeof(F), cfg, costs_, opts));
+        return PlanCache::global().get(logN, sys, sizeof(F),
+                                       cfg_.forceLogBlockTile, hit_out);
     }
 
     /** hostLanes() for an arbitrary (effective) config. */
@@ -431,44 +404,15 @@ class UniNttEngine
                                     : ThreadPool::defaultLanes();
     }
 
-    /** Twiddle table via the shared cache (or freshly built). */
-    std::shared_ptr<const TwiddleTable<F>>
-    twiddlesCached(uint64_t n, NttDirection dir, bool *hit_out) const
-    {
-        if (cfg_.useHostCaches)
-            return cachedTwiddles<F>(n, dir, hit_out);
-        if (hit_out)
-            *hit_out = false;
-        return std::make_shared<const TwiddleTable<F>>(n, dir);
-    }
-
-    /**
-     * Per-stage compacted twiddle slabs via the shared slab cache (or
-     * freshly built). On a slab miss @p table_hit_out reports how the
-     * underlying table lookup behaved; on a slab hit the table cache
-     * is never touched and @p table_hit_out is left unchanged.
-     */
-    std::shared_ptr<const TwiddleSlabs<F>>
-    twiddleSlabsCached(uint64_t n, NttDirection dir, bool *slab_hit_out,
-                       bool *table_hit_out) const
-    {
-        if (cfg_.useHostCaches)
-            return cachedTwiddleSlabs<F>(n, dir, slab_hit_out,
-                                         table_hit_out);
-        if (slab_hit_out)
-            *slab_hit_out = false;
-        if (table_hit_out)
-            *table_hit_out = false;
-        const TwiddleTable<F> table(n, dir);
-        return std::make_shared<const TwiddleSlabs<F>>(table);
-    }
-
     MultiGpuSystem sys_;
     UniNttConfig cfg_;
     CostConstants costs_;
     PerfModel perf_;
     /** Spot-check seed derivation counter (see nextSpotSeed). */
     mutable uint64_t spotCheckEpoch_ = 0;
+    /** Lent to one resilient run at a time (ResilientScratch). */
+    mutable std::mutex scratchMutex_;
+    mutable ResilientScratch<F> scratch_;
 };
 
 // ---------------------------------------------------------------------
@@ -500,8 +444,8 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
     const UniNttConfig &ecfg = tc.cfg;
 
     bool sched_hit = false;
-    std::shared_ptr<const StageSchedule> sched =
-        scheduleCached(pl, dir, nbatch, ecfg, tc.tuned, &sched_hit);
+    std::shared_ptr<const StageSchedule> sched = ScheduleCache::global().get(
+        pl, sys_, dir, sizeof(F), ecfg, costs_, nbatch, &sched_hit, tc.tuned);
 
     // Compacted twiddle slabs shared by the functional execution
     // (served from the per-field slab cache; a slab miss pulls the flat
@@ -512,7 +456,7 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
     bool slab_hit = false;
     bool tw_hit = false;
     if (functional)
-        slabs = twiddleSlabsCached(n, dir, &slab_hit, &tw_hit);
+        slabs = cachedTwiddleSlabs<F>(n, dir, &slab_hit, &tw_hit);
 
     SimReport report;
     {
@@ -523,20 +467,13 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
         for (const auto &st : sched->steps)
             if (st.kind == StepKind::FusedLocalPass)
                 hx.fusedGroups++;
-        // A bypass run (useHostCaches off) consults no cache, so it
-        // records no hit or miss.
-        if (cfg_.useHostCaches) {
-            (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
-            (sched_hit ? hx.scheduleCacheHits : hx.scheduleCacheMisses) =
-                1;
-            if (functional) {
-                (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) =
-                    1;
-                // The flat table is only consulted on a slab miss.
-                if (!slab_hit)
-                    (tw_hit ? hx.twiddleCacheHits
-                            : hx.twiddleCacheMisses) = 1;
-            }
+        (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
+        (sched_hit ? hx.scheduleCacheHits : hx.scheduleCacheMisses) = 1;
+        if (functional) {
+            (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) = 1;
+            // The flat table is only consulted on a slab miss.
+            if (!slab_hit)
+                (tw_hit ? hx.twiddleCacheHits : hx.twiddleCacheMisses) = 1;
         }
         report.addHostExecStats(hx);
     }
@@ -613,13 +550,22 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
     const TunedConfig tc = tunedFor(logN, "functional");
     const UniNttConfig &ecfg = tc.cfg;
 
+    // Host buffers lent by the engine; an overlapping run on this
+    // engine allocates its own.
+    std::unique_lock<std::mutex> lent(scratchMutex_, std::try_to_lock);
+    ResilientScratch<F> own;
+    ResilientScratch<F> &scratch = lent.owns_lock() ? scratch_ : own;
+
     // Input snapshot for the post-transform spot check, taken only when
     // the schedule carries one (spotChecks > 0).
-    const std::vector<F> input =
-        rc.spotChecks > 0 ? data.toGlobal() : std::vector<F>{};
+    std::vector<F> &input = scratch.input;
+    if (rc.spotChecks > 0)
+        data.toGlobal(input);
+    else
+        input.clear();
     bool slab_hit = false;
     bool tw_hit = false;
-    const auto slabs_ptr = twiddleSlabsCached(n, dir, &slab_hit, &tw_hit);
+    const auto slabs_ptr = cachedTwiddleSlabs<F>(n, dir, &slab_hit, &tw_hit);
     const TwiddleSlabs<F> &slabs = *slabs_ptr;
 
     SimReport report;
@@ -665,13 +611,10 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
         hx.hostThreads = hostLanesFor(ecfg);
         (tc.tuned ? hx.tunedSchedules : hx.heuristicSchedules) = 1;
         hx.tuneClampWarnings = tc.clampWarnings;
-        if (cfg_.useHostCaches) {
-            (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
-            (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) = 1;
-            if (!slab_hit)
-                (tw_hit ? hx.twiddleCacheHits : hx.twiddleCacheMisses) =
-                    1;
-        }
+        (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
+        (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) = 1;
+        if (!slab_hit)
+            (tw_hit ? hx.twiddleCacheHits : hx.twiddleCacheMisses) = 1;
         report.addHostExecStats(hx);
     }
 
@@ -720,7 +663,7 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
     ResilientStepExecutor<F> exec(sys, perf_, ecfg, report, data, input,
                                   faults, rc, health, slabs, pl, logMg0,
                                   dir, hostLanesFor(ecfg),
-                                  std::move(hooks), fs,
+                                  std::move(hooks), fs, scratch,
                                   fieldKernels<F>(ecfg.isaPath));
     exec.attachSchedule(sched);
     Status st = dispatchSchedule(std::move(sched), exec);

@@ -1157,6 +1157,21 @@ struct ResilientHooks
     std::function<uint64_t(uint64_t base)> nextSpotSeed;
 };
 
+/**
+ * The host buffers a resilient run writes before it reads them: the
+ * spot-check input snapshot, the exchange landing slabs and the ABFT
+ * recovery snapshot. The engine lends one set to run after run, so
+ * back-to-back transforms reuse them instead of allocating ~3x the
+ * data per call (whose page-fault cost then swings with the state of
+ * the allocator's heap).
+ */
+template <NttField F>
+struct ResilientScratch
+{
+    std::vector<F> input;
+    std::vector<std::vector<F>> landing, abftSnap;
+};
+
 template <NttField F>
 class ResilientStepExecutor
 {
@@ -1171,7 +1186,7 @@ class ResilientStepExecutor
                           const TwiddleSlabs<F> &slabs, NttPlan pl,
                           unsigned logMg0, NttDirection dir,
                           unsigned lanes, ResilientHooks hooks,
-                          FaultStats &fs,
+                          FaultStats &fs, ResilientScratch<F> &scratch,
                           const FieldKernels<F> &fk = fieldKernels<F>())
         : sys_(std::move(sys)),
           perf_(perf),
@@ -1189,7 +1204,9 @@ class ResilientStepExecutor
           lanes_(lanes),
           fk_(fk),
           hooks_(std::move(hooks)),
-          fs_(fs)
+          fs_(fs),
+          landing_(scratch.landing),
+          abftSnap_(scratch.abftSnap)
     {
     }
 
@@ -1505,8 +1522,9 @@ class ResilientStepExecutor
             nodesLeft_[nd.step]++;
         stepCommT_.assign(sched.steps.size(), 0.0);
         stepComm_.assign(sched.steps.size(), CommStats{});
-        landing_.assign(data_.numGpus(),
-                        std::vector<F>(pl_.chunkElems()));
+        landing_.resize(data_.numGpus());
+        for (std::vector<F> &slab : landing_)
+            slab.assign(pl_.chunkElems(), F{}); // keeps the capacity
     }
 
     /** Execute one DAG node (wave path). */
@@ -2126,7 +2144,7 @@ class ResilientStepExecutor
     std::vector<double> stepCommT_;
     std::vector<CommStats> stepComm_;
     /** Per-GPU double-buffered landing slabs for exchange chunks. */
-    std::vector<std::vector<F>> landing_;
+    std::vector<std::vector<F>> &landing_;
 
     // ABFT state (attachSchedule resets all but the ordinal).
     /** Schedule whose checked steps are verified (keeps coef alive). */
@@ -2138,7 +2156,7 @@ class ResilientStepExecutor
     /** Per-shard checksums of the data at the current boundary. */
     std::vector<F> abftPrev_;
     /** Pre-step shard snapshot (taken only while injection is live). */
-    std::vector<std::vector<F>> abftSnap_;
+    std::vector<std::vector<F>> &abftSnap_;
     /** Cross step already armed (wave path arms at its first node). */
     uint32_t abftCrossInit_ = UINT32_MAX;
     /**

@@ -4,9 +4,8 @@
  * must produce bit-identical outputs and an identical simulated
  * timeline regardless of
  *
- *   - how many host threads execute the functional work (1, 2, 8),
- *   - whether the plan/twiddle caches are cold or warm, and
- *   - whether the caches are bypassed entirely (useHostCaches off).
+ *   - how many host threads execute the functional work (1, 2, 8), and
+ *   - whether the plan/twiddle caches are cold or warm.
  *
  * The host thread count and the cache hit counters are *allowed* to
  * differ — they live in SimReport::hostExecStats(), which is excluded
@@ -85,12 +84,10 @@ struct RunOutput
 
 template <NttField F>
 RunOutput<F>
-runWith(const std::vector<F> &input, unsigned host_threads,
-        bool use_caches = true)
+runWith(const std::vector<F> &input, unsigned host_threads)
 {
     UniNttConfig cfg;
     cfg.hostThreads = host_threads;
-    cfg.useHostCaches = use_caches;
     UniNttEngine<F> engine(makeDgxA100(kGpus), cfg);
 
     RunOutput<F> out;
@@ -156,24 +153,6 @@ TYPED_TEST(Determinism, ColdAndWarmCachesAgree)
     EXPECT_EQ(warm.forward, cold.forward);
     EXPECT_EQ(warm.roundTrip, input);
     expectSimIdentical(warm.forwardReport, cold.forwardReport);
-}
-
-TYPED_TEST(Determinism, CacheBypassIsBitExact)
-{
-    using F = TypeParam;
-    const auto input = randomVector<F>(size_t{1} << kLogN, 44);
-
-    const auto cached = runWith<F>(input, 2, /*use_caches=*/true);
-    const auto bypass = runWith<F>(input, 2, /*use_caches=*/false);
-    EXPECT_EQ(bypass.forward, cached.forward);
-    EXPECT_EQ(bypass.roundTrip, input);
-    expectSimIdentical(bypass.forwardReport, cached.forwardReport);
-
-    // The bypass run must not touch the process-wide caches.
-    const auto &hx = bypass.forwardReport.hostExecStats();
-    EXPECT_EQ(hx.planCacheHits + hx.planCacheMisses, 0u);
-    EXPECT_EQ(hx.twiddleCacheHits + hx.twiddleCacheMisses, 0u);
-    EXPECT_EQ(hx.twiddleSlabHits + hx.twiddleSlabMisses, 0u);
 }
 
 } // namespace

@@ -548,6 +548,62 @@ TEST(ResilientEngine, SameSeedReproducesTimesAndCounters)
     EXPECT_EQ(fa.checksummedBytes, fb.checksummedBytes);
 }
 
+TEST(ResilientEngine, BuffersLentAcrossRunsChangeNothing)
+{
+    // The engine lends one set of host buffers (ResilientScratch) to
+    // run after run. Runs that grow, shrink and lose a device on a
+    // reused engine must match a fresh engine's run: output bytes,
+    // fault counters and simulated time.
+    auto sys = makeDgxA100(8);
+    UniNttEngine<F> reused(sys);
+    struct Run
+    {
+        Result<SimReport> r;
+        std::vector<F> out;
+    };
+    for (unsigned logN : {12u, 14u, 10u, 14u}) {
+        for (bool dropout : {false, true}) {
+            SCOPED_TRACE("logN " + std::to_string(logN) + " dropout " +
+                         std::to_string(dropout));
+            FaultModel m;
+            m.seed = mix64(logN);
+            m.transientExchangeRate = 0.3;
+            m.bitFlipRate = 0.3;
+            m.computeBitFlipRate = 0.05;
+            if (dropout)
+                m.dropouts.push_back({5, 1});
+            const std::vector<F> x = testVector(size_t{1} << logN);
+            auto run = [&](const UniNttEngine<F> &e) {
+                auto dist = DistributedVector<F>::fromGlobal(x, 8);
+                FaultInjector inj(m);
+                Result<SimReport> r = e.forwardResilient(dist, inj);
+                return Run{std::move(r), dist.toGlobal()};
+            };
+            const Run a = run(reused);
+            const Run b = run(UniNttEngine<F>(sys));
+            ASSERT_EQ(a.r.ok(), b.r.ok());
+            if (!a.r.ok()) {
+                EXPECT_EQ(a.r.status().code(), b.r.status().code());
+                continue;
+            }
+            std::vector<F> expect = x;
+            nttNoPermute(expect, NttDirection::Forward);
+            EXPECT_EQ(a.out, expect);
+            EXPECT_EQ(b.out, expect);
+            EXPECT_DOUBLE_EQ(a.r.value().totalSeconds(),
+                             b.r.value().totalSeconds());
+            const FaultStats &fa = a.r.value().faultStats();
+            const FaultStats &fb = b.r.value().faultStats();
+            EXPECT_EQ(fa.transientRetries, fb.transientRetries);
+            EXPECT_EQ(fa.corruptionsDetected, fb.corruptionsDetected);
+            EXPECT_EQ(fa.abftCatches, fb.abftCatches);
+            EXPECT_EQ(fa.tilesRecomputed, fb.tilesRecomputed);
+            EXPECT_EQ(fa.devicesLost, dropout ? 1u : 0u);
+            EXPECT_EQ(fa.devicesLost, fb.devicesLost);
+        }
+    }
+}
+
 TEST(ResilientEngine, RetryExhaustionIsTransientFaultStatus)
 {
     auto sys = makeDgxA100(4);
