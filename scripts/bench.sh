@@ -15,12 +15,13 @@
 #
 # The artifact BENCH_host_ntt.json lands in the repo root so commits
 # can be diffed against each other; see EXPERIMENTS.md for the schema.
+# A --smoke run writes its points to a temp file instead (they are not
+# a trajectory point) unless OUT names a destination.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc)}"
-OUT="${OUT:-BENCH_host_ntt.json}"
 TUNE_DB="${TUNE_DB:-tuning/tunedb.json}"
 
 SMOKE=""
@@ -35,6 +36,16 @@ for arg in "$@"; do
         ;;
     esac
 done
+
+if [ -z "${OUT:-}" ]; then
+    if [ -n "$SMOKE" ]; then
+        OUT_DIR="$(mktemp -d)"
+        trap 'rm -rf "$OUT_DIR"' EXIT
+        OUT="$OUT_DIR/BENCH_host_ntt.json"
+    else
+        OUT=BENCH_host_ntt.json
+    fi
+fi
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j"$JOBS" --target bench_host_ntt \

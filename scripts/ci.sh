@@ -9,6 +9,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc)}"
+# CI must leave the checkout as it found it: no rewritten artifact, no
+# stray scratch file. Compared again at the end.
+GIT_STATUS_BEFORE="$(git status --porcelain)"
 
 echo "==> regular build + tests ($BUILD_DIR)"
 cmake -B "$BUILD_DIR" -S .
@@ -30,17 +33,16 @@ ctest --test-dir "$BUILD_DIR" -R test_concurrency --output-on-failure \
 
 echo "==> ThreadSanitizer tree ($BUILD_DIR-tsan)"
 # Races are caught here, not by luck: the concurrency stress tests, the
-# proving service, the differential harness (thread-count sweeps) and
-# both soaks run under -fsanitize=thread, which exits non-zero on any
-# report.
+# proving service, the differential harness (thread-count sweeps), the
+# resilient paths (test_fault: in-place partner reads under overlapped
+# waves) and both soaks run under -fsanitize=thread, which exits
+# non-zero on any report.
 cmake -B "$BUILD_DIR-tsan" -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
 cmake --build "$BUILD_DIR-tsan" -j"$JOBS" --target test_concurrency \
-    test_service test_differential unintt-cli
-# Through ctest, so the binaries run in the build tree as in the regular
-# passes (from the repo root they would consult tuning/tunedb.json).
+    test_service test_differential test_fault unintt-cli
 ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure -j"$JOBS" \
-    -R '^(test_concurrency|test_service|test_differential)$'
+    -R '^(test_concurrency|test_service|test_differential|test_fault)$'
 "$BUILD_DIR-tsan"/src/tools/unintt-cli soak --campaigns 4 --small
 "$BUILD_DIR-tsan"/src/tools/unintt-cli soak --service --small
 
@@ -174,5 +176,12 @@ echo "==> host kernel perf smoke (fused vs per-stage)"
 
 echo "==> sanitizer build + tests"
 ./scripts/check_sanitize.sh
+
+echo "==> checkout unchanged by CI (git status --porcelain)"
+if [ "$(git status --porcelain)" != "$GIT_STATUS_BEFORE" ]; then
+    echo "FAIL: CI changed the checkout:"
+    diff <(echo "$GIT_STATUS_BEFORE") <(git status --porcelain) || true
+    exit 1
+fi
 
 echo "==> CI OK"

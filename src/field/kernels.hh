@@ -78,22 +78,6 @@ struct FieldKernels
                     size_t n) = nullptr;
 
     /**
-     * Forward cross-pair butterfly over landing slabs (the overlap
-     * executor's shape — rlo/rhi hold what lo/hi *received*):
-     *   lo[j] = lo[j] + rlo[j]; hi[j] = (rhi[j] - hi[j]) * tw[j]
-     */
-    void (*bflyRecvFwd)(F *lo, F *hi, const F *rlo, const F *rhi,
-                        const F *tw, size_t n) = nullptr;
-
-    /**
-     * Inverse cross-pair butterfly over landing slabs:
-     *   vl = rlo[j] * tw[j]; vh = hi[j] * tw[j];
-     *   lo[j] = lo[j] + vl; hi[j] = rhi[j] - vh
-     */
-    void (*bflyRecvInv)(F *lo, F *hi, const F *rlo, const F *rhi,
-                        const F *tw, size_t n) = nullptr;
-
-    /**
      * Forward radix-4 butterfly span of the fused tile sweep. The
      * butterfly at span index i couples p0[i]..p3[i] with absolute
      * twiddle index j = j0 + i over the compacted stage slabs tw0
@@ -162,34 +146,6 @@ bflyInvScalar(F *lo, F *hi, const F *tw, size_t tw_stride, size_t n)
         const F v = hi[j] * tw[j * tw_stride];
         lo[j] = u + v;
         hi[j] = u - v;
-    }
-}
-
-template <typename F>
-void
-bflyRecvFwdScalar(F *lo, F *hi, const F *rlo, const F *rhi, const F *tw,
-                  size_t n)
-{
-    for (size_t j = 0; j < n; ++j) {
-        const F a = lo[j] + rlo[j];
-        const F b = (rhi[j] - hi[j]) * tw[j];
-        lo[j] = a;
-        hi[j] = b;
-    }
-}
-
-template <typename F>
-void
-bflyRecvInvScalar(F *lo, F *hi, const F *rlo, const F *rhi, const F *tw,
-                  size_t n)
-{
-    for (size_t j = 0; j < n; ++j) {
-        const F vl = rlo[j] * tw[j];
-        const F vh = hi[j] * tw[j];
-        const F a = lo[j] + vl;
-        const F b = rhi[j] - vh;
-        lo[j] = a;
-        hi[j] = b;
     }
 }
 
@@ -403,44 +359,6 @@ bflyInvMw2(F *lo, F *hi, const F *tw, size_t tw_stride, size_t n)
 
 template <typename F>
 void
-bflyRecvFwdMw2(F *lo, F *hi, const F *rlo, const F *rhi, const F *tw,
-               size_t n)
-{
-    size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-        const F a0 = lo[j] + rlo[j];
-        const F a1 = lo[j + 1] + rlo[j + 1];
-        const F b0 = (rhi[j] - hi[j]) * tw[j];
-        const F b1 = (rhi[j + 1] - hi[j + 1]) * tw[j + 1];
-        lo[j] = a0;
-        lo[j + 1] = a1;
-        hi[j] = b0;
-        hi[j + 1] = b1;
-    }
-    bflyRecvFwdScalar(lo + j, hi + j, rlo + j, rhi + j, tw + j, n - j);
-}
-
-template <typename F>
-void
-bflyRecvInvMw2(F *lo, F *hi, const F *rlo, const F *rhi, const F *tw,
-               size_t n)
-{
-    size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-        const F vl0 = rlo[j] * tw[j];
-        const F vl1 = rlo[j + 1] * tw[j + 1];
-        const F vh0 = hi[j] * tw[j];
-        const F vh1 = hi[j + 1] * tw[j + 1];
-        lo[j] = lo[j] + vl0;
-        lo[j + 1] = lo[j + 1] + vl1;
-        hi[j] = rhi[j] - vh0;
-        hi[j + 1] = rhi[j + 1] - vh1;
-    }
-    bflyRecvInvScalar(lo + j, hi + j, rlo + j, rhi + j, tw + j, n - j);
-}
-
-template <typename F>
-void
 scaleSpanMw2(F *p, F s, size_t n)
 {
     size_t j = 0;
@@ -467,8 +385,6 @@ scalarKernelTable()
     t.lanes = 1;
     t.bflyFwd = &spankernels::bflyFwdScalar<F>;
     t.bflyInv = &spankernels::bflyInvScalar<F>;
-    t.bflyRecvFwd = &spankernels::bflyRecvFwdScalar<F>;
-    t.bflyRecvInv = &spankernels::bflyRecvInvScalar<F>;
     t.r4Fwd = &spankernels::r4FwdScalar<F>;
     t.r8Fwd = &spankernels::r8FwdScalar<F>;
     t.scaleSpan = &spankernels::scaleSpanScalar<F>;
@@ -493,8 +409,6 @@ multiwordKernelTable(IsaPath path, const char *name)
     t.lanes = 2; // ILP width the cost model should assume
     t.bflyFwd = &spankernels::bflyFwdMw2<F>;
     t.bflyInv = &spankernels::bflyInvMw2<F>;
-    t.bflyRecvFwd = &spankernels::bflyRecvFwdMw2<F>;
-    t.bflyRecvInv = &spankernels::bflyRecvInvMw2<F>;
     t.scaleSpan = &spankernels::scaleSpanMw2<F>;
     return t;
 }

@@ -86,40 +86,6 @@ struct VecKernels
     }
 
     static void
-    bflyRecvFwd(F *lo, F *hi, const F *rlo, const F *rhi, const F *tw,
-                size_t n)
-    {
-        size_t j = 0;
-        for (; j + L <= n; j += L) {
-            const auto a =
-                Ops::add(Ops::load(lo + j), Ops::load(rlo + j));
-            const auto b = Ops::mul(
-                Ops::sub(Ops::load(rhi + j), Ops::load(hi + j)),
-                Ops::load(tw + j));
-            Ops::store(lo + j, a);
-            Ops::store(hi + j, b);
-        }
-        bflyRecvFwdScalar(lo + j, hi + j, rlo + j, rhi + j, tw + j,
-                          n - j);
-    }
-
-    static void
-    bflyRecvInv(F *lo, F *hi, const F *rlo, const F *rhi, const F *tw,
-                size_t n)
-    {
-        size_t j = 0;
-        for (; j + L <= n; j += L) {
-            const auto w = Ops::load(tw + j);
-            const auto vl = Ops::mul(Ops::load(rlo + j), w);
-            const auto vh = Ops::mul(Ops::load(hi + j), w);
-            Ops::store(lo + j, Ops::add(Ops::load(lo + j), vl));
-            Ops::store(hi + j, Ops::sub(Ops::load(rhi + j), vh));
-        }
-        bflyRecvInvScalar(lo + j, hi + j, rlo + j, rhi + j, tw + j,
-                          n - j);
-    }
-
-    static void
     r4Fwd(F *p0, F *p1, F *p2, F *p3, const F *tw0, const F *tw1,
           F im, size_t j0, size_t hs, size_t n)
     {
@@ -334,8 +300,6 @@ struct VecKernels
         t.lanes = static_cast<unsigned>(L);
         t.bflyFwd = &bflyFwd;
         t.bflyInv = &bflyInv;
-        t.bflyRecvFwd = &bflyRecvFwd;
-        t.bflyRecvInv = &bflyRecvInv;
         t.r4Fwd = &r4Fwd;
         t.r8Fwd = &r8Fwd;
         t.scaleSpan = &scaleSpan;

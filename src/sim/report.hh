@@ -65,7 +65,7 @@ struct HostExecStats
     uint64_t fusedGroups = 0;
     /** Waves of the DAG overlay dispatched (overlapped schedules). */
     uint64_t overlapWaves = 0;
-    /** Double-buffered exchange chunk nodes executed. */
+    /** Exchange chunk nodes of the overlapped schedule (functional runs). */
     uint64_t exchangeChunks = 0;
     /**
      * Resolved kernel acceleration path name (field/dispatch.hh):

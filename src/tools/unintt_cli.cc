@@ -177,8 +177,8 @@ runSchedule(const CliParser &cli)
         std::printf("  \"peakDeviceBytes\": %llu,\n",
                     static_cast<unsigned long long>(
                         sched->peakDeviceBytes));
-        // Per-step DAG overlay facts: wave span and chunk count
-        // (zeroes for a linear schedule).
+        // Per-step DAG overlay facts: wave span and chunk count (a
+        // linear schedule has one node and one wave per step).
         std::vector<unsigned> wave_lo(sched->steps.size(), 0);
         std::vector<unsigned> wave_hi(sched->steps.size(), 0);
         std::vector<unsigned> chunks(sched->steps.size(), 0);

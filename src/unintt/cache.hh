@@ -81,8 +81,9 @@ struct ScheduleKey
     bool naturalOrderOutput;
     bool fuseLocalPasses;
     /**
-     * Overlap gates the DAG overlay: a linear schedule must never be
-     * served to a wave dispatch (or vice versa).
+     * Overlap decides whether the DAG splits the cross phase: a linear
+     * schedule must never be served to an overlapped run (or vice
+     * versa).
      */
     bool overlapComm;
     unsigned hostTileLog2;

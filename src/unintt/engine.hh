@@ -479,33 +479,34 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
     }
     report.setPeakDeviceBytes(sched->peakDeviceBytes);
 
+    // Overlap counters come from the schedule itself: the waves of an
+    // overlapped DAG, and (functional runs) its exchange chunk nodes.
+    HostExecStats hx;
+    if (sched->overlapped)
+        hx.overlapWaves = sched->waves.size();
     if (functional) {
         FunctionalStepExecutor<F> exec(
-            sys_, perf_, ecfg.overlapComm, report, batch, *slabs, logN,
-            dir, hostLanesFor(ecfg), fieldKernels<F>(ecfg.isaPath),
+            sys_, perf_, report, batch, *slabs, logN, dir,
+            hostLanesFor(ecfg), fieldKernels<F>(ecfg.isaPath),
             ecfg.fusedRadixLog2);
         Status st = dispatchSchedule(sched, exec);
         UNINTT_ASSERT(st.ok(), "functional execution cannot fail");
-        HostExecStats hx;
-        hx.exchangeChunks = exec.exchangeChunks();
         if (sched->overlapped)
-            hx.overlapWaves = sched->waves.size();
+            for (const ScheduleDagNode &nd : sched->dag)
+                if (sched->steps[nd.step].kind == StepKind::Exchange)
+                    hx.exchangeChunks++;
         hx.isaPath = exec.kernels().name;
         hx.isaLanes = exec.kernels().lanes;
         hx.isaDispatches = exec.kernelDispatches();
         recordKernelDispatch(exec.kernels().path,
                              exec.kernelDispatches());
-        if (hx.any())
-            report.addHostExecStats(hx);
     } else {
-        AnalyticStepExecutor exec(sys_, perf_, ecfg.overlapComm, report);
+        AnalyticStepExecutor exec(sys_, perf_, report);
         Status st = dispatchSchedule(sched, exec);
         UNINTT_ASSERT(st.ok(), "analytic execution cannot fail");
-        HostExecStats hx;
-        hx.overlapWaves = exec.overlapWaves();
-        if (hx.any())
-            report.addHostExecStats(hx);
     }
+    if (hx.any())
+        report.addHostExecStats(hx);
     return report;
 }
 

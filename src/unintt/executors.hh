@@ -3,14 +3,14 @@
  * Step executors: the interpreters of the stage-schedule IR
  * (schedule.hh).
  *
- * The executor contract: an executor consumes ScheduleSteps in order
- * via onStep() and appends the step's phases to a SimReport. It may
- * return a non-ok Status (aborting the run) or request a reschedule
- * (the dispatch loop swaps in the executor's recompiled schedule and
- * restarts from its first step — how mid-run degradation re-plans the
- * remaining stages).
+ * The executor contract: an executor consumes a schedule's DAG waves
+ * in order via onWave() and appends the phases of every step whose
+ * last node ran to a SimReport. It may return a non-ok Status
+ * (aborting the run) or request a reschedule (the dispatch loop swaps
+ * in the executor's recompiled schedule and restarts from its first
+ * wave — how mid-run degradation re-plans the remaining stages).
  *
- *  - AnalyticStepExecutor prices each step's precomputed counters
+ *  - AnalyticStepExecutor prices each wave's precomputed counters
  *    without touching data (analyticRun).
  *  - FunctionalStepExecutor additionally executes the bit-exact field
  *    arithmetic on the host pool, then defers to the analytic pricing
@@ -19,21 +19,20 @@
  *    single transform with the fault machinery: checksummed exchanges,
  *    bounded-backoff retries, the straggler watchdog, degraded-mode
  *    re-plans, and the post-transform spot check. Resilience decorates
- *    the step dispatch; it does not fork the stage loops.
+ *    the node dispatch; it does not fork the stage loops.
  *
  * Phase-order note: the IR lists an Exchange before the CrossStage
  * that consumes it (dataflow order), while the report historically
  * shows compute first and the exchange second (with the overlap split
- * computed against that compute). Executors therefore hold the pending
- * Exchange and emit its comm phase right after pricing the paired
- * CrossStage.
+ * computed against that compute). Executors therefore hold the
+ * exchange's resolved time and emit its comm phase right after the
+ * paired CrossStage's kernel phase.
  */
 
 #ifndef UNINTT_UNINTT_EXECUTORS_HH
 #define UNINTT_UNINTT_EXECUTORS_HH
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -63,13 +62,13 @@
 
 namespace unintt {
 
-/** Outcome of executing one step. */
+/** Outcome of executing one wave (or one node of it). */
 struct StepAction
 {
     Status status;
     /**
      * When true, the dispatch loop replaces the schedule with the
-     * executor's recompiled one and restarts at its first step.
+     * executor's recompiled one and restarts at its first wave.
      */
     bool reschedule = false;
 };
@@ -78,50 +77,31 @@ struct StepAction
  * Run @p sched through @p exec. The single interpreter loop shared by
  * run(), analyticRun() and runResilient().
  *
- * Overlapped schedules (a non-empty DAG overlay, schedule.hh) dispatch
- * wave by wave: every node of a wave is ready (all dependencies ran in
- * earlier waves), so the executor may run the wave's exchange chunks
- * and butterfly chunks concurrently. Linear schedules keep the
- * historical barrier-per-step loop. A reschedule swaps in the
- * executor's recompiled schedule and restarts it from the top in
- * whichever mode that schedule carries.
+ * Every schedule carries its DAG (schedule.hh) and dispatches wave by
+ * wave: every node of a wave is ready (all dependencies ran in earlier
+ * waves). A linear schedule is one node per step in its own wave; an
+ * overlapped one shares a wave between the exchange of chunk k+1 and
+ * the butterflies of chunk k. A reschedule swaps in the executor's
+ * recompiled schedule and restarts it at its first wave.
  */
 template <typename Exec>
 Status
 dispatchSchedule(std::shared_ptr<const StageSchedule> sched, Exec &exec)
 {
-    for (;;) {
-        bool rescheduled = false;
-        if (sched->overlapped && !sched->waves.empty()) {
-            for (size_t w = 0; w < sched->waves.size(); ++w) {
-                StepAction act = exec.onWave(*sched, w);
-                if (!act.status.ok())
-                    return act.status;
-                if (act.reschedule) {
-                    sched = exec.reschedule();
-                    UNINTT_ASSERT(sched != nullptr,
-                                  "reschedule returned nothing");
-                    rescheduled = true;
-                    break;
-                }
-            }
+    size_t w = 0;
+    while (w < sched->waves.size()) {
+        StepAction act = exec.onWave(*sched, w);
+        if (!act.status.ok())
+            return act.status;
+        if (act.reschedule) {
+            sched = exec.reschedule();
+            UNINTT_ASSERT(sched != nullptr, "reschedule returned nothing");
+            w = 0;
         } else {
-            for (size_t i = 0; i < sched->steps.size(); ++i) {
-                StepAction act = exec.onStep(sched->steps[i]);
-                if (!act.status.ok())
-                    return act.status;
-                if (act.reschedule) {
-                    sched = exec.reschedule();
-                    UNINTT_ASSERT(sched != nullptr,
-                                  "reschedule returned nothing");
-                    rescheduled = true;
-                    break;
-                }
-            }
+            ++w;
         }
-        if (!rescheduled)
-            return Status();
     }
+    return Status();
 }
 
 // ---------------------------------------------------------------------
@@ -156,12 +136,19 @@ kernelCost(uint64_t butterflies, NttDirection dir, unsigned lanes)
     return butterflies > 0 && c == 0 ? 1 : c;
 }
 
-/** Functional butterflies of one cross-GPU stage. */
+/**
+ * Functional butterflies of one cross-GPU stage over the element slice
+ * [c_begin, c_end) of every chunk. Each butterfly couples position c
+ * of a pair's two chunks and nothing else, so a slice reads and writes
+ * only its own positions of both chunks: an overlapped schedule's
+ * chunk nodes run it in place, one slice at a time, and read the
+ * partner chunk directly.
+ */
 template <NttField F>
 void
 crossStageCompute(DistributedVector<F> &data, unsigned s, unsigned logN,
                   const TwiddleSlabs<F> &slabs, NttDirection dir,
-                  unsigned lanes,
+                  unsigned lanes, uint64_t c_begin, uint64_t c_end,
                   const FieldKernels<F> &fk = fieldKernels<F>())
 {
     const unsigned G = data.numGpus();
@@ -169,6 +156,7 @@ crossStageCompute(DistributedVector<F> &data, unsigned s, unsigned logN,
     const uint64_t n = 1ULL << logN;
     const uint64_t C = n / G;
     const unsigned partner_gap = 1u << (logMg - s - 1); // in GPU indices
+    const uint64_t span = c_end - c_begin;
 
     // Lower-half GPUs of the exchanging pairs. Every pair touches only
     // its own two chunks, so the pairs — further sliced along the chunk
@@ -184,17 +172,17 @@ crossStageCompute(DistributedVector<F> &data, unsigned s, unsigned logN,
     uint64_t slices = 1;
     if (lanes > 1 && lows.size() < lanes)
         slices = std::min<uint64_t>(
-            C, (2ULL * lanes + lows.size() - 1) / lows.size());
+            span, (2ULL * lanes + lows.size() - 1) / lows.size());
 
     // Compacted stage slab: tws[j] == full_table[j << s], unit stride.
     const F *tws = slabs.slab(s);
     hostParallelFor(
-        lows.size() * slices, kernelCost(C / slices, dir, fk.lanes),
+        lows.size() * slices, kernelCost(span / slices, dir, fk.lanes),
         lanes, [&](size_t unit) {
             const unsigned g = lows[unit / slices];
             const uint64_t slice = unit % slices;
-            const uint64_t c0 = C * slice / slices;
-            const uint64_t c1 = C * (slice + 1) / slices;
+            const uint64_t c0 = c_begin + span * slice / slices;
+            const uint64_t c1 = c_begin + span * (slice + 1) / slices;
             auto &lo = data.chunk(g);
             auto &hi = data.chunk(g + partner_gap);
             // Position of this GPU's chunk inside the half-block.
@@ -207,48 +195,6 @@ crossStageCompute(DistributedVector<F> &data, unsigned s, unsigned logN,
                 fk.bflyInv(lo.data() + c0, hi.data() + c0,
                            tws + j0 + c0, 1, c1 - c0);
         });
-}
-
-/**
- * Stage the element slice [c0, c1) of an exchanging pair into the
- * partner's landing slab: @p land_lo receives the upper chunk's slice,
- * @p land_hi the lower's. The landing slabs are the functional stand-in
- * for the double-buffered exchange buffer of the device memory model;
- * each chunk parity writes its own half, so in-flight chunks never
- * alias their partner buffer.
- */
-template <NttField F>
-inline void
-exchangePairSliceCopy(const F *lo, const F *hi, F *land_lo, F *land_hi,
-                      uint64_t c0, uint64_t c1)
-{
-    std::copy(hi + c0, hi + c1, land_lo + c0);
-    std::copy(lo + c0, lo + c1, land_hi + c0);
-}
-
-/**
- * Butterflies of one exchanging pair over the element slice [c0, c1),
- * reading the *received* values from the landing slabs (@p rlo holds
- * what lo received — the partner's original values — and @p rhi what
- * hi received). Arithmetically this multiplies and adds exactly the
- * same canonical representations as crossStageCompute's direct
- * partner-chunk reads, so the output is bit-identical; reading only
- * the landing copies is what lets a chunk's butterflies run while the
- * *other* chunk's exchange is still in flight.
- */
-template <NttField F>
-inline void
-crossPairSliceCompute(F *lo, F *hi, const F *rlo, const F *rhi,
-                      const F *tws, uint64_t j0, uint64_t c0, uint64_t c1,
-                      NttDirection dir,
-                      const FieldKernels<F> &fk = fieldKernels<F>())
-{
-    if (dir == NttDirection::Forward)
-        fk.bflyRecvFwd(lo + c0, hi + c0, rlo + c0, rhi + c0,
-                       tws + j0 + c0, c1 - c0);
-    else
-        fk.bflyRecvInv(lo + c0, hi + c0, rlo + c0, rhi + c0,
-                       tws + j0 + c0, c1 - c0);
 }
 
 /** Lower-half GPU of exchanging pair @p pair at partner gap @p gap. */
@@ -645,19 +591,12 @@ class AnalyticStepExecutor
 {
   public:
     AnalyticStepExecutor(const MultiGpuSystem &sys, const PerfModel &perf,
-                         bool overlap_comm, SimReport &report)
-        : sys_(sys), perf_(perf), overlap_(overlap_comm), report_(report)
+                         SimReport &report)
+        : sys_(sys), perf_(perf), report_(report)
     {
     }
 
-    StepAction
-    onStep(const ScheduleStep &st)
-    {
-        execute(st);
-        return StepAction{};
-    }
-
-    /** Wave-driven dispatch: price every node of wave @p w. */
+    /** Price every node of wave @p w. */
     StepAction
     onWave(const StageSchedule &sched, size_t w)
     {
@@ -671,9 +610,6 @@ class AnalyticStepExecutor
     {
         panic("plain executors cannot reschedule");
     }
-
-    /** Waves dispatched through the DAG overlay (0 = linear path). */
-    uint64_t overlapWaves() const { return overlapWaves_; }
 
   protected:
     /** Reset the per-schedule DAG accounting on a schedule swap. */
@@ -691,15 +627,17 @@ class AnalyticStepExecutor
     }
 
     /**
-     * Price one wave of the DAG overlay. The wave's makespan is
+     * Price one wave of the schedule's DAG. The wave's makespan is
      * max(comm, compute): only the excess of the wave's exchange time
      * over its butterfly time is visible, and that visible/hidden
      * split is attributed back to each exchange step proportionally to
-     * its nodes' share of the wave's comm. Phases still materialize
-     * once per *step* — same names, same order, same CommStats as the
-     * linear path — when the step's last node completes, so reports
-     * keep their historical shape and total fabric bytes/messages are
-     * untouched; only the makespan shrinks.
+     * its nodes' share of the wave's comm. A lone exchange node (a
+     * linear schedule's wave) has no compute beside it, so its whole
+     * time is visible. Phases materialize once per *step* — same
+     * names, same order, same CommStats in both dispatch modes — when
+     * the step's last node completes, so reports keep their historical
+     * shape and total fabric bytes/messages are untouched; only the
+     * makespan of an overlapped schedule shrinks.
      */
     void
     priceWave(const StageSchedule &sched, size_t w)
@@ -744,7 +682,6 @@ class AnalyticStepExecutor
         std::sort(completed.begin(), completed.end());
         for (uint32_t sidx : completed)
             emitCompleted(sched, sidx);
-        overlapWaves_++;
     }
 
     /** Emit the phases of a step whose last DAG node just ran. */
@@ -789,66 +726,6 @@ class AnalyticStepExecutor
           }
         }
     }
-    void
-    execute(const ScheduleStep &st)
-    {
-        switch (st.kind) {
-          case StepKind::Exchange:
-            pendingExchange_ = &st;
-            return;
-          case StepKind::CrossStage: {
-            double kernel_t = report_.addKernelPhase(st.name, st.stats,
-                                                     perf_);
-            tagPhase(st);
-            UNINTT_ASSERT(pendingExchange_ != nullptr,
-                          "cross stage without a pending exchange");
-            emitExchange(*pendingExchange_, kernel_t);
-            pendingExchange_ = nullptr;
-            return;
-          }
-          case StepKind::LocalPass:
-          case StepKind::FusedLocalPass:
-          case StepKind::Scale:
-          case StepKind::SpotCheck:
-            report_.addKernelPhase(st.name, st.stats, perf_);
-            tagPhase(st);
-            return;
-          case StepKind::BitRevGather: {
-            report_.addKernelPhase(st.name, st.stats, perf_);
-            tagPhase(st);
-            if (st.comm.bytesPerGpu > 0) {
-                double t = sys_.fabric.allToAllTime(
-                    st.comm.bytesPerGpu, sys_.numGpus);
-                report_.addCommPhase(st.name + "-alltoall", t, st.comm);
-                tagPhase(st);
-            }
-            return;
-          }
-        }
-    }
-
-    /**
-     * Price and emit the held Exchange, splitting visible/hidden time
-     * against the paired compute when overlap is on.
-     */
-    void
-    emitExchange(const ScheduleStep &ex, double kernel_t)
-    {
-        const Interconnect &fabric =
-            ex.crossesNodes ? sys_.nodeFabric : sys_.fabric;
-        double comm_t = fabric.pairwiseExchangeTime(ex.comm.bytesPerGpu,
-                                                    ex.effectiveDistance);
-        if (overlap_) {
-            // Segmented pipeline: transfer overlaps butterflies; the
-            // longer of the two dominates.
-            double visible = std::max(0.0, comm_t - kernel_t);
-            report_.addCommPhase(ex.name, visible, ex.comm,
-                                 comm_t - visible);
-        } else {
-            report_.addCommPhase(ex.name, comm_t, ex.comm);
-        }
-        tagPhase(ex);
-    }
 
     /** Attribute the just-added phase to its IR step. */
     void
@@ -859,16 +736,13 @@ class AnalyticStepExecutor
 
     const MultiGpuSystem &sys_;
     const PerfModel &perf_;
-    const bool overlap_;
     SimReport &report_;
-    const ScheduleStep *pendingExchange_ = nullptr;
 
     /** DAG accounting, reset per schedule (initDagState). */
     const StageSchedule *dagSched_ = nullptr;
     std::vector<uint32_t> remaining_;
     std::vector<double> exVisible_;
     std::vector<double> exHidden_;
-    uint64_t overlapWaves_ = 0;
 };
 
 // ---------------------------------------------------------------------
@@ -880,13 +754,13 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
 {
   public:
     FunctionalStepExecutor(const MultiGpuSystem &sys, const PerfModel &perf,
-                           bool overlap_comm, SimReport &report,
+                           SimReport &report,
                            std::vector<DistributedVector<F> *> &batch,
                            const TwiddleSlabs<F> &slabs, unsigned logN,
                            NttDirection dir, unsigned lanes,
                            const FieldKernels<F> &fk = fieldKernels<F>(),
                            unsigned max_radix_log2 = 3)
-        : AnalyticStepExecutor(sys, perf, overlap_comm, report),
+        : AnalyticStepExecutor(sys, perf, report),
           batch_(batch),
           slabs_(slabs),
           logN_(logN),
@@ -897,73 +771,53 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
     {
     }
 
-    StepAction
-    onStep(const ScheduleStep &st)
-    {
-        computeStep(st);
-        execute(st);
-        return StepAction{};
-    }
-
     /**
-     * Wave-driven dispatch: run the wave's data movement and
-     * butterflies, then defer to the shared analytic wave pricing so
-     * the functional timeline stays identical to analyticRun by
-     * construction. A wave holding exchange and cross-stage chunk
-     * nodes fans *all* of them out through one hostParallelFor, so the
-     * landing-buffer copies genuinely interleave with butterfly work
-     * on the pool — the host analogue of a copy engine running under a
-     * compute kernel.
+     * Run the butterflies of every node of wave @p w, then defer to the
+     * shared analytic wave pricing so the functional timeline stays
+     * identical to analyticRun by construction. Exchange nodes move no
+     * host data: a cross-stage node reads its partner chunk in place,
+     * and the DAG's chunk-aligned edges guarantee that every slice it
+     * reads was finished by its dependencies.
      */
     StepAction
     onWave(const StageSchedule &sched, size_t w)
     {
-        runWave(sched, w);
+        for (uint32_t ni : sched.waves[w])
+            computeNode(sched.steps[sched.dag[ni].step], sched.dag[ni]);
         priceWave(sched, w);
         return StepAction{};
     }
 
-    /** Exchange chunk copies executed on the pool (HostExecStats). */
-    uint64_t
-    exchangeChunks() const
-    {
-        return exchangeChunks_.load(std::memory_order_relaxed);
-    }
-
     /** Span-kernel dispatches through the bound table (router stats). */
-    uint64_t
-    kernelDispatches() const
-    {
-        return kernelDispatches_.load(std::memory_order_relaxed);
-    }
+    uint64_t kernelDispatches() const { return kernelDispatches_; }
 
     /** The kernel table this executor runs on. */
     const FieldKernels<F> &kernels() const { return fk_; }
 
   private:
-    /** The functional work of one whole step (linear path body). */
+    /** The functional work of one DAG node. */
     void
-    computeStep(const ScheduleStep &st)
+    computeNode(const ScheduleStep &st, const ScheduleDagNode &nd)
     {
         switch (st.kind) {
           case StepKind::CrossStage:
             for (auto *d : batch_)
                 crossStageCompute(*d, st.sBegin, logN_, slabs_, dir_,
-                                  lanes_, fk_);
-            countDispatch();
+                                  lanes_, nd.sliceBegin, nd.sliceEnd, fk_);
+            kernelDispatches_++;
             break;
           case StepKind::LocalPass:
             for (auto *d : batch_)
                 localStagesCompute(*d, st.sBegin, st.sEnd, logN_, slabs_,
                                    dir_, lanes_, fk_);
-            countDispatch();
+            kernelDispatches_++;
             break;
           case StepKind::FusedLocalPass:
             for (auto *d : batch_)
                 fusedLocalStagesCompute(*d, st.sBegin, st.sEnd, logN_,
                                         st.tileLog2, slabs_, dir_,
                                         lanes_, fk_, maxRadixLog2_);
-            countDispatch();
+            kernelDispatches_++;
             break;
           case StepKind::Scale:
             // Explicit twiddle passes are functionally no-ops (the
@@ -972,7 +826,7 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
             if (st.applyInverseScale) {
                 inverseScaleCompute(batch_, 1ULL << logN_, lanes_,
                                     fk_);
-                countDispatch();
+                kernelDispatches_++;
             }
             break;
           case StepKind::BitRevGather:
@@ -985,153 +839,13 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
         }
     }
 
-    /** Lazily size the per-(batch entry, GPU) landing slabs. */
-    void
-    initLanding(const StageSchedule &sched)
-    {
-        const uint64_t C = sched.plan.chunkElems();
-        if (!landing_.empty() && landing_[0][0].size() == C)
-            return;
-        landing_.resize(batch_.size());
-        for (auto &per : landing_)
-            per.assign(batch_[0]->numGpus(), std::vector<F>(C));
-    }
-
-    void
-    runWave(const StageSchedule &sched, size_t w)
-    {
-        const auto &wave = sched.waves[w];
-        // A wave either mixes Exchange/CrossStage chunk nodes (the
-        // cross-phase pipeline) or holds exactly one whole-step node:
-        // unsplit steps depend on every node of their predecessor, so
-        // nothing else can share their level.
-        bool chunked = true;
-        for (uint32_t ni : wave) {
-            const StepKind k = sched.steps[sched.dag[ni].step].kind;
-            if (k != StepKind::Exchange && k != StepKind::CrossStage) {
-                chunked = false;
-                break;
-            }
-        }
-        if (!chunked) {
-            UNINTT_ASSERT(wave.size() == 1,
-                          "unsplit step sharing a wave");
-            computeStep(sched.steps[sched.dag[wave[0]].step]);
-            return;
-        }
-
-        initLanding(sched);
-        const unsigned G = batch_[0]->numGpus();
-        const uint64_t C = sched.plan.chunkElems();
-        const unsigned pairs = G / 2;
-        const uint32_t nbatch = static_cast<uint32_t>(batch_.size());
-
-        // Flatten every node into (batch entry, pair, element slice)
-        // units behind one fan-out; writes are disjoint across units
-        // (each touches one pair's slice of one entry), so the result
-        // is bit-identical for every thread count.
-        struct NodeWork
-        {
-            const ScheduleStep *st;
-            uint64_t b, e;
-            uint64_t firstUnit;
-            uint64_t slices;
-        };
-        std::vector<NodeWork> work;
-        work.reserve(wave.size());
-        uint64_t total_units = 0;
-        uint64_t total_cost = 0;
-        for (uint32_t ni : wave) {
-            const ScheduleDagNode &nd = sched.dag[ni];
-            NodeWork nw;
-            nw.st = &sched.steps[nd.step];
-            nw.b = nd.sliceBegin;
-            nw.e = nd.sliceEnd;
-            nw.firstUnit = total_units;
-            const uint64_t base_units =
-                static_cast<uint64_t>(pairs) * nbatch;
-            nw.slices = 1;
-            if (lanes_ > 1 && base_units < lanes_)
-                nw.slices = std::min<uint64_t>(
-                    nw.e - nw.b,
-                    (2ULL * lanes_ + base_units - 1) / base_units);
-            total_units += base_units * nw.slices;
-            const uint64_t elems = (nw.e - nw.b) * base_units;
-            total_cost += nw.st->kind == StepKind::Exchange
-                              ? elems
-                              : kernelCost(elems, dir_, fk_.lanes);
-            work.push_back(nw);
-        }
-
-        hostParallelFor(
-            total_units,
-            total_units > 0 ? total_cost / total_units : 0, lanes_,
-            [&](size_t u) {
-                size_t wi = 0;
-                while (wi + 1 < work.size() &&
-                       u >= work[wi + 1].firstUnit)
-                    ++wi;
-                const NodeWork &nw = work[wi];
-                const uint64_t local = u - nw.firstUnit;
-                const uint64_t pe = local / nw.slices;
-                const uint64_t sl = local % nw.slices;
-                const uint32_t bi = static_cast<uint32_t>(pe / pairs);
-                const unsigned pi = static_cast<unsigned>(pe % pairs);
-                const unsigned gap = nw.st->distance;
-                const unsigned g_lo = pairLowGpu(pi, gap);
-                const unsigned g_hi = g_lo + gap;
-                const uint64_t span = nw.e - nw.b;
-                const uint64_t c0 = nw.b + span * sl / nw.slices;
-                const uint64_t c1 =
-                    nw.b + span * (sl + 1) / nw.slices;
-                auto &lo = batch_[bi]->chunk(g_lo);
-                auto &hi = batch_[bi]->chunk(g_hi);
-                if (nw.st->kind == StepKind::Exchange) {
-                    exchangePairSliceCopy(
-                        lo.data(), hi.data(),
-                        landing_[bi][g_lo].data(),
-                        landing_[bi][g_hi].data(), c0, c1);
-                    // One bump per chunk node (its first unit), from
-                    // inside a pool task: must be atomic — the
-                    // overlapped path never quiesces the pool around
-                    // stats updates.
-                    if (local == 0)
-                        exchangeChunks_.fetch_add(
-                            1, std::memory_order_relaxed);
-                } else {
-                    crossPairSliceCompute(
-                        lo.data(), hi.data(),
-                        landing_[bi][g_lo].data(),
-                        landing_[bi][g_hi].data(),
-                        slabs_.slab(nw.st->sBegin),
-                        static_cast<uint64_t>(g_lo % gap) * C, c0, c1,
-                        dir_, fk_);
-                    // One bump per butterfly chunk node, mirroring the
-                    // exchange accounting above.
-                    if (local == 0)
-                        kernelDispatches_.fetch_add(
-                            1, std::memory_order_relaxed);
-                }
-            });
-    }
-
-    /** One bump per kernel fan-out (called from the dispatch thread). */
-    void
-    countDispatch()
-    {
-        kernelDispatches_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     std::vector<DistributedVector<F> *> &batch_;
     const TwiddleSlabs<F> &slabs_;
     const unsigned logN_;
     const NttDirection dir_;
     const unsigned lanes_;
     const FieldKernels<F> &fk_;
-    /** Per-(batch entry, GPU) exchange landing slabs. */
-    std::vector<std::vector<std::vector<F>>> landing_;
-    std::atomic<uint64_t> exchangeChunks_{0};
-    std::atomic<uint64_t> kernelDispatches_{0};
+    uint64_t kernelDispatches_ = 0;
     const unsigned maxRadixLog2_;
 };
 
@@ -1159,17 +873,16 @@ struct ResilientHooks
 
 /**
  * The host buffers a resilient run writes before it reads them: the
- * spot-check input snapshot, the exchange landing slabs and the ABFT
- * recovery snapshot. The engine lends one set to run after run, so
- * back-to-back transforms reuse them instead of allocating ~3x the
- * data per call (whose page-fault cost then swings with the state of
- * the allocator's heap).
+ * spot-check input snapshot and the ABFT recovery snapshot. The engine
+ * lends one set to run after run, so back-to-back transforms reuse
+ * them instead of allocating ~2x the data per call (whose page-fault
+ * cost then swings with the state of the allocator's heap).
  */
 template <NttField F>
 struct ResilientScratch
 {
     std::vector<F> input;
-    std::vector<std::vector<F>> landing, abftSnap;
+    std::vector<std::vector<F>> abftSnap;
 };
 
 template <NttField F>
@@ -1205,83 +918,22 @@ class ResilientStepExecutor
           fk_(fk),
           hooks_(std::move(hooks)),
           fs_(fs),
-          landing_(scratch.landing),
           abftSnap_(scratch.abftSnap)
     {
     }
 
-    StepAction
-    onStep(const ScheduleStep &st)
-    {
-        switch (st.kind) {
-          case StepKind::Exchange:
-            pendingExchange_ = &st;
-            return StepAction{};
-          case StepKind::CrossStage:
-            return crossStep(st);
-          case StepKind::LocalPass: {
-            abftArmStep(st);
-            localStagesCompute(data_, st.sBegin, st.sEnd, pl_.logN,
-                               slabs_, dir_, lanes_, fk_);
-            kernelDispatches_.fetch_add(1, std::memory_order_relaxed);
-            StepAction guard = abftGuardStep(st);
-            if (!guard.status.ok() || guard.reschedule)
-                return guard;
-            report_.addKernelPhase(st.name, st.stats, perf_);
-            tagPhase(st);
-            return StepAction{};
-          }
-          case StepKind::FusedLocalPass: {
-            // Fused groups flow through the same decorator as any
-            // other step: the group is one phase, one watchdog unit.
-            abftArmStep(st);
-            fusedLocalStagesCompute(data_, st.sBegin, st.sEnd, pl_.logN,
-                                    st.tileLog2, slabs_, dir_, lanes_,
-                                    fk_, cfg_.fusedRadixLog2);
-            kernelDispatches_.fetch_add(1, std::memory_order_relaxed);
-            StepAction guard = abftGuardStep(st);
-            if (!guard.status.ok() || guard.reschedule)
-                return guard;
-            report_.addKernelPhase(st.name, st.stats, perf_);
-            tagPhase(st);
-            return StepAction{};
-          }
-          case StepKind::Scale: {
-            abftArmStep(st);
-            if (st.applyInverseScale) {
-                std::vector<DistributedVector<F> *> batch{&data_};
-                inverseScaleCompute(batch, 1ULL << pl_.logN, lanes_,
-                                    fk_);
-                kernelDispatches_.fetch_add(1,
-                                            std::memory_order_relaxed);
-            }
-            StepAction guard = abftGuardStep(st);
-            if (!guard.status.ok() || guard.reschedule)
-                return guard;
-            report_.addKernelPhase(st.name, st.stats, perf_);
-            tagPhase(st);
-            return StepAction{};
-          }
-          case StepKind::SpotCheck:
-            return spotCheckStep(st);
-          case StepKind::BitRevGather:
-            panic("resilient schedules do not reorder output");
-        }
-        return StepAction{};
-    }
-
     /**
-     * Wave-driven dispatch over the DAG overlay: nodes run
+     * Wave-driven dispatch over the schedule's DAG: nodes run
      * sequentially in wave order, with exchange chunks issued before
-     * the wave's butterfly chunks — the copy of the *next* stage's
-     * buffer is on the link while the *previous* stage's butterflies
-     * are still in flight, which is exactly the mid-overlap window a
-     * device loss must be able to land in. One fault draw per
-     * exchange step, at its first in-flight chunk, keeps the injector
-     * sequence identical to the linear path; on a loss the in-flight
-     * butterfly chunks of earlier stages drain deterministically
-     * before the reshard, so the recompiled resume schedule (itself a
-     * DAG) replays from a whole-stage boundary.
+     * the wave's butterfly chunks — on an overlapped schedule the
+     * *next* stage's buffer is on the link while the *previous*
+     * stage's butterflies are still in flight, which is exactly the
+     * mid-overlap window a device loss must be able to land in. One
+     * fault draw per exchange step, at its first chunk, keeps the
+     * injector sequence identical in both dispatch modes; on a loss
+     * the in-flight butterfly chunks of earlier stages drain
+     * deterministically before the reshard, so the recompiled resume
+     * schedule replays from a whole-stage boundary.
      */
     StepAction
     onWave(const StageSchedule &sched, size_t w)
@@ -1310,7 +962,6 @@ class ResilientStepExecutor
     std::shared_ptr<const StageSchedule>
     reschedule()
     {
-        pendingExchange_ = nullptr;
         auto sched = hooks_.recompile(pl_, sys_, dir_, resumeStage_,
                                       logMg0_);
         report_.setPeakDeviceBytes(sched->peakDeviceBytes);
@@ -1334,18 +985,13 @@ class ResilientStepExecutor
         abftCoef_.reset();
         abftBoundary_ = 0;
         abftInited_ = false;
-        abftCrossInit_ = UINT32_MAX;
     }
 
     /** Resilience counters observed so far. */
     const FaultStats &faultStats() const { return fs_; }
 
     /** Span-kernel dispatches through the bound table (router stats). */
-    uint64_t
-    kernelDispatches() const
-    {
-        return kernelDispatches_.load(std::memory_order_relaxed);
-    }
+    uint64_t kernelDispatches() const { return kernelDispatches_; }
 
     /** The kernel table this executor runs on. */
     const FieldKernels<F> &kernels() const { return fk_; }
@@ -1364,9 +1010,9 @@ class ResilientStepExecutor
     /**
      * The fault machinery of one exchange step: the injector draw,
      * straggler watchdog, bounded-backoff transient retries, and the
-     * checksum/retransmission loop. Shared verbatim by the linear
-     * crossStep and the wave path, so counters, health records, and
-     * priced retry time cannot drift between the two dispatch modes.
+     * checksum/retransmission loop, run at the step's first node —
+     * the same point in both dispatch modes, so counters, health
+     * records, and priced retry time cannot drift between them.
      */
     ExchangeResolution
     resolveExchange(const ScheduleStep &st)
@@ -1469,46 +1115,6 @@ class ResilientStepExecutor
         return res;
     }
 
-    /** One cross-GPU stage under the full fault machinery (linear). */
-    StepAction
-    crossStep(const ScheduleStep &st)
-    {
-        const unsigned s = st.sBegin;
-        ExchangeResolution res = resolveExchange(st);
-        if (res.lostGpu >= 0) {
-            Status dst = degrade(res.lostGpu, s);
-            if (!dst.ok())
-                return StepAction{dst, false};
-            return StepAction{Status(), /*reschedule=*/true};
-        }
-        if (!res.status.ok())
-            return StepAction{res.status, false};
-
-        const double kernel_t = perf_.kernelSeconds(st.stats);
-        abftArmStep(st);
-        crossStageCompute(data_, s, pl_.logN, slabs_, dir_, lanes_,
-                          fk_);
-        kernelDispatches_.fetch_add(1, std::memory_order_relaxed);
-        StepAction guard = abftGuardStep(st);
-        if (!guard.status.ok() || guard.reschedule)
-            return guard;
-        report_.addKernelPhase(st.name, st.stats, perf_);
-        tagPhase(st);
-        UNINTT_ASSERT(pendingExchange_ != nullptr,
-                      "cross stage without a pending exchange");
-        const std::string &exchange_name = pendingExchange_->name;
-        if (cfg_.overlapComm) {
-            double visible = std::max(0.0, res.commT - kernel_t);
-            report_.addCommPhase(exchange_name, visible, res.comm,
-                                 res.commT - visible);
-        } else {
-            report_.addCommPhase(exchange_name, res.commT, res.comm);
-        }
-        tagPhase(*pendingExchange_);
-        pendingExchange_ = nullptr;
-        return StepAction{};
-    }
-
     /** Reset the wave-dispatch state on a schedule swap. */
     void
     initDag(const StageSchedule &sched)
@@ -1522,12 +1128,9 @@ class ResilientStepExecutor
             nodesLeft_[nd.step]++;
         stepCommT_.assign(sched.steps.size(), 0.0);
         stepComm_.assign(sched.steps.size(), CommStats{});
-        landing_.resize(data_.numGpus());
-        for (std::vector<F> &slab : landing_)
-            slab.assign(pl_.chunkElems(), F{}); // keeps the capacity
     }
 
-    /** Execute one DAG node (wave path). */
+    /** Execute one DAG node. */
     StepAction
     runNode(const StageSchedule &sched, uint32_t ni)
     {
@@ -1535,47 +1138,79 @@ class ResilientStepExecutor
         const ScheduleStep &st = sched.steps[nd.step];
         switch (st.kind) {
           case StepKind::Exchange: {
-            if (nd.chunk == 0) {
-                // One draw per exchange *step*, at its first chunk:
-                // the injector sequence matches the linear path.
-                ExchangeResolution res = resolveExchange(st);
-                if (res.lostGpu >= 0) {
-                    StepAction drained = drainBefore(sched, nd.step);
-                    if (!drained.status.ok() || drained.reschedule)
-                        return drained;
-                    Status dst = degrade(res.lostGpu, st.sBegin);
-                    if (!dst.ok())
-                        return StepAction{dst, false};
-                    return StepAction{Status(), /*reschedule=*/true};
-                }
-                if (!res.status.ok())
-                    return StepAction{res.status, false};
-                stepCommT_[nd.step] = res.commT;
-                stepComm_[nd.step] = res.comm;
+            // The exchange moves no host data (the butterflies read
+            // the partner chunk in place); it carries the fault
+            // machinery. One draw per exchange *step*, at its first
+            // chunk: the injector sequence is the same whether or not
+            // the step is split.
+            if (nd.chunk != 0)
+                break;
+            ExchangeResolution res = resolveExchange(st);
+            if (res.lostGpu >= 0) {
+                StepAction drained = drainBefore(sched, nd.step);
+                if (!drained.status.ok() || drained.reschedule)
+                    return drained;
+                Status dst = degrade(res.lostGpu, st.sBegin);
+                if (!dst.ok())
+                    return StepAction{dst, false};
+                return StepAction{Status(), /*reschedule=*/true};
             }
-            exchangeChunkCopy(st, nd);
+            if (!res.status.ok())
+                return StepAction{res.status, false};
+            stepCommT_[nd.step] = res.commT;
+            stepComm_[nd.step] = res.comm;
             break;
           }
           case StepKind::CrossStage:
-            // The first butterfly node of a checked cross stage sees
-            // the data exactly at the step boundary (its dependencies
-            // have completed, later steps depend on it), so the ABFT
-            // arm — and the recovery snapshot, when injection is live —
-            // happens here rather than per node.
-            if (abftCrossInit_ != nd.step) {
-                abftCrossInit_ = nd.step;
+            // The first butterfly node of a checked cross stage (chunk
+            // 0: chunk k depends on chunk k-1) sees the data exactly at
+            // the step boundary (its dependencies have completed, later
+            // steps depend on it), so the ABFT arm — and the recovery
+            // snapshot, when injection is live — happens here rather
+            // than per node.
+            if (nd.chunk == 0)
                 abftArmStep(st);
-            }
-            crossChunkCompute(st, nd);
+            crossStageCompute(data_, st.sBegin, pl_.logN, slabs_, dir_,
+                              lanes_, nd.sliceBegin, nd.sliceEnd, fk_);
+            kernelDispatches_++;
             break;
-          default: {
-            // Unsplit steps reuse the linear handlers unchanged
-            // (compute + phase emission in one go).
-            StepAction act = onStep(st);
-            if (!act.status.ok() || act.reschedule)
+          case StepKind::LocalPass:
+          case StepKind::FusedLocalPass:
+          case StepKind::Scale: {
+            // Unsplit compute steps: one node, one phase, one
+            // watchdog unit, guarded like any other step.
+            abftArmStep(st);
+            if (st.kind == StepKind::LocalPass) {
+                localStagesCompute(data_, st.sBegin, st.sEnd, pl_.logN,
+                                   slabs_, dir_, lanes_, fk_);
+                kernelDispatches_++;
+            } else if (st.kind == StepKind::FusedLocalPass) {
+                fusedLocalStagesCompute(data_, st.sBegin, st.sEnd,
+                                        pl_.logN, st.tileLog2, slabs_,
+                                        dir_, lanes_, fk_,
+                                        cfg_.fusedRadixLog2);
+                kernelDispatches_++;
+            } else if (st.applyInverseScale) {
+                std::vector<DistributedVector<F> *> batch{&data_};
+                inverseScaleCompute(batch, 1ULL << pl_.logN, lanes_,
+                                    fk_);
+                kernelDispatches_++;
+            }
+            StepAction guard = abftGuardStep(st);
+            if (!guard.status.ok() || guard.reschedule)
+                return guard;
+            report_.addKernelPhase(st.name, st.stats, perf_);
+            tagPhase(st);
+            break;
+          }
+          case StepKind::SpotCheck: {
+            StepAction act = spotCheckStep(st);
+            if (!act.status.ok())
                 return act;
             break;
           }
+          case StepKind::BitRevGather:
+            panic("resilient schedules do not reorder output");
         }
         nodeDone_[ni] = true;
         UNINTT_ASSERT(nodesLeft_[nd.step] > 0, "DAG node ran twice");
@@ -1611,64 +1246,15 @@ class ResilientStepExecutor
         return StepAction{};
     }
 
-    /** Stage one exchange chunk into the landing slabs (all pairs). */
-    void
-    exchangeChunkCopy(const ScheduleStep &st, const ScheduleDagNode &nd)
-    {
-        const unsigned G = data_.numGpus();
-        const unsigned gap = st.distance;
-        for (unsigned pi = 0; pi < G / 2; ++pi) {
-            const unsigned g_lo = pairLowGpu(pi, gap);
-            exchangePairSliceCopy(data_.chunk(g_lo).data(),
-                                  data_.chunk(g_lo + gap).data(),
-                                  landing_[g_lo].data(),
-                                  landing_[g_lo + gap].data(),
-                                  nd.sliceBegin, nd.sliceEnd);
-        }
-    }
-
-    /** Butterflies of one cross-stage chunk, from the landing slabs. */
-    void
-    crossChunkCompute(const ScheduleStep &st, const ScheduleDagNode &nd)
-    {
-        const unsigned G = data_.numGpus();
-        const unsigned gap = st.distance;
-        const uint64_t C = pl_.chunkElems();
-        const unsigned pairs = G / 2;
-        const uint64_t span = nd.sliceEnd - nd.sliceBegin;
-        uint64_t slices = 1;
-        if (lanes_ > 1 && pairs < lanes_)
-            slices = std::min<uint64_t>(
-                span, (2ULL * lanes_ + pairs - 1) / pairs);
-        const F *tws = slabs_.slab(st.sBegin);
-        hostParallelFor(
-            static_cast<uint64_t>(pairs) * slices,
-            kernelCost(span / slices, dir_, fk_.lanes), lanes_,
-            [&](size_t unit) {
-                const unsigned pi =
-                    static_cast<unsigned>(unit / slices);
-                const uint64_t sl = unit % slices;
-                const unsigned g_lo = pairLowGpu(pi, gap);
-                const unsigned g_hi = g_lo + gap;
-                const uint64_t c0 = nd.sliceBegin + span * sl / slices;
-                const uint64_t c1 =
-                    nd.sliceBegin + span * (sl + 1) / slices;
-                crossPairSliceCompute(
-                    data_.chunk(g_lo).data(), data_.chunk(g_hi).data(),
-                    landing_[g_lo].data(), landing_[g_hi].data(), tws,
-                    static_cast<uint64_t>(g_lo % gap) * C, c0, c1,
-                    dir_, fk_);
-            });
-        kernelDispatches_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     /**
-     * Inject/verify and emit the phases of a completed cross stage
-     * (wave path). The ABFT guard sits between the last butterfly node
-     * and the phase emission, mirroring the linear crossStep; the next
-     * exchange's already-staged chunk copies read the data *before*
-     * the injection point, so only clean values ever propagate and the
-     * guard's recovery leaves the landing slabs consistent.
+     * Inject/verify and emit the phases of a completed cross stage.
+     * The ABFT guard sits between the last butterfly node and the
+     * phase emission; the next stage's butterflies read the data in
+     * place after it, so an injected flip (or its recovery) reaches
+     * them exactly as it would in the linear dispatch. Under
+     * overlapComm the comm phase hides time behind this stage's whole
+     * kernel (priced per step, not per wave as the analytic executor
+     * does).
      */
     StepAction
     finishCross(const StageSchedule &sched, uint32_t sidx)
@@ -2131,11 +1717,10 @@ class ResilientStepExecutor
     ResilientHooks hooks_;
     /** The caller's counters (may already hold health exclusions). */
     FaultStats &fs_;
-    const ScheduleStep *pendingExchange_ = nullptr;
     unsigned resumeStage_ = 0;
-    std::atomic<uint64_t> kernelDispatches_{0};
+    uint64_t kernelDispatches_ = 0;
 
-    // Wave-dispatch state (DAG overlay), reset on schedule swap.
+    // Wave-dispatch state, reset on schedule swap.
     const StageSchedule *dagSched_ = nullptr;
     std::vector<bool> nodeDone_;
     /** Per step: nodes still to run; phases emit when it hits 0. */
@@ -2143,8 +1728,6 @@ class ResilientStepExecutor
     /** Resolved comm time / stats stashed until the step completes. */
     std::vector<double> stepCommT_;
     std::vector<CommStats> stepComm_;
-    /** Per-GPU double-buffered landing slabs for exchange chunks. */
-    std::vector<std::vector<F>> &landing_;
 
     // ABFT state (attachSchedule resets all but the ordinal).
     /** Schedule whose checked steps are verified (keeps coef alive). */
@@ -2157,8 +1740,6 @@ class ResilientStepExecutor
     std::vector<F> abftPrev_;
     /** Pre-step shard snapshot (taken only while injection is live). */
     std::vector<std::vector<F>> &abftSnap_;
-    /** Cross step already armed (wave path arms at its first node). */
-    uint32_t abftCrossInit_ = UINT32_MAX;
     /**
      * Injection clock: one tick per compute step with the guard
      * active, monotone across reschedules, identical in both dispatch

@@ -396,10 +396,11 @@ class ScheduleBuilder
 };
 
 /**
- * Build the dependency-DAG overlay over @p sched's step list.
+ * Build the dependency DAG over @p sched's step list.
  *
- * Exchange and CrossStage steps split into two double-buffered
- * half-chunk nodes; everything else is one node. Edges:
+ * With @p split (an overlapped schedule) Exchange and CrossStage steps
+ * split into two double-buffered half-chunk nodes; everything else —
+ * and every step of a linear schedule — is one node. Edges:
  *
  *  - chunk-aligned: when this step and the previous step are split
  *    identically, chunk k depends only on the previous step's chunk k
@@ -418,7 +419,7 @@ class ScheduleBuilder
  * (last half-chunk out).
  */
 void
-buildScheduleDag(StageSchedule &sched, uint64_t chunk_elems)
+buildScheduleDag(StageSchedule &sched, uint64_t chunk_elems, bool split)
 {
     sched.dag.clear();
     sched.waves.clear();
@@ -426,7 +427,8 @@ buildScheduleDag(StageSchedule &sched, uint64_t chunk_elems)
     uint32_t prev_chunks = 1;
     for (size_t i = 0; i < sched.steps.size(); ++i) {
         const ScheduleStep &st = sched.steps[i];
-        const bool splittable = (st.kind == StepKind::Exchange ||
+        const bool splittable = split &&
+                                (st.kind == StepKind::Exchange ||
                                  st.kind == StepKind::CrossStage) &&
                                 !st.degraded && chunk_elems >= 2;
         const uint32_t chunks = splittable ? 2 : 1;
@@ -463,7 +465,6 @@ buildScheduleDag(StageSchedule &sched, uint64_t chunk_elems)
     for (size_t i = 0; i < sched.dag.size(); ++i)
         sched.waves[sched.dag[i].wave].push_back(
             static_cast<uint32_t>(i));
-    sched.overlapped = true;
 }
 
 } // namespace
@@ -557,11 +558,11 @@ compileSchedule(const NttPlan &pl, const MultiGpuSystem &sys,
         }
     }
 
-    // The DAG overlay only pays off (and the staging landing buffers
-    // only exist) on multi-GPU plans; single-GPU schedules keep the
-    // plain linear dispatch.
-    if (cfg.overlapComm && pl.numGpus > 1 && !sched.steps.empty())
-        buildScheduleDag(sched, pl.chunkElems());
+    // Every schedule dispatches through its DAG. Overlap only pays off
+    // on multi-GPU plans; single-GPU and overlap-off schedules stay
+    // linear, one node per step in its own wave.
+    sched.overlapped = cfg.overlapComm && pl.numGpus > 1;
+    buildScheduleDag(sched, pl.chunkElems(), sched.overlapped);
 
     // Device-memory footprint: the data chunk, one exchange buffer for
     // the cross-GPU phase, and the twiddle table when it is not

@@ -22,19 +22,20 @@
  * Step order is dataflow order: an Exchange step precedes the
  * CrossStage butterflies that consume the received chunk. Executors
  * preserve the report's historical phase order (compute first, then
- * the exchange with its overlap split) by holding the pending Exchange
- * until its CrossStage has been priced.
+ * the exchange with its overlap split) by holding the resolved
+ * Exchange until its CrossStage has been priced.
  *
- * When comm overlap is enabled the schedule additionally carries a
- * dependency DAG *overlay* (the step list itself is untouched): every
- * step is covered by one or more ScheduleDagNodes, Exchange/CrossStage
- * steps are split into double-buffered half-chunk nodes, and nodes are
- * levelled into waves by longest dependency path. The chunk-aligned
+ * Every schedule also carries a dependency DAG *overlay* (the step
+ * list itself is untouched), and the executors dispatch it wave by
+ * wave. Every step is covered by one or more ScheduleDagNodes, and
+ * nodes are levelled into waves by longest dependency path. A linear
+ * schedule is one node per step, each in its own wave. When comm
+ * overlap is enabled on a multi-GPU plan, Exchange/CrossStage steps
+ * are split into double-buffered half-chunk nodes: the chunk-aligned
  * edges between an exchange and the butterflies that feed/consume it
  * stagger the waves so that the copy of chunk k+1 shares a wave with
  * the butterflies of chunk k — that shared wave is what the executors
- * overlap (price as max(comm, compute); run concurrently on the host
- * pool).
+ * overlap (priced as max(comm, compute)).
  */
 
 #ifndef UNINTT_UNINTT_SCHEDULE_HH
@@ -185,12 +186,12 @@ struct StageSchedule
     std::vector<ScheduleStep> steps;
 
     /**
-     * True iff the DAG overlay was built (cfg.overlapComm with a
-     * multi-GPU plan): executors dispatch wave-by-wave instead of
-     * step-by-step.
+     * True iff the DAG splits the cross phase into overlapping chunks
+     * (cfg.overlapComm with a multi-GPU plan); false for a linear
+     * schedule, one node per step.
      */
     bool overlapped = false;
-    /** The DAG overlay; empty when overlapped is false. */
+    /** The DAG overlay, in step order. */
     std::vector<ScheduleDagNode> dag;
     /** Node indices grouped by wave, waves in execution order. */
     std::vector<std::vector<uint32_t>> waves;

@@ -434,15 +434,15 @@ TEST(AbftCoefficientCacheKey, EveryCheckedStepIsPartOfTheKey)
 TEST(ConcurrentExecution, OverlapCountersSurviveConcurrentEngines)
 {
     // Regression for the schedule/slab counter race in the overlapped
-    // path: the exchange-chunk counter is bumped from inside thread
-    // pool tasks while the pool is NOT quiesced, so it must be atomic.
-    // Racing whole engines (each itself running a threaded wave
-    // dispatch) through the shared process-wide caches gives the
-    // sanitizer tree a torn-counter target, and the per-report
-    // invariant below catches lost increments in the normal tree: a
-    // 4-GPU forward has logMg = 2 exchange steps, each split into 2
-    // chunks, so every report must count exactly 4 exchange chunks
-    // and a positive wave count.
+    // path. The exchange-chunk count is no longer a counter bumped
+    // from inside pool tasks: the engine reads it off the shared
+    // cached schedule after the run. Racing whole engines (each
+    // itself running a threaded wave dispatch) through the shared
+    // process-wide caches gives the sanitizer tree a shared-schedule
+    // target, and the per-report invariant below catches a wrong
+    // count in the normal tree: a 4-GPU forward has logMg = 2
+    // exchange steps, each split into 2 chunks, so every report must
+    // count exactly 4 exchange chunks and a positive wave count.
     const MultiGpuSystem sys = makeDgxA100(4);
     const size_t n = size_t{1} << 12;
     std::vector<F> input(n);

@@ -176,10 +176,13 @@ runExecutorDraw(const Draw &d)
         v = F::fromU64(rng.next());
     auto sys = makeDgxA100(d.gpus);
 
+    // Pinned off the tuning DB: the functional runs consult it and the
+    // analytic run does not, so a DB hit would compare two configs.
     UniNttConfig serial_cfg = UniNttConfig::allOn();
     serial_cfg.hostThreads = 1;
+    serial_cfg.useTuneDb = false;
     UniNttEngine<F> serial(sys, serial_cfg);
-    UniNttConfig threaded_cfg = UniNttConfig::allOn();
+    UniNttConfig threaded_cfg = serial_cfg;
     threaded_cfg.hostThreads = 8;
     UniNttEngine<F> threaded(sys, threaded_cfg);
 
@@ -755,8 +758,6 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
                 const std::vector<F> lo0 = draw(len, off);
                 const std::vector<F> hi0 = draw(len, off);
                 const std::vector<F> tw = draw(len * stride + 1, off);
-                const std::vector<F> rlo = draw(len, off);
-                const std::vector<F> rhi = draw(len, off);
 
                 auto lo_a = lo0, hi_a = hi0;
                 auto lo_b = lo0, hi_b = hi0;
@@ -776,29 +777,7 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
                 ASSERT_EQ(hi_a, hi_b);
 
                 if (stride != 1)
-                    continue; // recv/scale/dot spans are unit-stride
-                lo_a = lo0; hi_a = hi0; lo_b = lo0; hi_b = hi0;
-                fk.bflyRecvFwd(lo_a.data() + off, hi_a.data() + off,
-                               rlo.data() + off, rhi.data() + off,
-                               tw.data() + off, len);
-                scalar.bflyRecvFwd(lo_b.data() + off,
-                                   hi_b.data() + off,
-                                   rlo.data() + off, rhi.data() + off,
-                                   tw.data() + off, len);
-                ASSERT_EQ(lo_a, lo_b);
-                ASSERT_EQ(hi_a, hi_b);
-
-                lo_a = lo0; hi_a = hi0; lo_b = lo0; hi_b = hi0;
-                fk.bflyRecvInv(lo_a.data() + off, hi_a.data() + off,
-                               rlo.data() + off, rhi.data() + off,
-                               tw.data() + off, len);
-                scalar.bflyRecvInv(lo_b.data() + off,
-                                   hi_b.data() + off,
-                                   rlo.data() + off, rhi.data() + off,
-                                   tw.data() + off, len);
-                ASSERT_EQ(lo_a, lo_b);
-                ASSERT_EQ(hi_a, hi_b);
-
+                    continue; // scale/dot spans are unit-stride
                 const F s = F::fromU64(rng.next());
                 lo_a = lo0; lo_b = lo0;
                 fk.scaleSpan(lo_a.data() + off, s, len);

@@ -793,24 +793,31 @@ TEST(AbftRecovery, LinearAndDagDispatchAgreeOnAbftAccounting)
     // boundaries whether or not the waves overlap.
     auto sys = makeDgxA100(8);
     std::vector<F> x = testVector(1 << 12);
-    FaultModel m;
-    m.seed = 4242;
-    m.computeBitFlipRate = 0.05;
 
-    auto runWith = [&](bool overlap) {
+    auto runWith = [&](bool overlap, const FaultModel &m,
+                       const ResilienceConfig &rc, NttDirection dir) {
         UniNttConfig cfg = UniNttConfig::allOn();
         cfg.overlapComm = overlap;
         UniNttEngine<F> engine(sys, cfg);
         FaultInjector inj(m);
         auto dist = DistributedVector<F>::fromGlobal(x, 8);
-        Result<SimReport> r = engine.forwardResilient(dist, inj);
+        Result<SimReport> r =
+            dir == NttDirection::Forward
+                ? engine.forwardResilient(dist, inj, rc)
+                : engine.inverseResilient(dist, inj, rc);
         EXPECT_TRUE(r.ok()) << r.status().toString();
-        return std::make_tuple(r.value().faultStats(),
+        return std::make_tuple(r.ok() ? r.value().faultStats()
+                                      : FaultStats{},
                                inj.injected().computeCorruptions,
                                dist.toGlobal());
     };
-    auto dag = runWith(true);
-    auto lin = runWith(false);
+
+    FaultModel m;
+    m.seed = 4242;
+    m.computeBitFlipRate = 0.05;
+    const ResilienceConfig on;
+    auto dag = runWith(true, m, on, NttDirection::Forward);
+    auto lin = runWith(false, m, on, NttDirection::Forward);
     EXPECT_EQ(std::get<2>(dag), std::get<2>(lin));
     EXPECT_EQ(std::get<1>(dag), std::get<1>(lin));
     EXPECT_EQ(std::get<0>(dag).abftChecks, std::get<0>(lin).abftChecks);
@@ -818,6 +825,29 @@ TEST(AbftRecovery, LinearAndDagDispatchAgreeOnAbftAccounting)
               std::get<0>(lin).abftCatches);
     EXPECT_EQ(std::get<0>(dag).tilesRecomputed,
               std::get<0>(lin).tilesRecomputed);
+
+    // ABFT off: nothing recovers the flips, so they flow into the
+    // next stage's butterflies. Both dispatch modes must carry them to
+    // the same corrupted bytes — a butterfly chunk reads its partner
+    // after the previous stage's injection point, never a copy taken
+    // before it.
+    ResilienceConfig off;
+    off.abft = false;
+    off.spotChecks = 0;
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+        FaultModel flips;
+        flips.seed = mix64(seed + 5);
+        flips.computeBitFlipRate = 0.15;
+        for (NttDirection dir :
+             {NttDirection::Forward, NttDirection::Inverse}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                         toString(dir));
+            auto dag_off = runWith(true, flips, off, dir);
+            auto lin_off = runWith(false, flips, off, dir);
+            EXPECT_EQ(std::get<1>(dag_off), std::get<1>(lin_off));
+            EXPECT_TRUE(std::get<2>(dag_off) == std::get<2>(lin_off));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

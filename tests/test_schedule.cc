@@ -308,7 +308,10 @@ TEST(ScheduleCacheTest, TileConfigIsPartOfTheKey)
     ScheduleCache::global().clear();
     const auto sys = makeDgxA100(4);
 
+    // Pinned off the tuning DB: a DB hit would swap in one persisted
+    // config for all four and make them compile one schedule.
     UniNttConfig auto_tile = UniNttConfig::allOn();
+    auto_tile.useTuneDb = false;
     UniNttConfig tile7 = auto_tile;
     tile7.hostTileLog2 = 7;
     UniNttConfig tile8 = auto_tile;
@@ -330,6 +333,23 @@ TEST(ScheduleCacheTest, TileConfigIsPartOfTheKey)
         for (size_t j = i + 1; j < scheds.size(); ++j)
             EXPECT_NE(scheds[i].get(), scheds[j].get())
                 << i << " vs " << j;
+}
+
+/** A linear schedule's DAG: node i is step i, unsplit, in wave i. */
+void
+expectLinearDag(const StageSchedule &sched)
+{
+    ASSERT_EQ(sched.dag.size(), sched.steps.size());
+    ASSERT_EQ(sched.waves.size(), sched.steps.size());
+    for (size_t i = 0; i < sched.dag.size(); ++i) {
+        const auto &nd = sched.dag[i];
+        EXPECT_EQ(nd.step, i);
+        EXPECT_EQ(nd.chunkCount, 1u);
+        EXPECT_EQ(nd.sliceBegin, 0u);
+        EXPECT_EQ(nd.sliceEnd, sched.plan.chunkElems());
+        EXPECT_EQ(nd.wave, i);
+        EXPECT_EQ(sched.waves[i], std::vector<uint32_t>{uint32_t(i)});
+    }
 }
 
 TEST(DagOverlay, InvariantsHoldAcrossHardwareModels)
@@ -354,9 +374,11 @@ TEST(DagOverlay, InvariantsHoldAcrossHardwareModels)
                     compileSchedule(pl, sys, dir, 8, cfg, costs);
 
                 if (sys.numGpus == 1) {
-                    // Single-GPU plans have nothing to overlap.
+                    // Single-GPU plans have nothing to overlap: the
+                    // DAG is linear, one node per step in its own
+                    // wave.
                     EXPECT_FALSE(sched.overlapped);
-                    EXPECT_TRUE(sched.dag.empty());
+                    expectLinearDag(sched);
                     continue;
                 }
                 ASSERT_TRUE(sched.overlapped);
@@ -439,12 +461,14 @@ TEST(DagOverlay, InvariantsHoldAcrossHardwareModels)
 
 TEST(DagOverlay, DoubleBufferedChunksNeverAliasTheirPartner)
 {
-    // The functional wave executor writes exchange chunk k into the
-    // landing-slab half selected by the chunk parity while the
-    // butterflies of chunk k-1 still read the other half. The slices
-    // the compiler assigns to adjacent chunks of one step must
-    // therefore be disjoint — and chunk-aligned with the butterfly
-    // node that consumes them.
+    // The executors run each cross-stage chunk node in place: its
+    // butterflies read and write only their slice of both partner
+    // chunks, with no staging copy. That is safe only if the slices
+    // the compiler assigns to adjacent chunks of one step are
+    // disjoint, and if every chunk node depends on exactly the node
+    // that finished its slice in the step before (chunk-aligned
+    // edges): then a node never reads a slice another node of the
+    // same or an earlier wave is still writing.
     const auto sys = makeDgxA100(4);
     const auto pl = planNtt(22, sys, sizeof(Goldilocks));
     const auto sched = compileSchedule(
@@ -463,8 +487,8 @@ TEST(DagOverlay, DoubleBufferedChunksNeverAliasTheirPartner)
         ASSERT_EQ(prev.chunk, nd.chunk - 1);
         EXPECT_LE(prev.sliceEnd, nd.sliceBegin);
         // And the producing/consuming chunk across steps covers the
-        // same slice, so a butterfly chunk reads only landing bytes
-        // its own exchange chunk wrote.
+        // same slice, so a butterfly chunk reads only elements its
+        // dependencies have finished.
         for (uint32_t d : nd.deps) {
             const auto &dep = sched.dag[d];
             if (dep.step == nd.step)
@@ -483,7 +507,9 @@ TEST(ScheduleCacheTest, OverlapConfigIsPartOfTheKey)
     ScheduleCache::global().clear();
     const auto sys = makeDgxA100(4);
 
+    // Pinned off the tuning DB, which may pin overlapComm itself.
     UniNttConfig on = UniNttConfig::allOn();
+    on.useTuneDb = false;
     UniNttConfig off = on;
     off.overlapComm = false;
 
@@ -500,8 +526,7 @@ TEST(ScheduleCacheTest, OverlapConfigIsPartOfTheKey)
     EXPECT_NE(s_on.get(), s_off.get());
     EXPECT_TRUE(s_on->overlapped);
     EXPECT_FALSE(s_off->overlapped);
-    EXPECT_TRUE(s_off->dag.empty());
-    EXPECT_TRUE(s_off->waves.empty());
+    expectLinearDag(*s_off);
 
     // Both stay resident and replay to their own dispatch mode.
     sched_hit = false;
