@@ -20,10 +20,6 @@
  *   --smoke      tiny sizes for CI; exits non-zero if the fused path
  *                is more than 10% slower than the per-stage path.
  *   --out=PATH   where to write the JSON (default BENCH_host_ntt.json).
- *   --tune       let the fused engine consult the tuning DB (the
- *                per-stage and scalar-reference engines stay
- *                heuristic); each point records its provenance.
- *   --tune-db=PATH  which DB --tune reads (default tuning/tunedb.json).
  */
 
 #include <cstdio>
@@ -72,21 +68,14 @@ int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    bool tune = false;
     std::string out_path = "BENCH_host_ntt.json";
-    std::string tune_db = kDefaultTuneDbPath;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--tune") == 0)
-            tune = true;
-        else if (std::strncmp(argv[i], "--tune-db=", 10) == 0)
-            tune_db = argv[i] + 10;
         else if (std::strncmp(argv[i], "--out=", 6) == 0)
             out_path = argv[i] + 6;
         else
-            fatal("unknown flag '%s' (--smoke, --out=PATH, --tune, "
-                  "--tune-db=PATH)", argv[i]);
+            fatal("unknown flag '%s' (--smoke, --out=PATH)", argv[i]);
     }
 
     benchHeader("BENCH host NTT",
@@ -104,14 +93,9 @@ main(int argc, char **argv)
 
     UniNttConfig base_cfg;
     base_cfg.hostThreads = 1;
-    // The trajectory must not move when someone refreshes the DB
-    // unless they asked for tuned numbers: heuristic by default.
-    base_cfg.useTuneDb = false;
 
-    std::printf("pinned: %s, %u host thread, best of %d reps, "
-                "%s schedules\n\n",
-                sys.description().c_str(), base_cfg.hostThreads, reps,
-                tune ? "tuned" : "heuristic");
+    std::printf("pinned: %s, %u host thread, best of %d reps\n\n",
+                sys.description().c_str(), base_cfg.hostThreads, reps);
 
     JsonWriter jw;
     jw.field("bench", "host_ntt")
@@ -120,7 +104,6 @@ main(int argc, char **argv)
         .field("hostThreads", base_cfg.hostThreads)
         .field("router", isaPathName(resolveIsaPath(IsaPath::Auto)))
         .field("smoke", smoke)
-        .field("tuneDb", tune ? tune_db : "")
         .beginArray("points");
 
     // Scalar reference engine: every path's bytes must match its
@@ -149,10 +132,6 @@ main(int argc, char **argv)
             fused_cfg.isaPath = isa;
             UniNttConfig unfused_cfg = fused_cfg;
             unfused_cfg.fuseLocalPasses = false;
-            if (tune) {
-                fused_cfg.useTuneDb = true;
-                fused_cfg.tuneDbPath = tune_db;
-            }
             UniNttEngine<F> fused(sys, fused_cfg);
             UniNttEngine<F> unfused(sys, unfused_cfg);
 
@@ -170,12 +149,8 @@ main(int argc, char **argv)
                       "2^%u", isaPathName(isa), logN);
 
             unsigned tile_log2 = 0;
-            bool tuned = false;
             for (const auto &st :
-                 fused
-                     .schedule(logN, NttDirection::Forward, 1, nullptr,
-                               nullptr, &tuned)
-                     ->steps)
+                 fused.schedule(logN, NttDirection::Forward)->steps)
                 if (st.kind == StepKind::FusedLocalPass)
                     tile_log2 = st.tileLog2;
 
@@ -203,7 +178,6 @@ main(int argc, char **argv)
                 .field("isa", isaPathName(isa))
                 .field("isaLanes", isaLaneWidth(isa, sizeof(F)))
                 .field("tileLog2", tile_log2)
-                .field("tuned", tuned)
                 .field("fusedNsPerButterfly", fns)
                 .field("unfusedNsPerButterfly", uns)
                 .field("fusedElementsPerSec", elems / fsec)

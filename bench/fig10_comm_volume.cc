@@ -107,11 +107,10 @@ main()
     to.print();
     std::printf("\n");
 
-    // Host-tile fusion moves butterflies between kernels, not between
+    // Local-pass fusion moves butterflies between kernels, not between
     // GPUs: the fused schedule touches DRAM less (one round trip per
     // fused group instead of per stage) while the fabric sees exactly
-    // the same bytes and message count. This is the claim behind
-    // fig16's tile sweep, shown here against the comm ledger.
+    // the same bytes and message count.
     std::printf("fused local passes vs per-stage (NVSwitch, 2^26):\n");
     Table tf({"GPUs", "schedule", "DRAM bytes", "kernel launches",
               "bytes/GPU", "messages"});

@@ -49,73 +49,5 @@ main()
     }
     t.print();
     std::printf("planner's automatic choice: 2^%u\n", auto_tile);
-
-    // Host-tile sweep: the same sensitivity story one level up. The
-    // fused local passes group stages into tiles sized by
-    // UniNttConfig::hostTileLog2 (0 = derive from the 256 KiB host
-    // cache model); smaller tiles mean more fused groups and more
-    // DRAM round trips, fusion off degenerates to one pass per stage.
-    std::printf("\nhost-tile fusion sweep (2^26, 4 GPUs):\n");
-    unsigned resolved = UniNttConfig{}.resolvedHostTileLog2(sizeof(F));
-    Table th({"host tile", "fused groups", "DRAM bytes",
-              "kernel launches", "time", "vs auto"});
-    double fused_auto_time = 0;
-    auto sweepRow = [&](const char *label, UniNttConfig cfg) {
-        UniNttEngine<F> engine(sys, cfg);
-        auto r = engine.analyticRun(26, NttDirection::Forward);
-        auto k = r.totalKernelStats();
-        double s = r.totalSeconds();
-        if (fused_auto_time == 0)
-            fused_auto_time = s;
-        th.addRow({label,
-                   std::to_string(r.hostExecStats().fusedGroups),
-                   formatBytes(static_cast<double>(k.globalBytes())),
-                   std::to_string(k.kernelLaunches), formatSeconds(s),
-                   fmtX(s / fused_auto_time)});
-    };
-    {
-        UniNttConfig cfg;
-        sweepRow(("auto (2^" + std::to_string(resolved) + ")").c_str(),
-                 cfg);
-    }
-    for (unsigned tile : {8u, 11u, 14u, 18u}) {
-        UniNttConfig cfg;
-        cfg.hostTileLog2 = tile;
-        sweepRow(("2^" + std::to_string(tile)).c_str(), cfg);
-    }
-    {
-        UniNttConfig cfg;
-        cfg.fuseLocalPasses = false;
-        sweepRow("off (per-stage)", cfg);
-    }
-    th.print();
-
-    // Overlap column: the same tile sweep with the wave dispatch on
-    // vs off. Tiling changes only the local passes, so the hidden
-    // (overlapped) comm is tile-invariant while the linear dispatch
-    // pays the full sum at every tile size.
-    std::printf("\nDAG overlap across host tiles (2^26, 4 GPUs):\n");
-    Table tov({"host tile", "overlap", "waves", "total",
-               "visible comm", "hidden"});
-    for (unsigned tile : {8u, 14u, 18u}) {
-        for (bool overlap : {true, false}) {
-            UniNttConfig cfg;
-            cfg.hostTileLog2 = tile;
-            cfg.overlapComm = overlap;
-            UniNttEngine<F> engine(sys, cfg);
-            auto r = engine.analyticRun(26, NttDirection::Forward);
-            double hidden = 0;
-            for (const auto &p : r.phases())
-                hidden += p.hiddenSeconds;
-            tov.addRow({"2^" + std::to_string(tile),
-                        overlap ? "on" : "off",
-                        std::to_string(r.hostExecStats().overlapWaves),
-                        formatSeconds(r.totalSeconds()),
-                        formatSeconds(r.commSeconds()),
-                        formatSeconds(hidden)});
-        }
-        tov.addSeparator();
-    }
-    tov.print();
     return 0;
 }

@@ -7,11 +7,6 @@
 #   ./scripts/bench.sh --smoke   CI mode: tiny sizes, fails if the
 #                                fused path is >10% slower than the
 #                                per-stage path
-#   ./scripts/bench.sh --tune    refresh tuning/tunedb.json with the
-#                                autotuner, re-emit the artifact from
-#                                tuned schedules, and gate: no tuned
-#                                point slower than its previous tuned
-#                                value beyond noise tolerance
 #
 # The artifact BENCH_host_ntt.json lands in the repo root so commits
 # can be diffed against each other; see EXPERIMENTS.md for the schema.
@@ -22,16 +17,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc)}"
-TUNE_DB="${TUNE_DB:-tuning/tunedb.json}"
 
 SMOKE=""
-TUNE=""
 for arg in "$@"; do
     case "$arg" in
     --smoke) SMOKE="--smoke" ;;
-    --tune) TUNE=1 ;;
     *)
-        echo "usage: $0 [--smoke] [--tune]" >&2
+        echo "usage: $0 [--smoke]" >&2
         exit 2
         ;;
     esac
@@ -52,54 +44,10 @@ cmake --build "$BUILD_DIR" -j"$JOBS" --target bench_host_ntt \
     fig22_simd_speedup micro_ntt micro_field fig18_host_parallel \
     unintt-cli
 
-TUNE_FLAGS=""
-if [ -n "$TUNE" ]; then
-    echo "==> autotuner refresh of $TUNE_DB (pinned bench key: "
-    echo "    Goldilocks, 1 GPU, 1 host thread, functional)"
-    "$BUILD_DIR"/src/tools/unintt-cli tune --fields=goldilocks \
-        --log-ns=20,22,24 --gpus=1 --threads=1 --reps=3 \
-        --db="$TUNE_DB"
-    # Bank the previous artifact so the regression gate below can
-    # compare tuned points across the refresh.
-    if [ -f "$OUT" ]; then
-        cp "$OUT" "$OUT.prev"
-    fi
-    TUNE_FLAGS="--tune --tune-db=$TUNE_DB"
-fi
-
 echo "==> host NTT kernel harness (one sweep per ISA path)"
-"$BUILD_DIR"/bench/bench_host_ntt $SMOKE $TUNE_FLAGS --out="$OUT" \
+"$BUILD_DIR"/bench/bench_host_ntt $SMOKE --out="$OUT" \
     | tee /tmp/bench_host_ntt.txt
 grep -q "router: " /tmp/bench_host_ntt.txt
-
-if [ -n "$TUNE" ] && [ -f "$OUT.prev" ] \
-    && command -v python3 >/dev/null 2>&1; then
-    echo "==> tuned-point regression gate ($OUT.prev vs $OUT)"
-    python3 scripts/check_bench_regression.py "$OUT.prev" "$OUT"
-fi
-
-if [ -n "$TUNE" ] && [ -z "$SMOKE" ] \
-    && command -v python3 >/dev/null 2>&1; then
-    echo "==> tuned headline gate (AVX-512 fused ns/butterfly <= 1.29)"
-    # The reference number is AVX-512; hosts routing elsewhere have no
-    # comparable baseline and skip the absolute gate.
-    python3 - "$OUT" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-if doc.get("router") != "avx512":
-    print(f"skipped: router is {doc.get('router')}, reference is avx512")
-    sys.exit(0)
-pts = [p for p in doc["points"]
-       if p["isa"] == "avx512" and p.get("tuned")]
-if not pts:
-    print("FAIL: no tuned avx512 points in the artifact")
-    sys.exit(1)
-best = min(p["fusedNsPerButterfly"] for p in pts)
-print(f"best tuned avx512 fused ns/butterfly: {best:.3f} "
-      f"(gate <= 1.29)")
-sys.exit(0 if best <= 1.29 else 1)
-EOF
-fi
 
 if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool "$OUT" >/dev/null
@@ -113,8 +61,8 @@ echo "==> fig22: SIMD speedup gate (vector must not lose at logN >= 16)"
 
 if [ -z "$SMOKE" ]; then
     echo "==> context benches"
-    "$BUILD_DIR"/bench/micro_field --benchmark_min_time=0.05s
-    "$BUILD_DIR"/bench/micro_ntt --benchmark_min_time=0.05s
+    "$BUILD_DIR"/bench/micro_field --benchmark_min_time=0.05
+    "$BUILD_DIR"/bench/micro_ntt --benchmark_min_time=0.05
     "$BUILD_DIR"/bench/fig18_host_parallel
 fi
 

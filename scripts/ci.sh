@@ -30,6 +30,19 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 echo "==> cache concurrency stress, 200 repeats"
 ctest --test-dir "$BUILD_DIR" -R test_concurrency --output-on-failure \
     --repeat until-fail:200
+# ctest runs each test binary inside the build tree. Run every one once
+# more from the checkout root: no test may depend on where it runs.
+# The names come from ctest, so a stale binary of a deleted test is
+# never run.
+echo "==> test binaries, run from the checkout root"
+for t in $(ctest --test-dir "$BUILD_DIR" -N |
+    sed -n 's/^ *Test *#[0-9]*: \(test_[a-z0-9_]*\)$/\1/p'); do
+    echo "--- $t"
+    "$BUILD_DIR/tests/$t" >/tmp/ci_test_from_root.txt 2>&1 || {
+        cat /tmp/ci_test_from_root.txt
+        exit 1
+    }
+done
 
 echo "==> ThreadSanitizer tree ($BUILD_DIR-tsan)"
 # Races are caught here, not by luck: the concurrency stress tests, the
@@ -121,44 +134,6 @@ echo "==> DAG overlap smoke (4-GPU 2^22 plan must carry the overlay)"
     | tee /tmp/ci_schedule_dag.json | grep -q '"overlap": true'
 grep -q '"waves": [1-9]' /tmp/ci_schedule_dag.json
 
-echo "==> autotuner smoke (tiny space -> DB write -> DB hit)"
-# One CLI tune over the tiny grid must produce at least one DB entry,
-# and a recompile pointed at that DB must report tuned provenance.
-TDB=/tmp/ci_tunedb.json
-rm -f "$TDB"
-"$BUILD_DIR"/src/tools/unintt-cli tune --small --fields=goldilocks \
-    --log-ns=12 --gpus=1 --reps=2 --db="$TDB" | tee /tmp/ci_tune.txt
-grep -Eq "wrote [1-9][0-9]* entries" /tmp/ci_tune.txt
-UNINTT_TUNEDB="$TDB" "$BUILD_DIR"/src/tools/unintt-cli schedule \
-    --log-n=12 --gpus=1 --json | grep -q '"scheduleSource": "tuned"'
-# With the DB off the same compile must stay heuristic.
-UNINTT_TUNEDB=off "$BUILD_DIR"/src/tools/unintt-cli schedule \
-    --log-n=12 --gpus=1 --json | grep -q '"scheduleSource": "heuristic"'
-
-if command -v python3 >/dev/null 2>&1; then
-    echo "==> tuned-point regression gate self-test"
-    # The gate bench.sh --tune runs over refreshed artifacts: a
-    # within-tolerance refresh must pass and a 2x slowdown must fail
-    # (negative control, so the gate can never rot into a no-op).
-    python3 - <<'EOF'
-import json
-point = {"logN": 24, "isa": "avx512", "tuned": True,
-         "fusedNsPerButterfly": 1.0}
-json.dump({"points": [point]}, open("/tmp/ci_bench_prev.json", "w"))
-point_ok = dict(point, fusedNsPerButterfly=1.05)
-json.dump({"points": [point_ok]}, open("/tmp/ci_bench_ok.json", "w"))
-point_bad = dict(point, fusedNsPerButterfly=2.0)
-json.dump({"points": [point_bad]}, open("/tmp/ci_bench_bad.json", "w"))
-EOF
-    python3 scripts/check_bench_regression.py \
-        /tmp/ci_bench_prev.json /tmp/ci_bench_ok.json
-    if python3 scripts/check_bench_regression.py \
-        /tmp/ci_bench_prev.json /tmp/ci_bench_bad.json; then
-        echo "FAIL: regression gate accepted a 2x tuned slowdown"
-        exit 1
-    fi
-fi
-
 if command -v python3 >/dev/null 2>&1; then
     echo "==> benchmark self-tests (perfbench/test_benchlib.py)"
     # Builds the benchmark and replays short ntt-hardened and
@@ -167,9 +142,6 @@ if command -v python3 >/dev/null 2>&1; then
     # exactly, and --inject-wrong outputs are counted as failed.
     python3 perfbench/test_benchlib.py
 fi
-
-echo "==> fig23 autotune smoke (tuned >= heuristic per point)"
-"$BUILD_DIR"/bench/fig23_autotune --smoke
 
 echo "==> host kernel perf smoke (fused vs per-stage)"
 ./scripts/bench.sh --smoke

@@ -4,15 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j"$(nproc)"
 
 echo "== tests =="
 ctest --test-dir build --output-on-failure
 
 echo "== benches (tables & figures) =="
+# bench_host_ntt writes its JSON artifact; keep the committed one intact.
+OUT_DIR="$(mktemp -d)"
+trap 'rm -rf "$OUT_DIR"' EXIT
 for b in build/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] && "$b"
+    [ -f "$b" ] && [ -x "$b" ] || continue
+    if [ "$(basename "$b")" = bench_host_ntt ]; then
+        "$b" --out="$OUT_DIR/BENCH_host_ntt.json"
+    else
+        "$b"
+    fi
 done
 
 echo "== examples =="

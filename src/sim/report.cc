@@ -173,23 +173,6 @@ SimReport::toString() const
                << hostExec_.isaLanes << " lane"
                << (hostExec_.isaLanes == 1 ? "" : "s") << ", "
                << hostExec_.isaDispatches << " dispatches)";
-        if (hostExec_.tunedSchedules || hostExec_.heuristicSchedules) {
-            os << ", schedule ";
-            if (hostExec_.tunedSchedules &&
-                hostExec_.heuristicSchedules)
-                os << "mixed (" << hostExec_.tunedSchedules
-                   << " tuned/" << hostExec_.heuristicSchedules
-                   << " heuristic)";
-            else if (hostExec_.tunedSchedules)
-                os << "tuned";
-            else
-                os << "heuristic";
-            if (hostExec_.tuneClampWarnings)
-                os << " [" << hostExec_.tuneClampWarnings
-                   << " tile clamp warning"
-                   << (hostExec_.tuneClampWarnings == 1 ? "" : "s")
-                   << "]";
-        }
         os << "\n";
     }
     if (faults_.any()) {

@@ -78,12 +78,6 @@ struct HostExecStats
     unsigned isaLanes = 0;
     /** Span-kernel fan-outs dispatched through the bound table. */
     uint64_t isaDispatches = 0;
-    /** Runs whose knobs came from a tuning-DB hit (unintt/tunedb.hh). */
-    uint64_t tunedSchedules = 0;
-    /** Runs that fell back to the built-in heuristic. */
-    uint64_t heuristicSchedules = 0;
-    /** DB-supplied tiles raised to the lane-aware floor this run. */
-    uint64_t tuneClampWarnings = 0;
 
     /** True iff anything was recorded. */
     bool
@@ -94,9 +88,7 @@ struct HostExecStats
                twiddleSlabHits || twiddleSlabMisses ||
                scheduleCacheHits || scheduleCacheMisses ||
                fusedGroups || overlapWaves || exchangeChunks ||
-               !isaPath.empty() || isaLanes != 0 || isaDispatches ||
-               tunedSchedules || heuristicSchedules ||
-               tuneClampWarnings;
+               !isaPath.empty() || isaLanes != 0 || isaDispatches;
     }
 
     /** Combine with another run's host facts (report append). */
@@ -123,9 +115,6 @@ struct HostExecStats
         }
         isaLanes = std::max(isaLanes, o.isaLanes);
         isaDispatches += o.isaDispatches;
-        tunedSchedules += o.tunedSchedules;
-        heuristicSchedules += o.heuristicSchedules;
-        tuneClampWarnings += o.tuneClampWarnings;
         return *this;
     }
 };

@@ -33,8 +33,6 @@
 #include "msm/pippenger.hh"
 #include "sim/trace.hh"
 #include "unintt/engine.hh"
-#include "unintt/tunedb.hh"
-#include "unintt/tuner.hh"
 #include "util/cli.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
@@ -58,49 +56,23 @@ systemFromFlags(const CliParser &cli)
                           static_cast<unsigned>(cli.getInt("gpus"))};
 }
 
-/** Shared --tile-log2 flag (schedule and ntt subcommands). */
+/** Shared --isa flag (schedule and ntt subcommands). */
 void
-addTileFlag(CliParser &cli)
+addIsaFlag(CliParser &cli)
 {
-    cli.addInt("tile-log2", 0,
-               "log2 of the host-resident tile for fused local "
-               "passes (0 = auto from the cache model)");
     cli.addString("isa", "auto",
                   "host acceleration path: auto, scalar, avx2, "
                   "avx512, neon (UNINTT_FORCE_ISA overrides)");
-    cli.addString("tune-db", "",
-                  "tuning DB path: '' = tuning/tunedb.json, 'off' "
-                  "disables DB consultation (UNINTT_TUNEDB overrides)");
 }
 
 UniNttConfig
 configFromFlags(const CliParser &cli)
 {
     UniNttConfig cfg;
-    cfg.hostTileLog2 =
-        static_cast<unsigned>(cli.getInt("tile-log2"));
     if (!parseIsaPath(cli.getString("isa"), &cfg.isaPath))
         fatal("unknown --isa '%s' (auto, scalar, avx2, avx512, neon)",
               cli.getString("isa").c_str());
-    cfg.tuneDbPath = cli.getString("tune-db");
     return cfg;
-}
-
-/** Split a comma-separated flag value ("14,16,18"). */
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
 }
 
 void
@@ -140,9 +112,8 @@ runSchedule(const CliParser &cli)
     UniNttConfig cfg = configFromFlags(cli);
     const IsaPath isa = resolveIsaPath(cfg.isaPath);
     UniNttEngine<F> engine(sys, cfg);
-    bool plan_hit = false, sched_hit = false, tuned = false;
-    auto sched = engine.schedule(logN, dir, batch, &plan_hit, &sched_hit,
-                                 &tuned);
+    bool plan_hit = false, sched_hit = false;
+    auto sched = engine.schedule(logN, dir, batch, &plan_hit, &sched_hit);
 
     unsigned fused_groups = 0, tile_log2 = 0;
     for (const auto &st : sched->steps) {
@@ -166,8 +137,6 @@ runSchedule(const CliParser &cli)
                     plan_hit ? "true" : "false");
         std::printf("  \"scheduleCacheHit\": %s,\n",
                     sched_hit ? "true" : "false");
-        std::printf("  \"scheduleSource\": \"%s\",\n",
-                    tuned ? "tuned" : "heuristic");
         std::printf("  \"fusedGroups\": %u,\n", fused_groups);
         std::printf("  \"overlap\": %s,\n",
                     sched->overlapped ? "true" : "false");
@@ -227,7 +196,6 @@ runSchedule(const CliParser &cli)
                 isaLaneWidth(isa, sizeof(F)) == 1 ? "" : "s", F::kName);
     std::printf("caches:   plan %s, schedule %s\n",
                 plan_hit ? "hit" : "miss", sched_hit ? "hit" : "miss");
-    std::printf("schedule: %s\n", tuned ? "tuned (DB hit)" : "heuristic");
     if (fused_groups > 0)
         std::printf("fusion:   %u fused group%s, 2^%u-element tiles\n",
                     fused_groups, fused_groups == 1 ? "" : "s",
@@ -253,7 +221,7 @@ cmdSchedule(int argc, char **argv)
     cli.addString("field", "goldilocks",
                   "field: goldilocks, babybear, bn254");
     cli.addBool("json", false, "emit the schedule as JSON");
-    addTileFlag(cli);
+    addIsaFlag(cli);
     addCommonFlags(cli);
     cli.parse(argc, argv);
 
@@ -366,7 +334,7 @@ cmdNtt(int argc, char **argv)
     cli.addInt("threads", 0,
                "host threads for --functional: 0 = all cores, 1 = serial");
     cli.addString("trace", "", "write a chrome://tracing JSON here");
-    addTileFlag(cli);
+    addIsaFlag(cli);
     addCommonFlags(cli);
     cli.parse(argc, argv);
 
@@ -378,120 +346,6 @@ cmdNtt(int argc, char **argv)
     if (field == "bn254")
         return runNtt<Bn254Fr>(cli);
     fatal("unknown field '%s'", field.c_str());
-}
-
-/** Tune every requested size of one field and print the outcomes. */
-template <NttField F>
-void
-tuneFieldRows(TuningDb &db, const std::vector<unsigned> &log_ns,
-              const TuneRequest &proto, const TuneSpace &space,
-              Table &t)
-{
-    for (const TuneOutcome &o :
-         tuneField<F>(db, log_ns, proto, space)) {
-        const TuneEntry &e = o.entry;
-        char gain[32];
-        if (o.heuristicSeconds > 0)
-            std::snprintf(gain, sizeof(gain), "%+.1f%%",
-                          (o.heuristicSeconds - e.seconds) /
-                              o.heuristicSeconds * 100.0);
-        else
-            std::snprintf(gain, sizeof(gain), "n/a");
-        t.addRow({e.key.field, std::to_string(e.key.logN),
-                  std::to_string(e.key.gpus), e.key.executor,
-                  e.params.toString(), formatSeconds(e.seconds),
-                  formatSeconds(o.heuristicSeconds), gain});
-    }
-}
-
-int
-cmdTune(int argc, char **argv)
-{
-    CliParser cli("search the schedule-knob space and persist the "
-                  "winners in the versioned tuning DB");
-    cli.addString("fields", "goldilocks",
-                  "comma-separated: goldilocks, babybear, bn254");
-    cli.addString("log-ns", "14,16,18",
-                  "comma-separated log2 transform sizes");
-    cli.addString("executor", "functional",
-                  "what to optimize: functional (measured wall time), "
-                  "analytic (deterministic pricing), both");
-    cli.addInt("reps", 3, "wall-time repetitions per functional "
-                          "candidate (median wins)");
-    cli.addInt("seed", 1, "seed of inputs and measurement order");
-    cli.addString("db", "", "tuning DB path (default tuning/tunedb.json)");
-    cli.addBool("small", false,
-                "tiny candidate grid for CI smoke runs");
-    cli.addInt("threads", 0,
-               "pin hostThreads (0 searches the grid axis)");
-    addTileFlag(cli);
-    addCommonFlags(cli);
-    cli.parse(argc, argv);
-
-    const std::string db_path = cli.getString("db").empty()
-                                    ? std::string(kDefaultTuneDbPath)
-                                    : cli.getString("db");
-    const std::vector<std::string> fields =
-        splitCsv(cli.getString("fields"));
-    std::vector<unsigned> log_ns;
-    for (const std::string &s : splitCsv(cli.getString("log-ns")))
-        log_ns.push_back(
-            static_cast<unsigned>(std::strtoul(s.c_str(), nullptr, 10)));
-    if (fields.empty() || log_ns.empty())
-        fatal("--fields and --log-ns must be non-empty");
-    std::vector<std::string> executors;
-    if (cli.getString("executor") == "both")
-        executors = {"functional", "analytic"};
-    else
-        executors = {cli.getString("executor")};
-
-    TuneRequest proto;
-    proto.sys = systemFromFlags(cli);
-    proto.reps = static_cast<unsigned>(cli.getInt("reps"));
-    proto.seed = static_cast<uint64_t>(cli.getInt("seed"));
-    proto.base = configFromFlags(cli);
-    proto.base.hostThreads =
-        static_cast<unsigned>(cli.getInt("threads"));
-    proto.base.useTuneDb = false;
-
-    const TuneSpace space =
-        cli.getBool("small") ? TuneSpace::small() : TuneSpace::defaults();
-
-    TuningDb db;
-    const TuningDb::LoadStatus st = db.loadFile(db_path);
-    if (st.corrupt || st.staleVersion)
-        std::printf("note: existing DB at %s was %s; rewriting\n",
-                    db_path.c_str(),
-                    st.corrupt ? "corrupt" : "a stale version");
-
-    std::printf("tuning %zu field(s) x %zu size(s) x %zu executor(s) "
-                "on %s (%zu-point grid per key)\n\n",
-                fields.size(), log_ns.size(), executors.size(),
-                proto.sys.description().c_str(), space.size());
-
-    Table t({"field", "logN", "gpus", "executor", "winner", "tuned",
-             "heuristic", "gain"});
-    for (const std::string &ex : executors) {
-        proto.executor = ex;
-        for (const std::string &f : fields) {
-            if (f == "goldilocks")
-                tuneFieldRows<Goldilocks>(db, log_ns, proto, space, t);
-            else if (f == "babybear")
-                tuneFieldRows<BabyBear>(db, log_ns, proto, space, t);
-            else if (f == "bn254")
-                tuneFieldRows<Bn254Fr>(db, log_ns, proto, space, t);
-            else
-                fatal("unknown field '%s'", f.c_str());
-        }
-    }
-    t.print();
-
-    if (!db.saveFile(db_path))
-        fatal("cannot write tuning DB '%s'", db_path.c_str());
-    invalidateTuneDbCache();
-    std::printf("\nwrote %zu entries to %s (version %u)\n",
-                db.entries().size(), db_path.c_str(), kTuneDbVersion);
-    return 0;
 }
 
 int
@@ -956,8 +810,6 @@ usage()
         "machines)\n"
         "  ntt       simulate one (batched) NTT and print the "
         "timeline\n"
-        "  tune      search the schedule-knob space and persist the\n"
-        "            winners in the versioned tuning DB\n"
         "  msm       simulate one multi-GPU MSM\n"
         "  prover    simulate an end-to-end ZKP prover\n"
         "  stark     run a functional STARK prove/verify cycle\n"
@@ -994,8 +846,6 @@ main(int argc, char **argv)
         return cmdSchedule(argc - 1, argv + 1);
     if (cmd == "ntt")
         return cmdNtt(argc - 1, argv + 1);
-    if (cmd == "tune")
-        return cmdTune(argc - 1, argv + 1);
     if (cmd == "msm")
         return cmdMsm(argc - 1, argv + 1);
     if (cmd == "prover")

@@ -1,7 +1,5 @@
 #include "unintt/cache.hh"
 
-#include "field/dispatch.hh"
-
 namespace unintt {
 
 NttPlan
@@ -37,7 +35,7 @@ std::shared_ptr<const StageSchedule>
 ScheduleCache::get(const NttPlan &pl, const MultiGpuSystem &sys,
                    NttDirection dir, size_t element_bytes,
                    const UniNttConfig &cfg, const CostConstants &costs,
-                   size_t batch, bool *hit_out, bool tuned)
+                   size_t batch, bool *hit_out)
 {
     const ScheduleKey key{pl.logN,
                           sys.numGpus,
@@ -53,9 +51,6 @@ ScheduleCache::get(const NttPlan &pl, const MultiGpuSystem &sys,
                           cfg.naturalOrderOutput,
                           cfg.fuseLocalPasses,
                           cfg.overlapComm,
-                          cfg.hostTileLog2,
-                          static_cast<unsigned>(resolveIsaPath(cfg.isaPath)),
-                          tuned,
                           costs.twiddleTableDramFraction,
                           costs.onTheFlyExtraMuls,
                           costs.unpaddedConflictReplays,

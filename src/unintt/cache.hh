@@ -86,20 +86,6 @@ struct ScheduleKey
      * versa).
      */
     bool overlapComm;
-    unsigned hostTileLog2;
-    /**
-     * Resolved acceleration path (field/dispatch.hh): the fused tile
-     * floor depends on the active lane width, so schedules compiled
-     * under different paths must never alias.
-     */
-    unsigned isaPath;
-    /**
-     * Tuning-DB provenance: a schedule compiled from a DB entry must
-     * never alias a heuristic one (or vice versa), even when today's
-     * knobs happen to coincide — a DB refresh changes the tuned side
-     * without touching the heuristic side.
-     */
-    bool tuned;
     double twiddleTableDramFraction;
     double onTheFlyExtraMuls;
     double unpaddedConflictReplays;
@@ -137,7 +123,7 @@ class ScheduleCache : public LruCache<ScheduleKey, StageSchedule>
     get(const NttPlan &pl, const MultiGpuSystem &sys, NttDirection dir,
         size_t element_bytes, const UniNttConfig &cfg,
         const CostConstants &costs, size_t batch,
-        bool *hit_out = nullptr, bool tuned = false);
+        bool *hit_out = nullptr);
 
     /** The process-wide instance. */
     static ScheduleCache &global();

@@ -11,6 +11,7 @@
 #ifndef UNINTT_UNINTT_CONFIG_HH
 #define UNINTT_UNINTT_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -91,61 +92,20 @@ struct UniNttConfig
     /**
      * Fuse consecutive local butterfly stages into cache-resident tile
      * groups on the host functional path (and FusedLocalPass steps in
-     * the schedule IR): each 2^hostTileLog2-element tile is loaded
-     * once, all stages of the group run in-tile, and the tile is
-     * written back once — one fork/join and one DRAM round trip per
-     * group instead of per stage. The host-level analogue of the
-     * paper's shared-memory stage fusion. Off reproduces the one-pass-
-     * per-stage walk (ablation / differential baseline).
+     * the schedule IR): each 2^fusedTileLog2(element bytes)-element
+     * tile is loaded once, all stages of the group run in-tile, and
+     * the tile is written back once — one fork/join and one DRAM round
+     * trip per group instead of per stage. The host-level analogue of
+     * the paper's shared-memory stage fusion. Off reproduces the one-
+     * pass-per-stage walk (ablation / differential baseline).
      */
     bool fuseLocalPasses = true;
 
     /**
-     * log2 of the host tile used by fused local passes. 0 = derive
-     * from a host cache model (a 256 KiB per-core budget, the common
-     * L2 slice size); explicit values are clamped to [4, 20]. Purely a
-     * host performance knob: outputs are bit-identical for every
-     * value.
-     */
-    unsigned hostTileLog2 = 0;
-
-    /**
-     * log2 of the largest radix the fused flat sweeps may use:
-     * 3 = radix-8 + radix-4 + radix-2 (default), 2 = radix-4 +
-     * radix-2, 1 = radix-2 only. The autotuner's radix-mix knob;
-     * every mix applies the identical per-stage arithmetic, so
-     * outputs are bit-identical for all values.
-     */
-    unsigned fusedRadixLog2 = 3;
-
-    /**
-     * Consult the persisted tuning DB (unintt/tunedb.hh) ahead of the
-     * heuristic when resolving the host execution knobs. Off skips the
-     * lookup entirely (pinned harnesses, differential baselines).
-     * UNINTT_TUNEDB overrides both this flag and tuneDbPath.
+     * No effect: engines never consult a tuning database. Kept only so
+     * existing callers that still set it keep compiling.
      */
     bool useTuneDb = true;
-
-    /**
-     * Path of the tuning DB file; "" = the in-repo default
-     * (tuning/tunedb.json), "off" disables consultation like
-     * useTuneDb = false.
-     */
-    std::string tuneDbPath;
-
-    /**
-     * The tile log2 fused kernels actually use for elements of
-     * @p element_bytes: the explicit hostTileLog2 when set, otherwise
-     * the largest tile fitting the per-core cache budget, both clamped
-     * to [4, 20]. @p simd_lanes is the active kernel path's vector
-     * width (field/dispatch.hh isaLaneWidth): the floor of the clamp
-     * rises so the smallest fused spans still hold several full
-     * vectors, keeping tiny forced tiles from starving the lane-
-     * parallel kernels. Purely a perf knob — outputs are bit-identical
-     * for every value.
-     */
-    unsigned resolvedHostTileLog2(size_t element_bytes,
-                                  unsigned simd_lanes = 1) const;
 
     /**
      * Host acceleration path for the span kernels (field/dispatch.hh).
@@ -188,6 +148,16 @@ struct UniNttConfig
         return c;
     }
 };
+
+/**
+ * log2 of the tile fused local passes group their stages by, for
+ * elements of @p element_bytes: the largest tile fitting a 256 KiB
+ * per-core cache budget (the common private L2 slice), clamped to
+ * [4, 20]. One fixed function of the element size — the host analogue
+ * of sizing block tiles from the GPU's smem capacity — so no host
+ * setting reaches the compiled schedule or its simulated timeline.
+ */
+unsigned fusedTileLog2(size_t element_bytes);
 
 /**
  * Policy of the resilient execution paths

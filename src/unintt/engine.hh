@@ -56,7 +56,6 @@
 #include "unintt/health.hh"
 #include "unintt/plan.hh"
 #include "unintt/schedule.hh"
-#include "unintt/tunedb.hh"
 #include "unintt/verify.hh"
 #include "util/bitops.hh"
 #include "util/checksum.hh"
@@ -127,16 +126,11 @@ class UniNttEngine
     std::shared_ptr<const StageSchedule>
     schedule(unsigned logN, NttDirection dir, size_t batch = 1,
              bool *plan_hit_out = nullptr,
-             bool *sched_hit_out = nullptr,
-             bool *tuned_out = nullptr) const
+             bool *sched_hit_out = nullptr) const
     {
         const NttPlan pl = planCached(logN, sys_, plan_hit_out);
-        const TunedConfig tc = tunedFor(logN, "functional");
-        if (tuned_out)
-            *tuned_out = tc.tuned;
-        return ScheduleCache::global().get(pl, sys_, dir, sizeof(F), tc.cfg,
-                                           costs_, batch, sched_hit_out,
-                                           tc.tuned);
+        return ScheduleCache::global().get(pl, sys_, dir, sizeof(F), cfg_,
+                                           costs_, batch, sched_hit_out);
     }
 
     /**
@@ -146,7 +140,8 @@ class UniNttEngine
     unsigned
     hostLanes() const
     {
-        return hostLanesFor(cfg_);
+        return cfg_.hostThreads != 0 ? cfg_.hostThreads
+                                     : ThreadPool::defaultLanes();
     }
 
     /**
@@ -160,20 +155,6 @@ class UniNttEngine
     kernels() const
     {
         return fieldKernels<F>(cfg_.isaPath);
-    }
-
-    /**
-     * The per-run tuning-DB consultation (unintt/tunedb.hh): the
-     * effective config for a 2^logN transform under @p executor
-     * ("functional" or "analytic"), with provenance and any tile
-     * clamp warnings. Public so benches and the tuner can inspect
-     * exactly what a run would use.
-     */
-    TunedConfig
-    tunedFor(unsigned logN, const char *executor) const
-    {
-        return resolveTunedConfig(cfg_, F::kName, sizeof(F), logN,
-                                  sys_, executor);
     }
 
     /**
@@ -396,14 +377,6 @@ class UniNttEngine
                                        cfg_.forceLogBlockTile, hit_out);
     }
 
-    /** hostLanes() for an arbitrary (effective) config. */
-    static unsigned
-    hostLanesFor(const UniNttConfig &cfg)
-    {
-        return cfg.hostThreads != 0 ? cfg.hostThreads
-                                    : ThreadPool::defaultLanes();
-    }
-
     MultiGpuSystem sys_;
     UniNttConfig cfg_;
     CostConstants costs_;
@@ -436,16 +409,9 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
         UNINTT_ASSERT(d->numGpus() == sys_.numGpus, "GPU count mismatch");
     }
 
-    // Consult the tuning DB for this (field, logN, machine, executor)
-    // before compiling: a hit swaps in the persisted knobs (honoring
-    // explicit pins), a miss keeps the heuristic config unchanged.
-    const TunedConfig tc =
-        tunedFor(logN, functional ? "functional" : "analytic");
-    const UniNttConfig &ecfg = tc.cfg;
-
     bool sched_hit = false;
     std::shared_ptr<const StageSchedule> sched = ScheduleCache::global().get(
-        pl, sys_, dir, sizeof(F), ecfg, costs_, nbatch, &sched_hit, tc.tuned);
+        pl, sys_, dir, sizeof(F), cfg_, costs_, nbatch, &sched_hit);
 
     // Compacted twiddle slabs shared by the functional execution
     // (served from the per-field slab cache; a slab miss pulls the flat
@@ -461,9 +427,7 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
     SimReport report;
     {
         HostExecStats hx;
-        hx.hostThreads = hostLanesFor(ecfg);
-        (tc.tuned ? hx.tunedSchedules : hx.heuristicSchedules) = 1;
-        hx.tuneClampWarnings = tc.clampWarnings;
+        hx.hostThreads = hostLanes();
         for (const auto &st : sched->steps)
             if (st.kind == StepKind::FusedLocalPass)
                 hx.fusedGroups++;
@@ -486,9 +450,8 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
         hx.overlapWaves = sched->waves.size();
     if (functional) {
         FunctionalStepExecutor<F> exec(
-            sys_, perf_, report, batch, *slabs, logN, dir,
-            hostLanesFor(ecfg), fieldKernels<F>(ecfg.isaPath),
-            ecfg.fusedRadixLog2);
+            sys_, perf_, report, batch, *slabs, logN, dir, hostLanes(),
+            kernels());
         Status st = dispatchSchedule(sched, exec);
         UNINTT_ASSERT(st.ok(), "functional execution cannot fail");
         if (sched->overlapped)
@@ -545,11 +508,6 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
 
     const unsigned logN = log2Exact(data.size());
     const uint64_t n = 1ULL << logN;
-
-    // Resilient runs execute functionally, so they consult the same
-    // tuning key the plain functional path does.
-    const TunedConfig tc = tunedFor(logN, "functional");
-    const UniNttConfig &ecfg = tc.cfg;
 
     // Host buffers lent by the engine; an overlapping run on this
     // engine allocates its own.
@@ -609,9 +567,7 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
     const unsigned logMg0 = pl.logMg;
     {
         HostExecStats hx;
-        hx.hostThreads = hostLanesFor(ecfg);
-        (tc.tuned ? hx.tunedSchedules : hx.heuristicSchedules) = 1;
-        hx.tuneClampWarnings = tc.clampWarnings;
+        hx.hostThreads = hostLanes();
         (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
         (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) = 1;
         if (!slab_hit)
@@ -627,7 +583,7 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
     opts.spotChecks = rc.spotChecks;
     opts.abft = rc.abft;
     auto sched = std::make_shared<const StageSchedule>(compileSchedule(
-        pl, sys, dir, sizeof(F), ecfg, costs_, opts));
+        pl, sys, dir, sizeof(F), cfg_, costs_, opts));
     report.setPeakDeviceBytes(sched->peakDeviceBytes);
     {
         HostExecStats hx;
@@ -642,7 +598,7 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
     hooks.replan = [this](unsigned lg, const MultiGpuSystem &s) {
         return planCached(lg, s, nullptr);
     };
-    hooks.recompile = [this, ecfg, spot_checks = rc.spotChecks,
+    hooks.recompile = [this, spot_checks = rc.spotChecks,
                        abft = rc.abft](
                           const NttPlan &p, const MultiGpuSystem &s,
                           NttDirection d, unsigned resume_stage,
@@ -655,17 +611,16 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
         o.resumeStage = resume_stage;
         o.origLogMg = orig_log_mg;
         return std::make_shared<const StageSchedule>(
-            compileSchedule(p, s, d, sizeof(F), ecfg, costs_, o));
+            compileSchedule(p, s, d, sizeof(F), cfg_, costs_, o));
     };
     hooks.nextSpotSeed = [this](uint64_t base) {
         return nextSpotSeed(base);
     };
 
-    ResilientStepExecutor<F> exec(sys, perf_, ecfg, report, data, input,
+    ResilientStepExecutor<F> exec(sys, perf_, cfg_, report, data, input,
                                   faults, rc, health, slabs, pl, logMg0,
-                                  dir, hostLanesFor(ecfg),
-                                  std::move(hooks), fs, scratch,
-                                  fieldKernels<F>(ecfg.isaPath));
+                                  dir, hostLanes(), std::move(hooks), fs,
+                                  scratch, kernels());
     exec.attachSchedule(sched);
     Status st = dispatchSchedule(std::move(sched), exec);
     if (!st.ok())

@@ -352,8 +352,7 @@ template <NttField F>
 void
 fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
                 const TwiddleSlabs<F> &slabs, NttDirection dir,
-                const FieldKernels<F> &fk = fieldKernels<F>(),
-                unsigned max_radix_log2 = 3)
+                const FieldKernels<F> &fk = fieldKernels<F>())
 {
     if (dir == NttDirection::Forward) {
         const F im = slabs.fourthRoot();
@@ -366,11 +365,7 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
         // offset and stays inside its slab — no wrap handling. One
         // load+store per element per *three* stages is what moves
         // the streamed head groups from 2 sweeps per pair to 1 per
-        // triple. max_radix_log2 caps the mix (3 = r8+r4+r2,
-        // 2 = r4+r2, 1 = r2-only) for the autotuner's radix search;
-        // every mix applies the identical per-stage arithmetic, so
-        // the bytes cannot differ.
-        if (max_radix_log2 >= 3)
+        // triple.
         for (; s + 3 <= s1; s += 3, span /= 8) {
             const size_t q8 = span / 8;
             const F *twa = slabs.slab(s);
@@ -418,7 +413,6 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
                          p0 + 7 * q8, twa, twb, twc, q8);
             }
         }
-        if (max_radix_log2 >= 2)
         for (; s + 2 <= s1; s += 2, span /= 4) {
             const size_t quarter = span / 4;
             const F *tw0 = slabs.slab(s);
@@ -454,9 +448,7 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
                          quarter);
             }
         }
-        // Radix-2 remainder: one stage after the r4 loop under the
-        // default mix, the whole group when the tuner caps the mix at
-        // r2-only.
+        // Radix-2 remainder: at most one stage after the r4 loop.
         for (; s < s1; ++s, span /= 2) {
             const size_t half = span / 2;
             const F *tws = slabs.slab(s);
@@ -493,7 +485,7 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
  * Tile-fused functional butterflies of local stages [s_begin, s_end):
  * one fork/join per *group* instead of per stage, with every stage of
  * the group running before the data leaves the unit. The schedule's
- * tail group is sized to the resolved host tile (SB == 2^tileLog2),
+ * tail group is sized to the fused tile (SB == 2^tileLog2),
  * so its flat sweep is cache-resident end to end; head groups whose
  * super-block exceeds the tile stream the same fused sweep over the
  * block — still one radix-4 pass per stage *pair* where the per-stage
@@ -507,13 +499,11 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
 template <NttField F>
 void
 fusedLocalStagesCompute(DistributedVector<F> &data, unsigned s_begin,
-                        unsigned s_end, unsigned logN, unsigned tile_log2,
+                        unsigned s_end, unsigned logN,
                         const TwiddleSlabs<F> &slabs, NttDirection dir,
                         unsigned lanes,
-                        const FieldKernels<F> &fk = fieldKernels<F>(),
-                        unsigned max_radix_log2 = 3)
+                        const FieldKernels<F> &fk = fieldKernels<F>())
 {
-    (void)tile_log2; // geometry lives in the schedule's group sizes
     const uint64_t n = 1ULL << logN;
     const unsigned G = data.numGpus();
     const uint64_t C = data.chunkSize();
@@ -539,8 +529,7 @@ fusedLocalStagesCompute(DistributedVector<F> &data, unsigned s_begin,
             F *base = data.chunk(g).data() + sb * SB;
             if (csl == 1) {
                 // Whole super-block in one unit: flat sweep.
-                fusedSpanStages(base, SB, s_begin, s_end, slabs, dir,
-                                fk, max_radix_log2);
+                fusedSpanStages(base, SB, s_begin, s_end, slabs, dir, fk);
                 return;
             }
             const uint64_t c0 = h1 * slice / csl;
@@ -758,16 +747,14 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
                            std::vector<DistributedVector<F> *> &batch,
                            const TwiddleSlabs<F> &slabs, unsigned logN,
                            NttDirection dir, unsigned lanes,
-                           const FieldKernels<F> &fk = fieldKernels<F>(),
-                           unsigned max_radix_log2 = 3)
+                           const FieldKernels<F> &fk = fieldKernels<F>())
         : AnalyticStepExecutor(sys, perf, report),
           batch_(batch),
           slabs_(slabs),
           logN_(logN),
           dir_(dir),
           lanes_(lanes),
-          fk_(fk),
-          maxRadixLog2_(max_radix_log2)
+          fk_(fk)
     {
     }
 
@@ -815,8 +802,7 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
           case StepKind::FusedLocalPass:
             for (auto *d : batch_)
                 fusedLocalStagesCompute(*d, st.sBegin, st.sEnd, logN_,
-                                        st.tileLog2, slabs_, dir_,
-                                        lanes_, fk_, maxRadixLog2_);
+                                        slabs_, dir_, lanes_, fk_);
             kernelDispatches_++;
             break;
           case StepKind::Scale:
@@ -846,7 +832,6 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
     const unsigned lanes_;
     const FieldKernels<F> &fk_;
     uint64_t kernelDispatches_ = 0;
-    const unsigned maxRadixLog2_;
 };
 
 // ---------------------------------------------------------------------
@@ -1186,9 +1171,8 @@ class ResilientStepExecutor
                 kernelDispatches_++;
             } else if (st.kind == StepKind::FusedLocalPass) {
                 fusedLocalStagesCompute(data_, st.sBegin, st.sEnd,
-                                        pl_.logN, st.tileLog2, slabs_,
-                                        dir_, lanes_, fk_,
-                                        cfg_.fusedRadixLog2);
+                                        pl_.logN, slabs_, dir_, lanes_,
+                                        fk_);
                 kernelDispatches_++;
             } else if (st.applyInverseScale) {
                 std::vector<DistributedVector<F> *> batch{&data_};
@@ -1634,7 +1618,7 @@ class ResilientStepExecutor
     {
         if (st.kind == StepKind::FusedLocalPass) {
             fusedSpanStages(buf, span, st.sBegin, st.sEnd, slabs_,
-                            dir_, fk_, cfg_.fusedRadixLog2);
+                            dir_, fk_);
             return;
         }
         const uint64_t n = 1ULL << pl_.logN;

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "field/dispatch.hh"
 #include "sim/memory.hh"
 #include "util/logging.hh"
 
@@ -141,8 +140,8 @@ namespace {
  * resume may start above pl.logMg (a cross stage executed under the
  * pre-degradation sharding); for from == pl.logMg and tile_bits ==
  * pl.logBlockTile this reproduces pl.passes exactly. Fused schedules
- * call it with the resolved host tile instead, which is what shrinks
- * the pass count.
+ * call it with fusedTileLog2(element bytes) instead, which is what
+ * shrinks the pass count.
  *
  * With @p pin_tail (fused schedules) the final group is pinned to
  * exactly tile_bits stages: that group's stage-coupled super-block is
@@ -296,9 +295,7 @@ class ScheduleBuilder
     {
         const bool fused = cfg_.fuseLocalPasses;
         const unsigned tile_bits =
-            fused ? cfg_.resolvedHostTileLog2(
-                        eb_, isaLaneWidth(cfg_.isaPath, eb_))
-                  : pl_.logBlockTile;
+            fused ? fusedTileLog2(eb_) : pl_.logBlockTile;
         auto ranges =
             localRangesFrom(pl_, pl_.logN, from, tile_bits, fused);
         if (dir == NttDirection::Inverse)

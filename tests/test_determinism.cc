@@ -4,8 +4,10 @@
  * must produce bit-identical outputs and an identical simulated
  * timeline regardless of
  *
- *   - how many host threads execute the functional work (1, 2, 8), and
- *   - whether the plan/twiddle caches are cold or warm.
+ *   - how many host threads execute the functional work (1, 2, 8),
+ *   - whether the plan/twiddle caches are cold or warm, and
+ *   - which host knobs (thread count, kernel acceleration path) an
+ *     analytic, plain or resilient run was given.
  *
  * The host thread count and the cache hit counters are *allowed* to
  * differ — they live in SimReport::hostExecStats(), which is excluded
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "field/babybear.hh"
+#include "field/bn254.hh"
 #include "field/goldilocks.hh"
 #include "unintt/cache.hh"
 #include "unintt/engine.hh"
@@ -153,6 +156,95 @@ TYPED_TEST(Determinism, ColdAndWarmCachesAgree)
     EXPECT_EQ(warm.forward, cold.forward);
     EXPECT_EQ(warm.roundTrip, input);
     expectSimIdentical(warm.forwardReport, cold.forwardReport);
+}
+
+/** Output bytes and report of one fault-free resilient run. */
+template <NttField F>
+std::pair<std::vector<F>, SimReport>
+resilientRun(const UniNttEngine<F> &engine, const std::vector<F> &input,
+             unsigned gpus, NttDirection dir)
+{
+    FaultInjector quiet(FaultModel::none());
+    auto data = DistributedVector<F>::fromGlobal(input, gpus);
+    Result<SimReport> r = dir == NttDirection::Forward
+                              ? engine.forwardResilient(data, quiet)
+                              : engine.inverseResilient(data, quiet);
+    EXPECT_TRUE(r.ok()) << r.status().toString();
+    return {data.toGlobal(), r.ok() ? r.value() : SimReport{}};
+}
+
+/**
+ * Host knobs never reach the simulated timeline: for every machine
+ * size, overlap mode and direction, engines differing only in host
+ * threads and acceleration path must report exactly what a scalar,
+ * single-threaded reference reports — analytic and plain functional
+ * runs its analytic timeline, fault-free resilient runs its resilient
+ * timeline — and produce its output bytes.
+ */
+template <NttField F>
+void
+expectHostKnobsInert(unsigned log_n)
+{
+    const auto input = randomVector<F>(size_t{1} << log_n, 7 + log_n);
+    for (unsigned gpus : {1u, 4u, 8u}) {
+        const auto sys = makeDgxA100(gpus);
+        for (bool overlap : {false, true}) {
+            for (auto dir : {NttDirection::Forward, NttDirection::Inverse}) {
+                SCOPED_TRACE(std::string(F::kName) + " logN=" +
+                             std::to_string(log_n) + " gpus=" +
+                             std::to_string(gpus) + " overlap=" +
+                             std::to_string(overlap) + " " +
+                             toString(dir));
+                UniNttConfig ref_cfg;
+                ref_cfg.overlapComm = overlap;
+                ref_cfg.hostThreads = 1;
+                ref_cfg.isaPath = IsaPath::Scalar;
+                const UniNttEngine<F> ref(sys, ref_cfg);
+                const SimReport ref_analytic = ref.analyticRun(log_n, dir);
+                const auto [ref_bytes, ref_resilient] =
+                    resilientRun(ref, input, gpus, dir);
+
+                for (unsigned threads : {1u, 4u}) {
+                    for (IsaPath isa : {IsaPath::Scalar, IsaPath::Auto}) {
+                        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                                     " isa=" + isaPathName(isa));
+                        UniNttConfig cfg = ref_cfg;
+                        cfg.hostThreads = threads;
+                        cfg.isaPath = isa;
+                        const UniNttEngine<F> engine(sys, cfg);
+                        expectSimIdentical(engine.analyticRun(log_n, dir),
+                                           ref_analytic);
+
+                        auto data =
+                            DistributedVector<F>::fromGlobal(input, gpus);
+                        const SimReport plain =
+                            dir == NttDirection::Forward
+                                ? engine.forward(data)
+                                : engine.inverse(data);
+                        expectSimIdentical(plain, ref_analytic);
+                        EXPECT_TRUE(data.toGlobal() == ref_bytes)
+                            << "plain output bytes differ";
+
+                        const auto [bytes, resilient] =
+                            resilientRun(engine, input, gpus, dir);
+                        expectSimIdentical(resilient, ref_resilient);
+                        EXPECT_TRUE(bytes == ref_bytes)
+                            << "resilient output bytes differ";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Determinism, HostKnobsNeverMoveTheSimulatedTimeline)
+{
+    for (unsigned log_n : {12u, 16u}) {
+        expectHostKnobsInert<Goldilocks>(log_n);
+        expectHostKnobsInert<BabyBear>(log_n);
+    }
+    for (unsigned log_n : {12u, 15u})
+        expectHostKnobsInert<Bn254Fr>(log_n);
 }
 
 } // namespace

@@ -176,11 +176,8 @@ runExecutorDraw(const Draw &d)
         v = F::fromU64(rng.next());
     auto sys = makeDgxA100(d.gpus);
 
-    // Pinned off the tuning DB: the functional runs consult it and the
-    // analytic run does not, so a DB hit would compare two configs.
     UniNttConfig serial_cfg = UniNttConfig::allOn();
     serial_cfg.hostThreads = 1;
-    serial_cfg.useTuneDb = false;
     UniNttEngine<F> serial(sys, serial_cfg);
     UniNttConfig threaded_cfg = serial_cfg;
     threaded_cfg.hostThreads = 8;
@@ -213,10 +210,10 @@ runExecutorDraw(const Draw &d)
 
 /**
  * Fused tile kernels against the per-stage path: for one seeded draw,
- * every combination of direction, thread count and tile size must
- * produce output byte-identical to the unfused serial engine. This is
- * the contract that lets the schedule fuse stages freely: fusion is a
- * memory-traffic optimization, never an arithmetic one.
+ * every combination of direction and thread count must produce output
+ * byte-identical to the unfused serial engine. This is the contract
+ * that lets the schedule fuse stages freely: fusion is a memory-
+ * traffic optimization, never an arithmetic one.
  */
 template <NttField F>
 void
@@ -248,35 +245,44 @@ runFusionDraw(const Draw &d)
             baseline.inverse(base);
         const std::vector<F> want = base.toGlobal();
 
-        // hostTileLog2 = 0 derives the tile from the cache model; 4
-        // and 20 clamp to the extremes, forcing many tiny groups and
-        // one maximal group respectively.
-        for (unsigned tile : {0u, 4u, 20u}) {
-            for (unsigned threads : {1u, 4u, 16u}) {
-                SCOPED_TRACE("tile=" + std::to_string(tile) +
-                             " threads=" + std::to_string(threads));
-                UniNttConfig cfg;
-                cfg.hostTileLog2 = tile;
-                cfg.hostThreads = threads;
-                UniNttEngine<F> fused(sys, cfg);
-                auto data =
-                    DistributedVector<F>::fromGlobal(input, d.gpus);
-                if (dir == NttDirection::Forward)
-                    fused.forward(data);
-                else
-                    fused.inverse(data);
-                ASSERT_EQ(data.toGlobal(), want);
-            }
+        for (unsigned threads : {1u, 4u, 16u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            UniNttConfig cfg;
+            cfg.hostThreads = threads;
+            UniNttEngine<F> fused(sys, cfg);
+            auto data = DistributedVector<F>::fromGlobal(input, d.gpus);
+            if (dir == NttDirection::Forward)
+                fused.forward(data);
+            else
+                fused.inverse(data);
+            ASSERT_EQ(data.toGlobal(), want);
         }
     }
 }
 
 TEST(Differential, FusedMatchesPerStageAcrossTilesAndThreads)
 {
+    // A local phase longer than the fused tile splits into a streamed
+    // head group plus a pinned tail group. The seeded draws stop at
+    // 2^14, where only BN254-Fr on one GPU splits, so fixed draws
+    // split a Goldilocks and a BN254-Fr phase on one and two GPUs.
+    const Draw split[] = {{-1, 0, 17, 1, 0x5eed17ULL},
+                          {-2, 0, 18, 2, 0x5eed18ULL},
+                          {-3, 2, 15, 1, 0x5eed15ULL},
+                          {-4, 2, 16, 2, 0x5eed16ULL}};
+    for (const Draw &d : split) {
+        if (d.field == 0)
+            runFusionDraw<Goldilocks>(d);
+        else
+            runFusionDraw<Bn254Fr>(d);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+
     // Same draw sequence as the other differential tests; the matrix
-    // per draw (2 directions x 3 tiles x 3 thread counts) is the
-    // expensive part, so the draw count is reduced while keeping the
-    // (field, logN, gpus) marginals.
+    // per draw (2 directions x 3 thread counts) is the expensive part,
+    // so the draw count is reduced while keeping the (field, logN,
+    // gpus) marginals.
     Rng draw_rng(0xd1ffe7e57ULL);
     for (int i = 0; i < kDraws; ++i) {
         Draw d;
@@ -307,10 +313,10 @@ TEST(Differential, FusedMatchesPerStageAcrossTilesAndThreads)
 
 /**
  * DAG-overlapped execution against the linear path: for one seeded
- * draw, every combination of direction, thread count and tile size
- * must produce output byte-identical to the linear (overlap-off)
- * serial engine, and the analytic reports must agree on fabric bytes
- * and message counts — only the makespan may shrink.
+ * draw, every combination of direction and thread count must produce
+ * output byte-identical to the linear (overlap-off) serial engine, and
+ * the analytic reports must agree on fabric bytes and message counts —
+ * only the makespan may shrink.
  */
 template <NttField F>
 void
@@ -343,22 +349,17 @@ runOverlapDraw(const Draw &d)
         const std::vector<F> want = base.toGlobal();
         const SimReport rep_linear = linear.analyticRun(d.logN, dir);
 
-        for (unsigned tile : {0u, 4u, 20u}) {
-            for (unsigned threads : {1u, 4u, 16u}) {
-                SCOPED_TRACE("tile=" + std::to_string(tile) +
-                             " threads=" + std::to_string(threads));
-                UniNttConfig cfg = UniNttConfig::allOn();
-                cfg.hostTileLog2 = tile;
-                cfg.hostThreads = threads;
-                UniNttEngine<F> dag(sys, cfg);
-                auto data =
-                    DistributedVector<F>::fromGlobal(input, d.gpus);
-                if (dir == NttDirection::Forward)
-                    dag.forward(data);
-                else
-                    dag.inverse(data);
-                ASSERT_EQ(data.toGlobal(), want);
-            }
+        for (unsigned threads : {1u, 4u, 16u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            UniNttConfig cfg = UniNttConfig::allOn();
+            cfg.hostThreads = threads;
+            UniNttEngine<F> dag(sys, cfg);
+            auto data = DistributedVector<F>::fromGlobal(input, d.gpus);
+            if (dir == NttDirection::Forward)
+                dag.forward(data);
+            else
+                dag.inverse(data);
+            ASSERT_EQ(data.toGlobal(), want);
         }
 
         // Analytic agreement: the fabric ledger is dispatch-invariant;
@@ -389,8 +390,8 @@ TEST(Differential, DagOverlapMatchesLinearAcrossTilesAndThreads)
 {
     // Same draw sequence as the other differential tests; like the
     // fusion matrix, the per-draw combination count (2 directions x 3
-    // tiles x 3 thread counts) is the expensive part, so draws are
-    // subsampled while keeping the (field, logN, gpus) marginals.
+    // thread counts) is the expensive part, so draws are subsampled
+    // while keeping the (field, logN, gpus) marginals.
     Rng draw_rng(0xd1ffe7e57ULL);
     for (int i = 0; i < kDraws; ++i) {
         Draw d;
@@ -422,8 +423,8 @@ TEST(Differential, DagOverlapMatchesLinearAcrossTilesAndThreads)
 /**
  * ABFT hardening against the unhardened clean path: the checksum
  * layer must be observation-only on a fault-free run — for one seeded
- * draw, every combination of direction, tile size, thread count and
- * dispatch mode with ABFT on must produce output byte-identical to
+ * draw, every combination of direction, thread count and dispatch
+ * mode with ABFT on must produce output byte-identical to
  * the plain (non-resilient) transform and to the ABFT-off resilient
  * run, while actually performing checks.
  */
@@ -456,41 +457,32 @@ runAbftDraw(const Draw &d)
 
         for (bool abft : {false, true}) {
             for (bool overlap : {false, true}) {
-                for (unsigned tile : {0u, 4u, 20u}) {
-                    for (unsigned threads : {1u, 4u}) {
-                        SCOPED_TRACE(
-                            "abft=" + std::to_string(abft) +
-                            " overlap=" + std::to_string(overlap) +
-                            " tile=" + std::to_string(tile) +
-                            " threads=" + std::to_string(threads));
-                        UniNttConfig cfg = UniNttConfig::allOn();
-                        cfg.overlapComm = overlap;
-                        cfg.hostTileLog2 = tile;
-                        cfg.hostThreads = threads;
-                        UniNttEngine<F> engine(sys, cfg);
-                        ResilienceConfig rc;
-                        rc.abft = abft;
-                        FaultInjector inj(FaultModel::none());
-                        auto data = DistributedVector<F>::fromGlobal(
-                            input, d.gpus);
-                        Result<SimReport> r =
-                            dir == NttDirection::Forward
-                                ? engine.forwardResilient(data, inj,
-                                                          rc)
-                                : engine.inverseResilient(data, inj,
-                                                          rc);
-                        ASSERT_TRUE(r.ok())
-                            << r.status().toString();
-                        ASSERT_EQ(data.toGlobal(), want);
-                        const FaultStats &fs =
-                            r.value().faultStats();
-                        if (abft)
-                            EXPECT_GT(fs.abftChecks, 0u);
-                        else
-                            EXPECT_EQ(fs.abftChecks, 0u);
-                        EXPECT_EQ(fs.abftCatches, 0u);
-                        EXPECT_EQ(fs.tilesRecomputed, 0u);
-                    }
+                for (unsigned threads : {1u, 4u}) {
+                    SCOPED_TRACE("abft=" + std::to_string(abft) +
+                                 " overlap=" + std::to_string(overlap) +
+                                 " threads=" + std::to_string(threads));
+                    UniNttConfig cfg = UniNttConfig::allOn();
+                    cfg.overlapComm = overlap;
+                    cfg.hostThreads = threads;
+                    UniNttEngine<F> engine(sys, cfg);
+                    ResilienceConfig rc;
+                    rc.abft = abft;
+                    FaultInjector inj(FaultModel::none());
+                    auto data =
+                        DistributedVector<F>::fromGlobal(input, d.gpus);
+                    Result<SimReport> r =
+                        dir == NttDirection::Forward
+                            ? engine.forwardResilient(data, inj, rc)
+                            : engine.inverseResilient(data, inj, rc);
+                    ASSERT_TRUE(r.ok()) << r.status().toString();
+                    ASSERT_EQ(data.toGlobal(), want);
+                    const FaultStats &fs = r.value().faultStats();
+                    if (abft)
+                        EXPECT_GT(fs.abftChecks, 0u);
+                    else
+                        EXPECT_EQ(fs.abftChecks, 0u);
+                    EXPECT_EQ(fs.abftCatches, 0u);
+                    EXPECT_EQ(fs.tilesRecomputed, 0u);
                 }
             }
         }
@@ -500,9 +492,9 @@ runAbftDraw(const Draw &d)
 TEST(Differential, AbftOnMatchesCleanRunsAcrossTilesAndThreads)
 {
     // Same draw sequence as the other differential tests; the matrix
-    // per draw (2 directions x 2 abft x 2 dispatch x 3 tiles x 2
-    // thread counts) is the expensive part, so draws are subsampled
-    // on a residue disjoint from the fusion/overlap matrices.
+    // per draw (2 directions x 2 abft x 2 dispatch x 2 thread counts)
+    // is the expensive part, so draws are subsampled on a residue
+    // disjoint from the fusion/overlap matrices.
     Rng draw_rng(0xd1ffe7e57ULL);
     for (int i = 0; i < kDraws; ++i) {
         Draw d;

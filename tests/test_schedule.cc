@@ -10,7 +10,6 @@
 
 #include "field/babybear.hh"
 #include "field/bn254.hh"
-#include "field/dispatch.hh"
 #include "field/goldilocks.hh"
 #include "ntt/fourstep.hh"
 #include "unintt/backend.hh"
@@ -209,7 +208,7 @@ TEST(ScheduleGolden, CanonicalConfigSnapshot)
     }
     EXPECT_EQ(sched->steps[0].level, ExecLevel::MultiGpu);
     EXPECT_EQ(sched->steps[4].level, ExecLevel::Block);
-    // Goldilocks is 8 bytes: the 256 KiB cache model resolves to
+    // Goldilocks is 8 bytes: the 256 KiB cache model gives
     // 2^15-element tiles.
     EXPECT_EQ(sched->steps[4].tileLog2, 15u);
     EXPECT_EQ(sched->steps[5].tileLog2, 15u);
@@ -223,44 +222,34 @@ TEST(FusedScheduleInvariants, GroupsRespectChunkAndTileBounds)
     const CostConstants costs;
     for (const auto &sys : scheduleSystems()) {
         const unsigned logMg = log2Exact(sys.numGpus);
-        for (unsigned tile : {0u, 4u, 11u, 20u}) {
-            UniNttConfig cfg = UniNttConfig::allOn();
-            cfg.hostTileLog2 = tile;
-            // The compiler resolves the tile with the bound SIMD
-            // lane width (the floor rises so a fused tile always
-            // feeds full vectors), so the expectation must too.
-            const unsigned resolved = cfg.resolvedHostTileLog2(
-                sizeof(Goldilocks),
-                isaLaneWidth(cfg.isaPath, sizeof(Goldilocks)));
-            for (unsigned logN = logMg + 2; logN <= 24; logN += 6) {
-                SCOPED_TRACE(sys.gpu.name + " gpus=" +
-                             std::to_string(sys.numGpus) + " logN=" +
-                             std::to_string(logN) + " tile=" +
-                             std::to_string(tile));
-                const auto pl =
-                    planNtt(logN, sys, sizeof(Goldilocks));
-                const auto sched = compileSchedule(
-                    pl, sys, NttDirection::Forward,
-                    sizeof(Goldilocks), cfg, costs);
-                unsigned covered = 0;
-                for (const auto &st : sched.steps) {
-                    if (st.kind != StepKind::FusedLocalPass)
-                        continue;
-                    covered += st.sEnd - st.sBegin;
-                    // Groups stay GPU-local: the super-block
-                    // n >> sBegin fits inside one chunk.
-                    EXPECT_GE(st.sBegin, logMg);
-                    // A group never spans more stages than the
-                    // resident tile can hold.
-                    EXPECT_LE(st.sEnd - st.sBegin, resolved);
-                    EXPECT_EQ(st.tileLog2, resolved);
-                }
-                // Fusion replaces every LocalPass, covering all
-                // GPU-local stages.
-                EXPECT_EQ(covered, logN - logMg);
-                for (const auto &st : sched.steps)
-                    EXPECT_NE(st.kind, StepKind::LocalPass);
+        const UniNttConfig cfg = UniNttConfig::allOn();
+        const unsigned tile = fusedTileLog2(sizeof(Goldilocks));
+        for (unsigned logN = logMg + 2; logN <= 24; logN += 6) {
+            SCOPED_TRACE(sys.gpu.name + " gpus=" +
+                         std::to_string(sys.numGpus) + " logN=" +
+                         std::to_string(logN));
+            const auto pl = planNtt(logN, sys, sizeof(Goldilocks));
+            const auto sched =
+                compileSchedule(pl, sys, NttDirection::Forward,
+                                sizeof(Goldilocks), cfg, costs);
+            unsigned covered = 0;
+            for (const auto &st : sched.steps) {
+                if (st.kind != StepKind::FusedLocalPass)
+                    continue;
+                covered += st.sEnd - st.sBegin;
+                // Groups stay GPU-local: the super-block n >> sBegin
+                // fits inside one chunk.
+                EXPECT_GE(st.sBegin, logMg);
+                // A group never spans more stages than the resident
+                // tile can hold.
+                EXPECT_LE(st.sEnd - st.sBegin, tile);
+                EXPECT_EQ(st.tileLog2, tile);
             }
+            // Fusion replaces every LocalPass, covering all GPU-local
+            // stages.
+            EXPECT_EQ(covered, logN - logMg);
+            for (const auto &st : sched.steps)
+                EXPECT_NE(st.kind, StepKind::LocalPass);
         }
     }
 }
@@ -308,25 +297,18 @@ TEST(ScheduleCacheTest, TileConfigIsPartOfTheKey)
     ScheduleCache::global().clear();
     const auto sys = makeDgxA100(4);
 
-    // Pinned off the tuning DB: a DB hit would swap in one persisted
-    // config for all four and make them compile one schedule.
-    UniNttConfig auto_tile = UniNttConfig::allOn();
-    auto_tile.useTuneDb = false;
-    UniNttConfig tile7 = auto_tile;
-    tile7.hostTileLog2 = 7;
-    UniNttConfig tile8 = auto_tile;
-    tile8.hostTileLog2 = 8;
-    UniNttConfig off = auto_tile;
+    UniNttConfig fused = UniNttConfig::allOn();
+    UniNttConfig off = fused;
     off.fuseLocalPasses = false;
 
     std::vector<std::shared_ptr<const StageSchedule>> scheds;
-    for (const auto &cfg : {auto_tile, tile7, tile8, off}) {
+    for (const auto &cfg : {fused, off}) {
         UniNttEngine<Goldilocks> engine(sys, cfg);
         bool plan_hit = false, sched_hit = true;
         scheds.push_back(engine.schedule(18, NttDirection::Forward, 1,
                                          &plan_hit, &sched_hit));
-        // Tile configuration is part of the schedule key, so none of
-        // these compilations can be served from another's entry.
+        // Fusion is part of the schedule key, so neither compilation
+        // can be served from the other's entry.
         EXPECT_FALSE(sched_hit);
     }
     for (size_t i = 0; i < scheds.size(); ++i)
@@ -507,9 +489,7 @@ TEST(ScheduleCacheTest, OverlapConfigIsPartOfTheKey)
     ScheduleCache::global().clear();
     const auto sys = makeDgxA100(4);
 
-    // Pinned off the tuning DB, which may pin overlapComm itself.
     UniNttConfig on = UniNttConfig::allOn();
-    on.useTuneDb = false;
     UniNttConfig off = on;
     off.overlapComm = false;
 
