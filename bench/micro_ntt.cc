@@ -1,8 +1,8 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark): real wall-clock time of the
- * host-side transforms — the radix-2 reference, the Stockham autosort
- * variant, and the functional UniNTT engine (which pays the simulator
+ * host-side transforms — the radix-2 reference over its cached twiddle
+ * slabs, and the functional UniNTT engine (which pays the simulator
  * bookkeeping on top of the same arithmetic).
  */
 
@@ -11,7 +11,6 @@
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
 #include "ntt/radix2.hh"
-#include "ntt/stockham.hh"
 #include "unintt/engine.hh"
 #include "util/random.hh"
 
@@ -35,22 +34,9 @@ BM_CpuRadix2(benchmark::State &state)
 {
     size_t n = 1ULL << state.range(0);
     auto x = randomVector<F>(n);
-    TwiddleTable<F> tw(n, NttDirection::Forward);
+    auto sl = cachedTwiddleSlabs<F>(n, NttDirection::Forward);
     for (auto _ : state) {
-        nttDif(x.data(), n, tw);
-        benchmark::DoNotOptimize(x.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-
-template <typename F>
-void
-BM_CpuStockham(benchmark::State &state)
-{
-    size_t n = 1ULL << state.range(0);
-    auto x = randomVector<F>(n);
-    for (auto _ : state) {
-        nttStockham(x, NttDirection::Forward);
+        nttDif(x.data(), n, *sl);
         benchmark::DoNotOptimize(x.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -73,7 +59,6 @@ BM_UniNttFunctional(benchmark::State &state)
 
 BENCHMARK(BM_CpuRadix2<Goldilocks>)->Arg(12)->Arg(16)->Arg(20);
 BENCHMARK(BM_CpuRadix2<Bn254Fr>)->Arg(12)->Arg(16);
-BENCHMARK(BM_CpuStockham<Goldilocks>)->Arg(12)->Arg(16)->Arg(20);
 BENCHMARK(BM_UniNttFunctional<Goldilocks>)->Arg(12)->Arg(16)->Arg(18);
 
 } // namespace

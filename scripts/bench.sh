@@ -29,11 +29,14 @@ for arg in "$@"; do
     esac
 done
 
+# Scratch files live in a private directory, so concurrent runs (two
+# checkouts, say) never read each other's output.
+TMP_DIR="$(mktemp -d)"
+trap 'rm -rf "$TMP_DIR"' EXIT
+
 if [ -z "${OUT:-}" ]; then
     if [ -n "$SMOKE" ]; then
-        OUT_DIR="$(mktemp -d)"
-        trap 'rm -rf "$OUT_DIR"' EXIT
-        OUT="$OUT_DIR/BENCH_host_ntt.json"
+        OUT="$TMP_DIR/BENCH_host_ntt.json"
     else
         OUT=BENCH_host_ntt.json
     fi
@@ -46,8 +49,8 @@ cmake --build "$BUILD_DIR" -j"$JOBS" --target bench_host_ntt \
 
 echo "==> host NTT kernel harness (one sweep per ISA path)"
 "$BUILD_DIR"/bench/bench_host_ntt $SMOKE --out="$OUT" \
-    | tee /tmp/bench_host_ntt.txt
-grep -q "router: " /tmp/bench_host_ntt.txt
+    | tee "$TMP_DIR/bench_host_ntt.txt"
+grep -q "router: " "$TMP_DIR/bench_host_ntt.txt"
 
 if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool "$OUT" >/dev/null

@@ -12,6 +12,13 @@ JOBS="${JOBS:-$(nproc)}"
 # CI must leave the checkout as it found it: no rewritten artifact, no
 # stray scratch file. Compared again at the end.
 GIT_STATUS_BEFORE="$(git status --porcelain)"
+# Scratch output of the smoke steps goes to a private directory, so
+# concurrent runs (two checkouts, say) never read each other's files.
+TMP_DIR="$(mktemp -d)"
+trap 'rm -rf "$TMP_DIR"' EXIT
+
+echo "==> reachability guard (no src/ file only tests reach)"
+python3 scripts/check_reachability.py
 
 echo "==> regular build + tests ($BUILD_DIR)"
 cmake -B "$BUILD_DIR" -S .
@@ -38,8 +45,8 @@ echo "==> test binaries, run from the checkout root"
 for t in $(ctest --test-dir "$BUILD_DIR" -N |
     sed -n 's/^ *Test *#[0-9]*: \(test_[a-z0-9_]*\)$/\1/p'); do
     echo "--- $t"
-    "$BUILD_DIR/tests/$t" >/tmp/ci_test_from_root.txt 2>&1 || {
-        cat /tmp/ci_test_from_root.txt
+    "$BUILD_DIR/tests/$t" >"$TMP_DIR/ci_test_from_root.txt" 2>&1 || {
+        cat "$TMP_DIR/ci_test_from_root.txt"
         exit 1
     }
 done
@@ -61,14 +68,14 @@ ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure -j"$JOBS" \
 
 echo "==> acceleration router smoke (--list-kernels + report line)"
 "$BUILD_DIR"/src/tools/unintt-cli list-kernels \
-    | tee /tmp/ci_kernels.txt
-grep -q "router: " /tmp/ci_kernels.txt
-grep -qi "goldilocks" /tmp/ci_kernels.txt
+    | tee "$TMP_DIR/ci_kernels.txt"
+grep -q "router: " "$TMP_DIR/ci_kernels.txt"
+grep -qi "goldilocks" "$TMP_DIR/ci_kernels.txt"
 # The functional engine must surface its bound path in the report.
 "$BUILD_DIR"/src/tools/unintt-cli ntt --log-n=14 --gpus=2 \
-    --functional | tee /tmp/ci_ntt_isa.txt
+    --functional | tee "$TMP_DIR/ci_ntt_isa.txt"
 grep -Eq "isa [a-z0-9]+ \([0-9]+ lanes?, [0-9]+ dispatches\)" \
-    /tmp/ci_ntt_isa.txt
+    "$TMP_DIR/ci_ntt_isa.txt"
 # Forcing scalar through the config flag must also stick.
 "$BUILD_DIR"/src/tools/unintt-cli ntt --log-n=14 --gpus=2 \
     --functional --isa=scalar | grep -q "isa scalar (1 lane,"
@@ -90,24 +97,24 @@ echo "==> chaos soak (checkpointed pipeline + resilient NTT)"
 # that the sdc-* grid rows actually exercised the compute-flip path,
 # so the gate can never go green by injecting nothing.
 "$BUILD_DIR"/src/tools/unintt-cli soak --campaigns 8 --small \
-    | tee /tmp/ci_soak.txt
-grep -Eq "compute flips:  [1-9][0-9]* injected" /tmp/ci_soak.txt
-grep -Eq "[1-9][0-9]* caught by ABFT" /tmp/ci_soak.txt
+    | tee "$TMP_DIR/ci_soak.txt"
+grep -Eq "compute flips:  [1-9][0-9]* injected" "$TMP_DIR/ci_soak.txt"
+grep -Eq "[1-9][0-9]* caught by ABFT" "$TMP_DIR/ci_soak.txt"
 
 echo "==> ABFT negative control (--no-abft must see silent corruption)"
 # Expected failure: with the checksums off, seeded in-kernel bit flips
 # must surface as silent corruptions and fail the soak. If this exits
 # zero the injection path is dead and the ABFT gate above is vacuous.
 if "$BUILD_DIR"/src/tools/unintt-cli soak --campaigns 8 --small \
-    --no-abft >/tmp/ci_soak_noabft.txt 2>&1; then
+    --no-abft >"$TMP_DIR/ci_soak_noabft.txt" 2>&1; then
     echo "FAIL: --no-abft soak passed — compute-flip injection is dead"
     exit 1
 fi
-grep -q "silent corruption" /tmp/ci_soak_noabft.txt
+grep -q "silent corruption" "$TMP_DIR/ci_soak_noabft.txt"
 
 echo "==> ABFT overhead smoke (fig21: checksum tax + tile recovery)"
-"$BUILD_DIR"/bench/fig21_abft_overhead --smoke | tee /tmp/ci_fig21.txt
-grep -Eq "abftCatches=[1-9][0-9]*" /tmp/ci_fig21.txt
+"$BUILD_DIR"/bench/fig21_abft_overhead --smoke | tee "$TMP_DIR/ci_fig21.txt"
+grep -Eq "abftCatches=[1-9][0-9]*" "$TMP_DIR/ci_fig21.txt"
 
 echo "==> service chaos soak (multi-tenant load + seeded device kills)"
 # Exits non-zero on silent corruption, unaccounted jobs, or a healthy
@@ -118,8 +125,8 @@ echo "==> service chaos soak (multi-tenant load + seeded device kills)"
 
 echo "==> schedule IR smoke (table + JSON + fused groups)"
 "$BUILD_DIR"/src/tools/unintt-cli schedule --log-n=20 --gpus=4 \
-    | tee /tmp/ci_schedule.txt
-grep -q "fused-pass" /tmp/ci_schedule.txt
+    | tee "$TMP_DIR/ci_schedule.txt"
+grep -q "fused-pass" "$TMP_DIR/ci_schedule.txt"
 if command -v python3 >/dev/null 2>&1; then
     "$BUILD_DIR"/src/tools/unintt-cli schedule --log-n=20 --gpus=4 --json \
         | python3 -m json.tool >/dev/null
@@ -131,8 +138,8 @@ echo "==> DAG overlap smoke (4-GPU 2^22 plan must carry the overlay)"
 # test_concurrency under ThreadSanitizer); this gate additionally pins the
 # user-visible surface: the compiled schedule reports overlap.
 "$BUILD_DIR"/src/tools/unintt-cli schedule --log-n=22 --gpus=4 --json \
-    | tee /tmp/ci_schedule_dag.json | grep -q '"overlap": true'
-grep -q '"waves": [1-9]' /tmp/ci_schedule_dag.json
+    | tee "$TMP_DIR/ci_schedule_dag.json" | grep -q '"overlap": true'
+grep -q '"waves": [1-9]' "$TMP_DIR/ci_schedule_dag.json"
 
 if command -v python3 >/dev/null 2>&1; then
     echo "==> benchmark self-tests (perfbench/test_benchlib.py)"

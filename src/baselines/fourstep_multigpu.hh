@@ -106,6 +106,7 @@ class FourStepMultiGpuNtt
     SimReport
     analyticRun(unsigned logN, NttDirection dir, size_t batch = 1) const
     {
+        requireTwoAdicSize<F>(logN);
         const uint64_t n = 1ULL << logN;
         const unsigned G = sys_.numGpus;
         const uint64_t chunk = n / G;

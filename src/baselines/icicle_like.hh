@@ -18,7 +18,6 @@
 #include "field/field_traits.hh"
 #include "ntt/ntt.hh"
 #include "ntt/radix2.hh"
-#include "ntt/twiddle.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
@@ -46,8 +45,7 @@ class IcicleLikeNtt
     {
         SimReport report = analyticRun(log2Exact(data.size()),
                                        NttDirection::Forward);
-        TwiddleTable<F> tw(data.size(), NttDirection::Forward);
-        nttDif(data.data(), data.size(), tw);
+        nttNoPermute(data, NttDirection::Forward);
         return report;
     }
 
@@ -57,11 +55,7 @@ class IcicleLikeNtt
     {
         SimReport report = analyticRun(log2Exact(data.size()),
                                        NttDirection::Inverse);
-        TwiddleTable<F> tw(data.size(), NttDirection::Inverse);
-        nttDit(data.data(), data.size(), tw);
-        F scale = inverseScale<F>(data.size());
-        for (auto &v : data)
-            v *= scale;
+        nttNoPermute(data, NttDirection::Inverse);
         return report;
     }
 
@@ -69,6 +63,7 @@ class IcicleLikeNtt
     SimReport
     analyticRun(unsigned logN, NttDirection dir, size_t batch = 1) const
     {
+        requireTwoAdicSize<F>(logN);
         const uint64_t n = 1ULL << logN;
         const size_t b = sizeof(F);
         SimReport report;

@@ -13,7 +13,6 @@
 #include "field/field_traits.hh"
 #include "ntt/ntt.hh"
 #include "ntt/radix2.hh"
-#include "ntt/twiddle.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
@@ -42,8 +41,7 @@ class NaiveGpuNtt
     {
         SimReport report = analyticRun(log2Exact(data.size()),
                                        NttDirection::Forward);
-        TwiddleTable<F> tw(data.size(), NttDirection::Forward);
-        nttDif(data.data(), data.size(), tw);
+        nttNoPermute(data, NttDirection::Forward);
         return report;
     }
 
@@ -53,11 +51,7 @@ class NaiveGpuNtt
     {
         SimReport report = analyticRun(log2Exact(data.size()),
                                        NttDirection::Inverse);
-        TwiddleTable<F> tw(data.size(), NttDirection::Inverse);
-        nttDit(data.data(), data.size(), tw);
-        F scale = inverseScale<F>(data.size());
-        for (auto &v : data)
-            v *= scale;
+        nttNoPermute(data, NttDirection::Inverse);
         return report;
     }
 
@@ -65,6 +59,7 @@ class NaiveGpuNtt
     SimReport
     analyticRun(unsigned logN, NttDirection dir, size_t batch = 1) const
     {
+        requireTwoAdicSize<F>(logN);
         const uint64_t n = 1ULL << logN;
         const size_t b = sizeof(F);
         SimReport report;

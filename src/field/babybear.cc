@@ -1,5 +1,6 @@
 #include "field/babybear.hh"
 
+#include "field/field_traits.hh"
 #include "util/logging.hh"
 
 namespace unintt {
@@ -28,9 +29,7 @@ BabyBear::inverse() const
 BabyBear
 BabyBear::rootOfUnity(unsigned log_n)
 {
-    if (log_n > kTwoAdicity)
-        fatal("BabyBear has two-adicity %u, cannot build a 2^%u-th root",
-              kTwoAdicity, log_n);
+    requireTwoAdicSize<BabyBear>(log_n);
     BabyBear root = multiplicativeGenerator().pow(
         (static_cast<uint64_t>(kModulus) - 1) >> kTwoAdicity);
     for (unsigned i = log_n; i < kTwoAdicity; ++i)

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace unintt {
 
 /**
@@ -37,6 +39,20 @@ concept NttField = requires(F a, F b, uint64_t x, unsigned log_n) {
     { F::kTwoAdicity } -> std::convertible_to<unsigned>;
     { F::kBytes } -> std::convertible_to<size_t>;
 };
+
+/**
+ * Fatal unless F has a 2^logN-th root of unity. rootOfUnity checks it,
+ * and so does every engine when it plans, because analytic pricing
+ * never builds the root.
+ */
+template <NttField F>
+void
+requireTwoAdicSize(unsigned logN)
+{
+    if (logN > F::kTwoAdicity)
+        fatal("%s has two-adicity %u: no NTT of size 2^%u", F::kName,
+              F::kTwoAdicity, logN);
+}
 
 /** Fill @p out with n^-1 batched: one inversion + 3(n-1) multiplies. */
 template <NttField F>

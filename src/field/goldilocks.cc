@@ -1,5 +1,6 @@
 #include "field/goldilocks.hh"
 
+#include "field/field_traits.hh"
 #include "util/logging.hh"
 
 namespace unintt {
@@ -29,9 +30,7 @@ Goldilocks::inverse() const
 Goldilocks
 Goldilocks::rootOfUnity(unsigned log_n)
 {
-    if (log_n > kTwoAdicity)
-        fatal("Goldilocks has two-adicity %u, cannot build a 2^%u-th root",
-              kTwoAdicity, log_n);
+    requireTwoAdicSize<Goldilocks>(log_n);
     // g^((p-1) / 2^kTwoAdicity) has exact order 2^kTwoAdicity because g
     // is a nonresidue; squaring walks down to the requested order.
     Goldilocks root =

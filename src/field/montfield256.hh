@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "field/field_traits.hh"
 #include "field/u256.hh"
 #include "util/logging.hh"
 
@@ -187,9 +188,7 @@ class MontField256
     static MontField256
     rootOfUnity(unsigned log_n)
     {
-        if (log_n > kTwoAdicity)
-            fatal("%s has two-adicity %u, cannot build a 2^%u-th root",
-                  kName, kTwoAdicity, log_n);
+        requireTwoAdicSize<MontField256>(log_n);
         // (p - 1) >> kTwoAdicity
         U256 exp = Params::kModulus;
         exp.limb[0] -= 1; // p is odd, no borrow

@@ -4,8 +4,10 @@
  * y^2 = x^3 + 3 over Fq with the standard generator (1, 2). This is
  * the curve Groth16/PLONK deployments commit to (Ethereum precompiles
  * 0x06/0x07) and the substrate of the MSM engine in pippenger.hh.
- * The arithmetic lives in the shared template (msm/weierstrass.hh);
- * G2 over Fq2 instantiates the same template in msm/g2.hh.
+ * The arithmetic lives in the shared template (msm/weierstrass.hh).
+ * G2 (the sextic twist over the quadratic extension of Fq) is priced,
+ * not computed: MsmEngine::analyticRun scales the G1 costs by the
+ * kG2* constants below.
  */
 
 #ifndef UNINTT_MSM_CURVE_HH
@@ -48,6 +50,11 @@ constexpr double kG1MixedAddFqMuls = 11.0;
 constexpr double kG1DoubleFqMuls = 8.0;
 /** Serialized size of an affine point in device memory. */
 constexpr size_t kG1AffineBytes = 64;
+
+/** Fq multiplications per G2 coordinate multiplication (Karatsuba). */
+constexpr double kG2CoordMulFqMuls = 3.0;
+/** Serialized size of an affine G2 point in device memory. */
+constexpr size_t kG2PointBytes = 128;
 
 } // namespace unintt
 

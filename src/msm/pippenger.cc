@@ -22,21 +22,59 @@ G1Jacobian
 naiveMsm(const std::vector<G1Affine> &points,
          const std::vector<U256> &scalars)
 {
-    return naiveMsmOf<G1Jacobian>(points, scalars);
+    UNINTT_ASSERT(points.size() == scalars.size(), "size mismatch");
+    G1Jacobian acc = G1Jacobian::infinity();
+    for (size_t i = 0; i < points.size(); ++i)
+        acc = acc.add(
+            G1Jacobian::fromAffine(points[i]).scalarMul(scalars[i]));
+    return acc;
 }
 
 G1Jacobian
 pippengerMsm(const std::vector<G1Affine> &points,
              const std::vector<U256> &scalars, unsigned window_bits)
 {
-    return pippengerMsmOf<G1Jacobian>(points, scalars, window_bits);
-}
+    UNINTT_ASSERT(points.size() == scalars.size(), "size mismatch");
+    if (points.empty())
+        return G1Jacobian::infinity();
+    const unsigned c =
+        window_bits ? window_bits : pippengerWindowBits(points.size());
+    const unsigned num_windows = (254 + c - 1) / c;
+    const uint64_t num_buckets = (1ULL << c) - 1;
 
-G2Jacobian
-pippengerMsmG2(const std::vector<G2Affine> &points,
-               const std::vector<U256> &scalars, unsigned window_bits)
-{
-    return pippengerMsmOf<G2Jacobian>(points, scalars, window_bits);
+    G1Jacobian result = G1Jacobian::infinity();
+    // Process windows from the most significant down, so the running
+    // result is shifted by c doublings between windows.
+    for (int w = static_cast<int>(num_windows) - 1; w >= 0; --w) {
+        for (unsigned d = 0; d < c; ++d)
+            result = result.dbl();
+
+        std::vector<G1Jacobian> buckets(num_buckets,
+                                        G1Jacobian::infinity());
+        for (size_t i = 0; i < points.size(); ++i) {
+            // Extract bits [w*c, w*c + c) of the scalar.
+            uint64_t digit = 0;
+            for (unsigned b = 0; b < c; ++b) {
+                unsigned bit = static_cast<unsigned>(w) * c + b;
+                if (bit < 256 && scalars[i].bit(bit))
+                    digit |= 1ULL << b;
+            }
+            if (digit != 0)
+                buckets[digit - 1] = buckets[digit - 1]
+                                         .addAffine(points[i]);
+        }
+
+        // Weighted bucket sum via the running-sum trick:
+        // sum_k k * bucket[k] = sum of suffix sums.
+        G1Jacobian running = G1Jacobian::infinity();
+        G1Jacobian window_sum = G1Jacobian::infinity();
+        for (uint64_t k = num_buckets; k-- > 0;) {
+            running = running.add(buckets[k]);
+            window_sum = window_sum.add(running);
+        }
+        result = result.add(window_sum);
+    }
+    return result;
 }
 
 MsmEngine::MsmEngine(MultiGpuSystem sys)
@@ -63,10 +101,10 @@ MsmEngine::analyticRun(size_t n, bool g2) const
     const unsigned num_windows = (254 + c - 1) / c;
     const uint64_t num_buckets = (1ULL << c) - 1;
 
-    // G2 arithmetic works on Fq2: 3 Fq muls per coordinate mul and
-    // twice the point footprint.
-    const double mul_factor = g2 ? kFq2MulFqMuls : 1.0;
-    const size_t point_bytes = g2 ? kG2AffineBytes : kG1AffineBytes;
+    // G2 coordinates live in the quadratic extension of Fq: 3 Fq muls
+    // per coordinate mul and twice the point footprint.
+    const double mul_factor = g2 ? kG2CoordMulFqMuls : 1.0;
+    const size_t point_bytes = g2 ? kG2PointBytes : kG1AffineBytes;
 
     // Bucket accumulation: one mixed add per point per window, plus the
     // bucket reduction (2 full adds per bucket) and c doublings, per

@@ -1,9 +1,8 @@
 /**
  * @file
- * Pippenger (bucket-method) multi-scalar multiplication, templated
- * over the curve group so BN254 G1 and G2 share one implementation,
- * plus the multi-GPU MSM engine. MSM is the other dominant kernel of
- * ZKP proof generation; prior work already scales it across GPUs,
+ * Pippenger (bucket-method) multi-scalar multiplication over BN254
+ * G1, plus the multi-GPU MSM engine. MSM is the other dominant kernel
+ * of ZKP proof generation; prior work already scales it across GPUs,
  * which is exactly why NTT becomes the bottleneck the paper attacks
  * (bench/fig01_motivation).
  */
@@ -15,7 +14,6 @@
 
 #include "field/u256.hh"
 #include "msm/curve.hh"
-#include "msm/g2.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
@@ -26,85 +24,20 @@ namespace unintt {
 /** Automatic Pippenger window width for @p n points. */
 unsigned pippengerWindowBits(size_t n);
 
-/** Reference MSM by independent scalar multiplications (for tests). */
-template <typename Jac, typename Aff>
-Jac
-naiveMsmOf(const std::vector<Aff> &points, const std::vector<U256> &scalars)
-{
-    UNINTT_ASSERT(points.size() == scalars.size(), "size mismatch");
-    Jac acc = Jac::infinity();
-    for (size_t i = 0; i < points.size(); ++i)
-        acc = acc.add(Jac::fromAffine(points[i]).scalarMul(scalars[i]));
-    return acc;
-}
-
 /**
- * Bucket-method MSM: sum_i scalars[i] * points[i].
+ * Bucket-method MSM over G1: sum_i scalars[i] * points[i].
  *
  * @param points      base points (affine).
  * @param scalars     canonical (non-Montgomery) 256-bit scalars.
  * @param window_bits bucket window width; 0 selects automatically.
  */
-template <typename Jac, typename Aff>
-Jac
-pippengerMsmOf(const std::vector<Aff> &points,
-               const std::vector<U256> &scalars, unsigned window_bits = 0)
-{
-    UNINTT_ASSERT(points.size() == scalars.size(), "size mismatch");
-    if (points.empty())
-        return Jac::infinity();
-    const unsigned c =
-        window_bits ? window_bits : pippengerWindowBits(points.size());
-    const unsigned num_windows = (254 + c - 1) / c;
-    const uint64_t num_buckets = (1ULL << c) - 1;
-
-    Jac result = Jac::infinity();
-    // Process windows from the most significant down, so the running
-    // result is shifted by c doublings between windows.
-    for (int w = static_cast<int>(num_windows) - 1; w >= 0; --w) {
-        for (unsigned d = 0; d < c; ++d)
-            result = result.dbl();
-
-        std::vector<Jac> buckets(num_buckets, Jac::infinity());
-        for (size_t i = 0; i < points.size(); ++i) {
-            // Extract bits [w*c, w*c + c) of the scalar.
-            uint64_t digit = 0;
-            for (unsigned b = 0; b < c; ++b) {
-                unsigned bit = static_cast<unsigned>(w) * c + b;
-                if (bit < 256 && scalars[i].bit(bit))
-                    digit |= 1ULL << b;
-            }
-            if (digit != 0)
-                buckets[digit - 1] = buckets[digit - 1]
-                                         .addAffine(points[i]);
-        }
-
-        // Weighted bucket sum via the running-sum trick:
-        // sum_k k * bucket[k] = sum of suffix sums.
-        Jac running = Jac::infinity();
-        Jac window_sum = Jac::infinity();
-        for (uint64_t k = num_buckets; k-- > 0;) {
-            running = running.add(buckets[k]);
-            window_sum = window_sum.add(running);
-        }
-        result = result.add(window_sum);
-    }
-    return result;
-}
-
-/** Host-side Pippenger MSM over G1. */
 G1Jacobian pippengerMsm(const std::vector<G1Affine> &points,
                         const std::vector<U256> &scalars,
                         unsigned window_bits = 0);
 
-/** Reference G1 MSM (for tests). */
+/** Reference G1 MSM by independent scalar multiplications. */
 G1Jacobian naiveMsm(const std::vector<G1Affine> &points,
                     const std::vector<U256> &scalars);
-
-/** Host-side Pippenger MSM over G2. */
-G2Jacobian pippengerMsmG2(const std::vector<G2Affine> &points,
-                          const std::vector<U256> &scalars,
-                          unsigned window_bits = 0);
 
 /**
  * Multi-GPU MSM engine: points are partitioned across devices, each
@@ -125,7 +58,8 @@ class MsmEngine
 
     /**
      * Simulated timeline only, for size @p n.
-     * @param g2 price the G2 variant (Fq2 arithmetic, wider points).
+     * @param g2 price the G2 variant (extension-field arithmetic,
+     *           wider points).
      */
     SimReport analyticRun(size_t n, bool g2 = false) const;
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Short Weierstrass curve arithmetic y^2 = x^3 + b, templated over the
- * coordinate field so BN254's G1 (over Fq) and G2 (over Fq2) share one
- * implementation. Points use Jacobian projective coordinates; formulas
+ * coordinate field and the curve constants (BN254 G1 over Fq
+ * instantiates it in msm/curve.hh). Points use Jacobian projective
+ * coordinates; formulas
  * follow the Explicit-Formulas Database (dbl-2009-l, add-2007-bl,
  * madd-2007-bl), all valid for a = 0 curves.
  *

@@ -1,6 +1,7 @@
 /**
  * @file
- * In-place iterative radix-2 transforms:
+ * In-place iterative radix-2 transforms over per-stage compacted
+ * twiddle slabs (twiddle_cache.hh):
  *
  *  - nttDif: Gentleman–Sande decimation-in-frequency butterflies,
  *    Natural input -> BitReversed output;
@@ -30,29 +31,11 @@ namespace unintt {
 
 /**
  * Decimation-in-frequency butterflies over @p a (size n, natural order).
- * Output is in bit-reversed order. @p tw must be a forward table of
- * size n (for Inverse semantics build the table with w^-1 and scale
- * afterwards — see nttInverseInPlace).
- */
-template <NttField F>
-void
-nttDif(F *a, size_t n, const TwiddleTable<F> &tw)
-{
-    UNINTT_ASSERT(tw.n() == n, "twiddle table size mismatch");
-    const FieldKernels<F> &fk = fieldKernels<F>();
-    const F *twp = &tw[0];
-    for (size_t half = n / 2; half >= 1; half /= 2) {
-        size_t stride = n / (2 * half); // exponent step at this stage
-        for (size_t start = 0; start < n; start += 2 * half)
-            fk.bflyFwd(a + start, a + start + half, twp, stride, half);
-    }
-}
-
-/**
- * nttDif over per-stage compacted twiddle slabs (twiddle_cache.hh):
- * stage s reads sl.slab(s)[j] — the unit-stride image of tw[j << s] —
- * so the inner loop walks the twiddles contiguously instead of at
- * stride 1 << s. Bit-identical to the table overload.
+ * Output is in bit-reversed order. Stage s reads sl.slab(s)[j] — the
+ * unit-stride image of w^(j << s) — so the inner loop walks the
+ * twiddles contiguously. @p sl must be built for size n; for Inverse
+ * semantics build it with w^-1 and scale afterwards (see
+ * nttInverseInPlace).
  */
 template <NttField F>
 void
@@ -70,23 +53,8 @@ nttDif(F *a, size_t n, const TwiddleSlabs<F> &sl)
 
 /**
  * Decimation-in-time butterflies over @p a (size n, bit-reversed order).
- * Output is in natural order.
+ * Output is in natural order. Slabs as for nttDif.
  */
-template <NttField F>
-void
-nttDit(F *a, size_t n, const TwiddleTable<F> &tw)
-{
-    UNINTT_ASSERT(tw.n() == n, "twiddle table size mismatch");
-    const FieldKernels<F> &fk = fieldKernels<F>();
-    const F *twp = &tw[0];
-    for (size_t half = 1; half < n; half *= 2) {
-        size_t stride = n / (2 * half);
-        for (size_t start = 0; start < n; start += 2 * half)
-            fk.bflyInv(a + start, a + start + half, twp, stride, half);
-    }
-}
-
-/** nttDit over compacted twiddle slabs; see the nttDif slab overload. */
 template <NttField F>
 void
 nttDit(F *a, size_t n, const TwiddleSlabs<F> &sl)

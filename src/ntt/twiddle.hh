@@ -1,11 +1,9 @@
 /**
  * @file
  * Twiddle-factor management. A TwiddleTable precomputes the powers of the
- * primitive root for a given transform size (the "table" strategy); the
- * TwiddleGenerator produces the same powers incrementally (the
- * "on-the-fly" strategy that trades multiplies for memory bandwidth —
- * one of the uniform optimizations of UniNTT, see
- * unintt/optimizations.hh).
+ * primitive root for a given transform size; twiddle_cache.hh shares
+ * the tables and derives the per-stage compacted slabs the transforms
+ * read.
  */
 
 #ifndef UNINTT_NTT_TWIDDLE_HH
@@ -73,36 +71,6 @@ class TwiddleTable
     size_t n_;
     F root_;
     std::vector<F> powers_;
-};
-
-/**
- * Incremental twiddle generation: produces w^start, w^(start+step), ...
- * without a table. Mirrors how a GPU thread would generate its own
- * twiddles in registers.
- */
-template <NttField F>
-class TwiddleGenerator
-{
-  public:
-    /**
-     * @param root  primitive root (already inverted for inverse NTTs).
-     * @param start first exponent.
-     * @param step  exponent increment per next().
-     */
-    TwiddleGenerator(F root, uint64_t start, uint64_t step)
-        : current_(root.pow(start)), multiplier_(root.pow(step))
-    {
-    }
-
-    /** Current twiddle; call advance() to step. */
-    const F &get() const { return current_; }
-
-    /** Advance to the next twiddle. */
-    void advance() { current_ *= multiplier_; }
-
-  private:
-    F current_;
-    F multiplier_;
 };
 
 /**

@@ -11,11 +11,11 @@
  * runs, which is what makes fault campaigns regression-testable.
  *
  * Injection is per collective: every exchange-shaped operation (an
- * engine butterfly exchange, a Collectives call) consults the injector
- * once and receives the full fate of that operation — how many
- * transmission attempts failed in transit, whether the payload arrived
- * corrupted, whether a straggler stretched it, or whether a device died
- * before it completed. The consumer decides how to respond (retry,
+ * engine butterfly exchange) consults the injector once and receives
+ * the full fate of that operation — how many transmission attempts
+ * failed in transit, whether the payload arrived corrupted, whether a
+ * straggler stretched it, or whether a device died before it
+ * completed. The consumer decides how to respond (retry,
  * retransmit, re-plan); the injector only decides what the hardware
  * did.
  *

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -48,6 +49,9 @@
 namespace unintt {
 namespace {
 
+/** Host memory the functional subcommands may fill with data. */
+constexpr double kHostBudgetBytes = 4.0 * (1ULL << 30);
+
 MultiGpuSystem
 systemFromFlags(const CliParser &cli)
 {
@@ -73,6 +77,17 @@ configFromFlags(const CliParser &cli)
         fatal("unknown --isa '%s' (auto, scalar, avx2, avx512, neon)",
               cli.getString("isa").c_str());
     return cfg;
+}
+
+/** --batch; an empty batch prices and runs nothing, so it is fatal. */
+size_t
+batchFromFlags(const CliParser &cli)
+{
+    const int64_t batch = cli.getInt("batch");
+    if (batch < 1)
+        fatal("--batch must be at least 1, got %lld",
+              static_cast<long long>(batch));
+    return static_cast<size_t>(batch);
 }
 
 void
@@ -105,7 +120,7 @@ runSchedule(const CliParser &cli)
 {
     auto sys = systemFromFlags(cli);
     unsigned logN = static_cast<unsigned>(cli.getInt("log-n"));
-    size_t batch = static_cast<size_t>(cli.getInt("batch"));
+    size_t batch = batchFromFlags(cli);
     NttDirection dir = cli.getBool("inverse") ? NttDirection::Inverse
                                               : NttDirection::Forward;
 
@@ -241,7 +256,7 @@ runNtt(const CliParser &cli)
 {
     auto sys = systemFromFlags(cli);
     unsigned logN = static_cast<unsigned>(cli.getInt("log-n"));
-    size_t batch = static_cast<size_t>(cli.getInt("batch"));
+    size_t batch = batchFromFlags(cli);
     NttDirection dir = cli.getBool("inverse") ? NttDirection::Inverse
                                               : NttDirection::Forward;
 
@@ -259,12 +274,17 @@ runNtt(const CliParser &cli)
         if (!cli.getString("baseline").empty())
             fatal("--functional only runs the UniNTT engine "
                   "(drop --baseline)");
-        uint64_t bytes =
-            (static_cast<uint64_t>(batch) << logN) * sizeof(F);
-        if (bytes > (4ULL << 30))
+        // Plan before building and sharding any data, so a size the
+        // field or the machine cannot hold is fatal, not an assert.
+        // planNtt leaves the plan cache (and so the report) untouched.
+        requireTwoAdicSize<F>(logN);
+        planNtt(logN, sys, sizeof(F));
+        const double bytes =
+            std::ldexp(static_cast<double>(batch), logN) * sizeof(F);
+        if (bytes > kHostBudgetBytes)
             fatal("--functional needs %s of host memory; "
                   "use --log-n/--batch totalling <= 4 GiB",
-                  formatBytes(static_cast<double>(bytes)).c_str());
+                  formatBytes(bytes).c_str());
 
         UniNttConfig cfg = configFromFlags(cli);
         cfg.hostThreads = threads; // 0 = every pool lane
@@ -357,13 +377,16 @@ cmdMsm(int argc, char **argv)
     addCommonFlags(cli);
     cli.parse(argc, argv);
     auto sys = systemFromFlags(cli);
+    const int64_t log_n = cli.getInt("log-n");
+    if (log_n < 0 || log_n >= 64)
+        fatal("--log-n must be in [0, 63], got %lld",
+              static_cast<long long>(log_n));
     MsmEngine engine(sys);
-    auto report = engine.analyticRun(
-        1ULL << cli.getInt("log-n"), cli.getBool("g2"));
+    auto report = engine.analyticRun(1ULL << log_n, cli.getBool("g2"));
     std::printf("machine: %s, %s MSM of 2^%lld points\n\n",
                 sys.description().c_str(),
                 cli.getBool("g2") ? "G2" : "G1",
-                static_cast<long long>(cli.getInt("log-n")));
+                static_cast<long long>(log_n));
     std::printf("%s", report.toString().c_str());
     return 0;
 }
@@ -409,11 +432,25 @@ cmdStark(int argc, char **argv)
     cli.addString("proof-out", "", "write the serialized proof here");
     cli.parse(argc, argv);
 
-    SquareStark stark;
+    // The trace must outgrow FRI's final polynomial, and its LDE
+    // codeword must fit the host budget `ntt --functional` uses.
+    const StarkParams params;
+    const int64_t log_steps = cli.getInt("log-steps");
+    const int64_t min_log = log2Floor(2 * params.friFinalTerms) + 1;
+    const int64_t max_log =
+        static_cast<int64_t>(std::log2(kHostBudgetBytes /
+                                       sizeof(Goldilocks))) -
+        params.logBlowup;
+    if (log_steps < min_log || log_steps > max_log)
+        fatal("--log-steps must be in [%lld, %lld], got %lld",
+              static_cast<long long>(min_log),
+              static_cast<long long>(max_log),
+              static_cast<long long>(log_steps));
+
+    SquareStark stark(params);
     auto t0 = Goldilocks::fromU64(
         static_cast<uint64_t>(cli.getInt("start")));
-    auto proof = stark.prove(
-        t0, static_cast<unsigned>(cli.getInt("log-steps")));
+    auto proof = stark.prove(t0, static_cast<unsigned>(log_steps));
     bool ok = stark.verify(proof);
     auto bytes = serializeStarkProof(proof);
     std::printf("proof: %s, verifies: %s\n",

@@ -373,6 +373,7 @@ class UniNttEngine
     planCached(unsigned logN, const MultiGpuSystem &sys,
                bool *hit_out) const
     {
+        requireTwoAdicSize<F>(logN);
         return PlanCache::global().get(logN, sys, sizeof(F),
                                        cfg_.forceLogBlockTile, hit_out);
     }

@@ -271,8 +271,8 @@ localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
  * the (2^(s1-s0) x h1) super-block matrix, h1 = n >> s1. Stage s pairs
  * rows at distance 2^(s1-s-1); its twiddle for (row r, column c) is
  * slab(s)[(r mod 2^(s1-s)) * h1 + c], the row residue being below the
- * pair distance. Forward fuses stage pairs into the radix-4 butterfly
- * of radix4.hh rewritten onto the compacted slabs (the tw[2e]/tw[3e]
+ * pair distance. Forward fuses stage pairs into a DIF radix-4
+ * butterfly over the compacted slabs (the stage pair's tw[2e]/tw[3e]
  * reads become slab(s+1)[j] and the sign-folded slab(s)[3j]), plus a
  * trailing radix-2 stage when the group has an odd stage count; the
  * inverse runs radix-2 DIT with the stage order reversed. Exact field

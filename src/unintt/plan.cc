@@ -32,6 +32,8 @@ NttPlan
 planNttWithTile(unsigned logN, const MultiGpuSystem &sys,
                 size_t element_bytes, unsigned force_log_tile)
 {
+    if (logN >= 64)
+        fatal("transform 2^%u does not fit a 64-bit size", logN);
     if (!isPow2(sys.numGpus))
         fatal("UniNTT requires a power-of-two GPU count, got %u",
               sys.numGpus);

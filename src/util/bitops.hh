@@ -1,7 +1,7 @@
 /**
  * @file
  * Bit-manipulation helpers used throughout the NTT kernels: power-of-two
- * predicates, integer log2, bit reversal and general digit reversal.
+ * predicates, integer log2 and bit reversal.
  */
 
 #ifndef UNINTT_UTIL_BITOPS_HH
@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 namespace unintt {
 
@@ -59,33 +58,6 @@ bitReverse(uint64_t x, unsigned bits)
     }
     return r;
 }
-
-/**
- * Reverse the base-@p radix digits of @p x, where @p x has @p ndigits
- * digits. Generalizes bitReverse to mixed-radix orderings; bitReverse is
- * the radix-2 special case.
- */
-constexpr uint64_t
-digitReverse(uint64_t x, uint64_t radix, unsigned ndigits)
-{
-    uint64_t r = 0;
-    for (unsigned i = 0; i < ndigits; ++i) {
-        r = r * radix + (x % radix);
-        x /= radix;
-    }
-    return r;
-}
-
-/**
- * Reverse digits of @p x where digit i has the given mixed radix.
- * Digit 0 is the least-significant digit of x; the output interprets the
- * digits in reverse order with the radices likewise reversed.
- *
- * Concretely, with radices (r0, r1, ..., rk) and
- * x = d0 + r0*(d1 + r1*(d2 + ...)), the result is
- * dk + rk'*(d{k-1} + ...) where the primed radices are the reversed list.
- */
-uint64_t mixedRadixReverse(uint64_t x, const std::vector<uint64_t> &radices);
 
 /** In-place bit-reversal permutation of a length-2^bits array. */
 template <typename T>

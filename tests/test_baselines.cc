@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/cpu_ntt.hh"
 #include "baselines/fourstep_multigpu.hh"
 #include "baselines/icicle_like.hh"
 #include "baselines/naive_gpu.hh"
@@ -156,18 +155,6 @@ TEST(Comparison, UniNttSingleGpuBeatsIcicleLike)
     auto a = unintt.analyticRun(24, NttDirection::Forward);
     auto b = icicle.analyticRun(24, NttDirection::Forward);
     EXPECT_LT(a.totalSeconds(), b.totalSeconds());
-}
-
-TEST(CpuBaseline, TransformsCorrectlyAndReportsTime)
-{
-    auto x = randomVector(1 << 12, 7);
-    auto expect = x;
-    nttNoPermute(expect, NttDirection::Forward);
-    auto r = cpuNtt(x, NttDirection::Forward);
-    EXPECT_EQ(x, expect);
-    EXPECT_GT(r.seconds, 0.0);
-    auto r2 = cpuNtt(x, NttDirection::Inverse);
-    EXPECT_GT(r2.seconds, 0.0);
 }
 
 } // namespace

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/fourstep_multigpu.hh"
+#include "baselines/icicle_like.hh"
+#include "baselines/naive_gpu.hh"
 #include "field/babybear.hh"
+#include "field/bn254.hh"
 #include "field/goldilocks.hh"
 #include "msm/pippenger.hh"
 #include "ntt/radix2.hh"
@@ -47,6 +51,36 @@ TEST(ErrorPaths, RootOfUnityBeyondTwoAdicityIsFatal)
                 ::testing::ExitedWithCode(1), "two-adicity");
     EXPECT_EXIT(BabyBear::rootOfUnity(28), ::testing::ExitedWithCode(1),
                 "two-adicity");
+}
+
+TEST(ErrorPaths, TransformBeyondTwoAdicityIsFatal)
+{
+    // Analytic pricing never builds a root of unity, so every engine
+    // must refuse a size its field cannot transform instead of pricing
+    // a transform that cannot exist.
+    const auto sys = makeDgxA100(8);
+    const auto fwd = NttDirection::Forward;
+    EXPECT_EXIT(UniNttEngine<BabyBear>(sys).analyticRun(28, fwd),
+                ::testing::ExitedWithCode(1), "BabyBear has two-adicity 27");
+    EXPECT_EXIT(UniNttEngine<Bn254Fr>(sys).analyticRun(29, fwd),
+                ::testing::ExitedWithCode(1), "BN254-Fr has two-adicity 28");
+    EXPECT_EXIT(UniNttEngine<F>(sys).analyticRun(33, fwd),
+                ::testing::ExitedWithCode(1),
+                "Goldilocks has two-adicity 32");
+    EXPECT_EXIT(FourStepMultiGpuNtt<F>(sys).analyticRun(33, fwd),
+                ::testing::ExitedWithCode(1), "two-adicity 32");
+    EXPECT_EXIT(NaiveGpuNtt<F>(sys.gpu).analyticRun(33, fwd),
+                ::testing::ExitedWithCode(1), "two-adicity 32");
+    EXPECT_EXIT(IcicleLikeNtt<F>(sys.gpu).analyticRun(33, fwd),
+                ::testing::ExitedWithCode(1), "two-adicity 32");
+    // A size whose element count overflows 64 bits never plans.
+    EXPECT_EXIT(planNtt(70, sys, 8), ::testing::ExitedWithCode(1),
+                "does not fit a 64-bit size");
+    // The largest size a field holds still prices (fig09 and tab03
+    // print BN254-Fr at 2^28).
+    EXPECT_GT(UniNttEngine<Bn254Fr>(sys).analyticRun(28, fwd)
+                  .totalSeconds(),
+              0.0);
 }
 
 TEST(ErrorPaths, InverseOfZeroPanics)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fault injection and resilient execution tests: the injector is
- * deterministic, the collectives price retries, and the resilient
- * engine paths survive transient faults, corruption and device loss
- * while still producing bit-exact transforms.
+ * deterministic, and the resilient engine paths survive transient
+ * faults, corruption and device loss while still producing bit-exact
+ * transforms.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
 #include "ntt/radix2.hh"
-#include "sim/collectives.hh"
 #include "sim/fault.hh"
 #include "sim/multi_gpu.hh"
 #include "unintt/abft.hh"
@@ -201,78 +200,6 @@ TEST(RetryPolicy, ZeroJitterMatchesTheDeterministicForm)
     for (unsigned attempt = 0; attempt < 5; ++attempt)
         EXPECT_DOUBLE_EQ(r.backoffSeconds(attempt, 1234),
                          r.backoffSeconds(attempt));
-}
-
-// ---------------------------------------------------------------------
-// Collectives wiring.
-// ---------------------------------------------------------------------
-
-TEST(FaultyCollectives, TransientFaultsArePricedAndCounted)
-{
-    auto sys = makeDgxA100(8);
-    Collectives coll(sys.fabric, 8);
-    const uint64_t bytes = 1 << 20;
-    CollectiveCost clean = coll.allToAll(bytes);
-
-    FaultModel m;
-    m.transientExchangeRate = 0.5;
-    FaultInjector inj(m);
-    coll.attachFaults(&inj);
-
-    // Accumulate until a transient actually fired (seeded, so this is
-    // deterministic and terminates).
-    CollectiveCost faulty;
-    uint64_t retries = 0;
-    for (int i = 0; i < 20 && retries == 0; ++i) {
-        faulty = coll.allToAll(bytes);
-        retries = faulty.stats.retries;
-    }
-    ASSERT_GT(retries, 0u);
-    EXPECT_TRUE(faulty.completed);
-    EXPECT_GT(faulty.seconds, clean.seconds);
-}
-
-TEST(FaultyCollectives, DropoutMarksTheCollectiveIncomplete)
-{
-    auto sys = makeDgxA100(4);
-    Collectives coll(sys.fabric, 4);
-    FaultModel m;
-    m.dropouts.push_back({2, 0});
-    FaultInjector inj(m);
-    coll.attachFaults(&inj);
-    CollectiveCost c = coll.butterflyExchange(1 << 16, 1);
-    EXPECT_FALSE(c.completed);
-
-    // Detaching restores the perfect fabric.
-    coll.attachFaults(nullptr);
-    EXPECT_TRUE(coll.butterflyExchange(1 << 16, 1).completed);
-}
-
-TEST(FaultyCollectives, SameSeedSameCost)
-{
-    auto sys = makeDgxA100(8);
-    FaultModel m;
-    m.seed = 99;
-    m.transientExchangeRate = 0.3;
-    m.stragglerRate = 0.3;
-
-    auto run = [&] {
-        Collectives coll(sys.fabric, 8);
-        FaultInjector inj(m);
-        coll.attachFaults(&inj);
-        double total = 0;
-        uint64_t retries = 0;
-        for (int i = 0; i < 10; ++i) {
-            CollectiveCost c = coll.allReduce(1 << 18);
-            total += c.seconds;
-            retries += c.stats.retries;
-        }
-        return std::make_pair(total, retries);
-    };
-    auto a = run();
-    auto b = run();
-    EXPECT_DOUBLE_EQ(a.first, b.first);
-    EXPECT_EQ(a.second, b.second);
 }
 
 // ---------------------------------------------------------------------

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the remaining substrate pieces: the Goldilocks quadratic
- * extension (challenge field), the hash-based prover schedule, the
- * forced-tile planner path, and the logging verbosity plumbing.
+ * Tests for the remaining substrate pieces: the hash-based prover
+ * schedule, the forced-tile planner path, and the logging verbosity
+ * plumbing.
  */
 
 #include <gtest/gtest.h>
 
-#include "field/goldilocks_ext.hh"
 #include "ntt/radix2.hh"
 #include "unintt/engine.hh"
 #include "util/logging.hh"
@@ -16,74 +15,6 @@
 
 namespace unintt {
 namespace {
-
-GoldilocksExt
-randomExt(Rng &rng)
-{
-    return GoldilocksExt(Goldilocks::fromU64(rng.next()),
-                         Goldilocks::fromU64(rng.next()));
-}
-
-TEST(GoldilocksExtField, FieldAxioms)
-{
-    Rng rng(1);
-    for (int i = 0; i < 30; ++i) {
-        auto a = randomExt(rng);
-        auto b = randomExt(rng);
-        auto c = randomExt(rng);
-        EXPECT_EQ(a + b, b + a);
-        EXPECT_EQ((a + b) + c, a + (b + c));
-        EXPECT_EQ(a * b, b * a);
-        EXPECT_EQ((a * b) * c, a * (b * c));
-        EXPECT_EQ(a * (b + c), a * b + a * c);
-        EXPECT_EQ(a + GoldilocksExt::zero(), a);
-        EXPECT_EQ(a * GoldilocksExt::one(), a);
-        EXPECT_EQ(a - a, GoldilocksExt::zero());
-    }
-}
-
-TEST(GoldilocksExtField, XSquaredIsNonResidue)
-{
-    GoldilocksExt x(Goldilocks::zero(), Goldilocks::one());
-    EXPECT_EQ(x * x, GoldilocksExt::fromU64(GoldilocksExt::kNonResidue));
-}
-
-TEST(GoldilocksExtField, InverseAndNorm)
-{
-    Rng rng(2);
-    for (int i = 0; i < 20; ++i) {
-        auto a = randomExt(rng);
-        if (a.isZero())
-            continue;
-        EXPECT_EQ(a * a.inverse(), GoldilocksExt::one());
-        auto n = a * a.conjugate();
-        EXPECT_EQ(n.c0(), a.norm());
-        EXPECT_TRUE(n.c1().isZero());
-        EXPECT_EQ((a * a).norm(), a.norm() * a.norm());
-    }
-}
-
-TEST(GoldilocksExtField, PowMatchesRepeatedMul)
-{
-    GoldilocksExt a(Goldilocks::fromU64(3), Goldilocks::fromU64(4));
-    GoldilocksExt acc = GoldilocksExt::one();
-    for (uint64_t e = 0; e < 12; ++e) {
-        EXPECT_EQ(a.pow(e), acc);
-        acc *= a;
-    }
-}
-
-TEST(GoldilocksExtField, ExtensionIsLargerThanBase)
-{
-    // The norm map is surjective-ish: random elements rarely land in
-    // the base field, so the extension genuinely adds entropy.
-    Rng rng(3);
-    int in_base = 0;
-    for (int i = 0; i < 50; ++i)
-        if (randomExt(rng).c1().isZero())
-            ++in_base;
-    EXPECT_EQ(in_base, 0);
-}
 
 TEST(StarkPipeline, ScheduleHasNoMsm)
 {

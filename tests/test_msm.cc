@@ -2,7 +2,8 @@
  * @file
  * Tests for the BN254 G1 curve arithmetic and the Pippenger MSM:
  * group laws, scalar-multiplication algebra, Pippenger-vs-naive
- * equivalence, and the multi-GPU MSM timing structure.
+ * equivalence, and the multi-GPU MSM timing structure (G1 and the
+ * G2 pricing the prover uses).
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +196,18 @@ TEST(MsmEngineTest, ScalesAcrossGpus)
     double t8 = MsmEngine(makeDgxA100(8)).analyticRun(n).totalSeconds();
     EXPECT_GT(t1 / t8, 4.0);
     EXPECT_LT(t1 / t8, 9.0);
+}
+
+TEST(G2Msm, EngineG2CostsMoreThanG1)
+{
+    // The prover prices Groth16's [B]_2 MSM with extension-field
+    // arithmetic and twice the point footprint: dearer than G1, by a
+    // bounded factor.
+    MsmEngine engine(makeDgxA100(4));
+    double g1 = engine.analyticRun(1 << 20, false).totalSeconds();
+    double g2 = engine.analyticRun(1 << 20, true).totalSeconds();
+    EXPECT_GT(g2, g1 * 1.5);
+    EXPECT_LT(g2, g1 * 5.0);
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 #include "ntt/fourstep.hh"
 #include "ntt/radix2.hh"
 #include "ntt/reference.hh"
-#include "ntt/stockham.hh"
 #include "ntt/twiddle.hh"
 #include "util/random.hh"
 
@@ -97,28 +96,6 @@ TYPED_TEST(NttOracle, NoPermuteForwardIsBitReversedDft)
     nttNoPermute(got, NttDirection::Forward);
     for (size_t i = 0; i < n; ++i)
         EXPECT_EQ(got[i], natural[bitReverse(i, log2Exact(n))]);
-}
-
-TYPED_TEST(NttOracle, StockhamMatchesNaive)
-{
-    using F = TypeParam;
-    for (size_t n : {2, 4, 16, 128, 1024}) {
-        auto x = randomVector<F>(n, 500 + n);
-        auto expect = naiveDft(x, NttDirection::Forward);
-        auto got = x;
-        nttStockham(got, NttDirection::Forward);
-        EXPECT_EQ(got, expect) << "n=" << n;
-    }
-}
-
-TYPED_TEST(NttOracle, StockhamRoundTrip)
-{
-    using F = TypeParam;
-    auto x = randomVector<F>(256, 600);
-    auto y = x;
-    nttStockham(y, NttDirection::Forward);
-    nttStockham(y, NttDirection::Inverse);
-    EXPECT_EQ(y, x);
 }
 
 TYPED_TEST(NttOracle, FourStepMatchesNaiveForAllSplits)
@@ -224,18 +201,6 @@ TEST(Twiddle, InverseTableIsElementwiseInverse)
         EXPECT_EQ(fwd[i] * inv[i], Goldilocks::one());
 }
 
-TEST(Twiddle, GeneratorMatchesTable)
-{
-    size_t n = 128;
-    TwiddleTable<Goldilocks> tw(n, NttDirection::Forward);
-    // start=3, step=5 walks the same powers the table holds.
-    TwiddleGenerator<Goldilocks> gen(tw.root(), 3, 5);
-    for (size_t i = 0; (3 + 5 * i) < n / 2; ++i) {
-        EXPECT_EQ(gen.get(), tw[3 + 5 * i]);
-        gen.advance();
-    }
-}
-
 TEST(Twiddle, InverseScaleUndoesN)
 {
     auto s = inverseScale<Goldilocks>(4096);
@@ -246,9 +211,6 @@ TEST(Twiddle, InverseScaleUndoesN)
 TEST(NttEdge, SizeOneIsIdentity)
 {
     std::vector<Goldilocks> x{Goldilocks::fromU64(42)};
-    auto y = x;
-    nttStockham(y, NttDirection::Forward);
-    EXPECT_EQ(y, x);
     auto z = fourStepNtt(x, 1, NttDirection::Forward);
     EXPECT_EQ(z, x);
 }

@@ -2,7 +2,9 @@
  * @file
  * Tests for the simulator substrate: hardware presets, the roofline
  * performance model (including monotonicity properties), the
- * interconnect cost functions and the report timeline.
+ * interconnect cost functions, the report timeline, device-memory
+ * capacity enforcement and peak tracking, and the multi-node system
+ * plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "field/goldilocks.hh"
 #include "sim/hw_model.hh"
 #include "sim/interconnect.hh"
+#include "sim/memory.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
@@ -212,6 +215,70 @@ TEST(MultiGpu, DescriptionAndMemory)
     EXPECT_EQ(sys.totalMemoryBytes(), 8 * (80ULL << 30));
     EXPECT_EQ(makePcieWorkstation(2).fabric.kind, FabricKind::Pcie);
     EXPECT_EQ(makeHgxH100(4).gpu.name, makeH100().name);
+}
+
+TEST(MemoryModel, TracksUsageAndPeak)
+{
+    DeviceMemoryModel mem(makeA100(), 2);
+    mem.alloc(0, 1000, "a");
+    mem.alloc(0, 500, "b");
+    EXPECT_EQ(mem.usedBytes(0), 1500u);
+    EXPECT_EQ(mem.usedBytes(1), 0u);
+    mem.free(0, 1000);
+    EXPECT_EQ(mem.usedBytes(0), 500u);
+    EXPECT_EQ(mem.peakBytes(0), 1500u);
+    EXPECT_EQ(mem.maxPeakBytes(), 1500u);
+}
+
+TEST(MemoryModel, AllocAllHitsEveryGpu)
+{
+    DeviceMemoryModel mem(makeA100(), 4);
+    mem.allocAll(42, "x");
+    for (unsigned g = 0; g < 4; ++g)
+        EXPECT_EQ(mem.usedBytes(g), 42u);
+    mem.freeAll(42);
+    EXPECT_EQ(mem.maxPeakBytes(), 42u);
+}
+
+TEST(MemoryModelDeath, OutOfMemoryIsFatal)
+{
+    DeviceMemoryModel mem(makeA100(), 1);
+    EXPECT_EXIT(mem.alloc(0, mem.capacityBytes() + 1, "huge"),
+                ::testing::ExitedWithCode(1), "out of memory");
+}
+
+TEST(MultiNode, TopologyAccessors)
+{
+    auto sys = makeA100Cluster(4, 8);
+    EXPECT_EQ(sys.numGpus, 32u);
+    EXPECT_EQ(sys.numNodes(), 4u);
+    EXPECT_FALSE(sys.crossesNodes(4));
+    EXPECT_TRUE(sys.crossesNodes(8));
+    EXPECT_TRUE(sys.crossesNodes(16));
+    EXPECT_NE(sys.description().find("4 nodes"), std::string::npos);
+
+    unsigned eff = 0;
+    EXPECT_EQ(&sys.fabricFor(4, eff), &sys.fabric);
+    EXPECT_EQ(eff, 4u);
+    EXPECT_EQ(&sys.fabricFor(16, eff), &sys.nodeFabric);
+    EXPECT_EQ(eff, 2u);
+}
+
+TEST(MultiNode, SingleNodeClusterBehavesLikeDgx)
+{
+    auto sys = makeA100Cluster(1, 8);
+    EXPECT_EQ(sys.numNodes(), 1u);
+    EXPECT_FALSE(sys.crossesNodes(4));
+    EXPECT_EQ(sys.description(), makeDgxA100(8).description());
+}
+
+TEST(MultiNode, InterNodeFabricIsSlower)
+{
+    auto ib = makeInfinibandFabric();
+    auto nv = makeNvSwitchFabric();
+    EXPECT_LT(ib.linkBandwidth, nv.linkBandwidth);
+    EXPECT_GT(ib.pairwiseExchangeTime(64 << 20, 1),
+              nv.pairwiseExchangeTime(64 << 20, 1));
 }
 
 } // namespace

@@ -58,39 +58,6 @@ TEST(Bitops, BitReverseIsInvolution)
             EXPECT_EQ(bitReverse(bitReverse(x, bits), bits), x);
 }
 
-TEST(Bitops, DigitReverseRadix4)
-{
-    // x = 1 = digits (1,0) base 4 -> reversed (0,1) = 4
-    EXPECT_EQ(digitReverse(1, 4, 2), 4u);
-    EXPECT_EQ(digitReverse(4, 4, 2), 1u);
-    EXPECT_EQ(digitReverse(6, 4, 2), 9u); // (2,1) -> (1,2) = 1*4+2? no: 6=2+1*4 -> rev = 2*4+1
-}
-
-TEST(Bitops, DigitReverseMatchesBitReverseForRadix2)
-{
-    for (uint64_t x = 0; x < 256; ++x)
-        EXPECT_EQ(digitReverse(x, 2, 8), bitReverse(x, 8));
-}
-
-TEST(Bitops, MixedRadixReverseIsInvolutionForUniformRadices)
-{
-    std::vector<uint64_t> radices{4, 4, 4};
-    for (uint64_t x = 0; x < 64; ++x) {
-        uint64_t r = mixedRadixReverse(x, radices);
-        EXPECT_EQ(mixedRadixReverse(r, radices), x);
-    }
-}
-
-TEST(Bitops, MixedRadixReverseDistinct)
-{
-    // For non-uniform radices, the reverse map with *reversed* radix list
-    // undoes the forward map.
-    std::vector<uint64_t> fwd{2, 4, 8};
-    std::vector<uint64_t> bwd{8, 4, 2};
-    for (uint64_t x = 0; x < 64; ++x)
-        EXPECT_EQ(mixedRadixReverse(mixedRadixReverse(x, fwd), bwd), x);
-}
-
 TEST(Bitops, BitReversePermuteRoundTrips)
 {
     std::vector<int> v(64);

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the extended ZKP substrate: negacyclic transforms, the
- * QAP quotient computation, and the Fiat–Shamir transcript.
+ * Tests for the extended ZKP substrate: the QAP quotient computation
+ * and the Fiat–Shamir transcript.
  */
 
 #include <gtest/gtest.h>
 
 #include "field/goldilocks.hh"
-#include "ntt/negacyclic.hh"
 #include "util/random.hh"
 #include "zkp/quotient.hh"
 #include "zkp/transcript.hh"
@@ -25,61 +24,6 @@ randomVector(size_t n, uint64_t seed)
     for (auto &e : v)
         e = F::fromU64(rng.next());
     return v;
-}
-
-// ---------------------------------------------------------------------
-// Negacyclic NTT.
-// ---------------------------------------------------------------------
-
-TEST(Negacyclic, RoundTrip)
-{
-    for (size_t n : {2u, 8u, 64u, 512u}) {
-        auto x = randomVector(n, 10 + n);
-        auto y = x;
-        negacyclicNttForward(y);
-        EXPECT_NE(y, x);
-        negacyclicNttInverse(y);
-        EXPECT_EQ(y, x) << n;
-    }
-}
-
-TEST(Negacyclic, ConvolutionTheoremModXnPlus1)
-{
-    size_t n = 64;
-    auto a = randomVector(n, 20);
-    auto b = randomVector(n, 21);
-    auto expect = naiveNegacyclicConvolution(a, b);
-
-    auto fa = a, fb = b;
-    negacyclicNttForward(fa);
-    negacyclicNttForward(fb);
-    std::vector<F> prod(n);
-    for (size_t i = 0; i < n; ++i)
-        prod[i] = fa[i] * fb[i];
-    negacyclicNttInverse(prod);
-    EXPECT_EQ(prod, expect);
-}
-
-TEST(Negacyclic, XTimesXnMinus1WrapsNegatively)
-{
-    // (X^(n-1)) * X = X^n = -1 in F[X]/(X^n + 1).
-    size_t n = 16;
-    std::vector<F> a(n, F::zero()), b(n, F::zero());
-    a[n - 1] = F::one();
-    b[1] = F::one();
-    auto out = naiveNegacyclicConvolution(a, b);
-    EXPECT_EQ(out[0], -F::one());
-    for (size_t i = 1; i < n; ++i)
-        EXPECT_EQ(out[i], F::zero());
-}
-
-TEST(Negacyclic, DiffersFromCyclic)
-{
-    size_t n = 32;
-    auto a = randomVector(n, 22);
-    auto b = randomVector(n, 23);
-    EXPECT_NE(naiveNegacyclicConvolution(a, b),
-              naiveCyclicConvolution(a, b));
 }
 
 // ---------------------------------------------------------------------
