@@ -9,16 +9,18 @@
  * once per acceleration path the router can bind on this host
  * (field/dispatch.hh), so BENCH_host_ntt.json carries one point per
  * (logN, isa) pair and the scalar/AVX2/AVX-512 trajectories diff
- * independently across commits. Every path's output is first checked
- * bit-identical against the forced-scalar engine on the same input;
- * the harness then reports ns per butterfly, elements per second, and
- * the fused speedup, and writes the machine-readable
- * BENCH_host_ntt.json that scripts/bench.sh (and CI in --smoke mode)
- * diff across commits.
+ * independently across commits. Each point times both directions,
+ * the forward (DIF) and the inverse (DIT, n^-1 scale included). Every
+ * path's output is first checked bit-identical against the
+ * forced-scalar engine on the same input, per direction; the harness
+ * then reports ns per butterfly, elements per second, and the fused
+ * speedup, and writes the machine-readable BENCH_host_ntt.json that
+ * scripts/bench.sh (and CI in --smoke mode) diff across commits.
  *
  * Flags:
  *   --smoke      tiny sizes for CI; exits non-zero if the fused path
- *                is more than 10% slower than the per-stage path.
+ *                is more than 10% slower than the per-stage path in
+ *                either direction.
  *   --out=PATH   where to write the JSON (default BENCH_host_ntt.json).
  */
 
@@ -52,14 +54,36 @@ nsPerButterfly(double seconds, unsigned logN)
     return seconds * 1e9 / butterflies;
 }
 
-/** Best-of-reps wall seconds of one forward transform. */
-double
-timeForward(UniNttEngine<F> &engine, const std::vector<F> &input,
-            int reps)
+/** One transform of @p dist in place, in direction @p dir. */
+void
+runTransform(UniNttEngine<F> &engine, DistributedVector<F> &dist,
+             NttDirection dir)
+{
+    if (dir == NttDirection::Forward)
+        engine.forward(dist);
+    else
+        engine.inverse(dist);
+}
+
+/** @p engine's output for @p input in direction @p dir. */
+std::vector<F>
+transform(UniNttEngine<F> &engine, const std::vector<F> &input,
+          NttDirection dir)
 {
     auto dist = DistributedVector<F>::fromGlobal(input, kGpus);
-    engine.forward(dist); // warm plan/schedule/twiddle caches
-    return bestWallSeconds(reps, [&] { engine.forward(dist); });
+    runTransform(engine, dist, dir);
+    return dist.toGlobal();
+}
+
+/** Best-of-reps wall seconds of one transform in direction @p dir. */
+double
+timeTransform(UniNttEngine<F> &engine, const std::vector<F> &input,
+              NttDirection dir, int reps)
+{
+    auto dist = DistributedVector<F>::fromGlobal(input, kGpus);
+    runTransform(engine, dist, dir); // warm plan/schedule/twiddle caches
+    return bestWallSeconds(reps,
+                           [&] { runTransform(engine, dist, dir); });
 }
 
 } // namespace
@@ -113,7 +137,8 @@ main(int argc, char **argv)
     UniNttEngine<F> scalar_ref(sys, scalar_cfg);
 
     Table t({"logN", "isa", "tile", "fused ns/bfly",
-             "per-stage ns/bfly", "fused elem/s", "speedup"});
+             "per-stage ns/bfly", "fused elem/s", "speedup",
+             "inv fused ns/bfly", "inv per-stage ns/bfly"});
     bool smoke_ok = true;
     double min_large_speedup = 1e300;
     double best_fused_ns = 1e300;
@@ -123,9 +148,10 @@ main(int argc, char **argv)
         for (auto &v : input)
             v = F::fromU64(rng.next());
 
-        auto dref = DistributedVector<F>::fromGlobal(input, kGpus);
-        scalar_ref.forward(dref);
-        const std::vector<F> ref = dref.toGlobal();
+        const std::vector<F> ref =
+            transform(scalar_ref, input, NttDirection::Forward);
+        const std::vector<F> ref_inv =
+            transform(scalar_ref, input, NttDirection::Inverse);
 
         for (IsaPath isa : paths) {
             UniNttConfig fused_cfg = base_cfg;
@@ -136,17 +162,20 @@ main(int argc, char **argv)
             UniNttEngine<F> unfused(sys, unfused_cfg);
 
             // Byte-identity gates: fused and per-stage under this
-            // path must both reproduce the forced-scalar bytes.
-            auto df = DistributedVector<F>::fromGlobal(input, kGpus);
-            auto du = DistributedVector<F>::fromGlobal(input, kGpus);
-            fused.forward(df);
-            unfused.forward(du);
-            if (df.toGlobal() != ref)
-                fatal("%s fused output differs from scalar at 2^%u",
-                      isaPathName(isa), logN);
-            if (du.toGlobal() != ref)
-                fatal("%s per-stage output differs from scalar at "
-                      "2^%u", isaPathName(isa), logN);
+            // path must both reproduce the forced-scalar bytes, in
+            // both directions.
+            for (auto dir : {NttDirection::Forward,
+                             NttDirection::Inverse}) {
+                const std::vector<F> &want =
+                    dir == NttDirection::Forward ? ref : ref_inv;
+                if (transform(fused, input, dir) != want)
+                    fatal("%s fused %s output differs from scalar at "
+                          "2^%u", isaPathName(isa), toString(dir), logN);
+                if (transform(unfused, input, dir) != want)
+                    fatal("%s per-stage %s output differs from scalar "
+                          "at 2^%u", isaPathName(isa), toString(dir),
+                          logN);
+            }
 
             unsigned tile_log2 = 0;
             for (const auto &st :
@@ -154,13 +183,22 @@ main(int argc, char **argv)
                 if (st.kind == StepKind::FusedLocalPass)
                     tile_log2 = st.tileLog2;
 
-            const double fsec = timeForward(fused, input, reps);
-            const double usec = timeForward(unfused, input, reps);
+            const double fsec = timeTransform(
+                fused, input, NttDirection::Forward, reps);
+            const double usec = timeTransform(
+                unfused, input, NttDirection::Forward, reps);
             const double fns = nsPerButterfly(fsec, logN);
             const double uns = nsPerButterfly(usec, logN);
+            const double fins = nsPerButterfly(
+                timeTransform(fused, input, NttDirection::Inverse, reps),
+                logN);
+            const double uins = nsPerButterfly(
+                timeTransform(unfused, input, NttDirection::Inverse,
+                              reps),
+                logN);
             const double elems = static_cast<double>(1ULL << logN);
             const double speedup = uns / fns;
-            if (smoke && fns > 1.10 * uns)
+            if (smoke && (fns > 1.10 * uns || fins > 1.10 * uins))
                 smoke_ok = false;
             if (logN >= 20)
                 min_large_speedup =
@@ -171,7 +209,8 @@ main(int argc, char **argv)
             t.addRow({std::to_string(logN), isaPathName(isa),
                       "2^" + std::to_string(tile_log2), fmtF(fns, 3),
                       fmtF(uns, 3), formatRate(elems / fsec),
-                      fmtF(speedup, 2) + "x"});
+                      fmtF(speedup, 2) + "x", fmtF(fins, 3),
+                      fmtF(uins, 3)});
 
             jw.beginObject()
                 .field("logN", logN)
@@ -180,6 +219,8 @@ main(int argc, char **argv)
                 .field("tileLog2", tile_log2)
                 .field("fusedNsPerButterfly", fns)
                 .field("unfusedNsPerButterfly", uns)
+                .field("fusedInverseNsPerButterfly", fins)
+                .field("unfusedInverseNsPerButterfly", uins)
                 .field("fusedElementsPerSec", elems / fsec)
                 .field("unfusedElementsPerSec", elems / usec)
                 .field("speedup", speedup)
@@ -242,7 +283,8 @@ main(int argc, char **argv)
                     best_fused_ns);
     if (smoke && !smoke_ok) {
         std::fprintf(stderr, "\nFAIL: fused path more than 10%% slower "
-                             "than per-stage in smoke mode\n");
+                             "than per-stage in smoke mode (forward or "
+                             "inverse)\n");
         return 1;
     }
     return 0;

@@ -2,8 +2,8 @@
  * @file
  * Micro-benchmarks (google-benchmark): real wall-clock time of the
  * host-side transforms — the radix-2 reference over its cached twiddle
- * slabs, and the functional UniNTT engine (which pays the simulator
- * bookkeeping on top of the same arithmetic).
+ * slabs, and the functional UniNTT engine forward and inverse (which
+ * pays the simulator bookkeeping on top of the same arithmetic).
  */
 
 #include <benchmark/benchmark.h>
@@ -42,7 +42,8 @@ BM_CpuRadix2(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 
-template <typename F>
+/** One functional engine transform per iteration, in either direction. */
+template <typename F, NttDirection Dir>
 void
 BM_UniNttFunctional(benchmark::State &state)
 {
@@ -51,7 +52,8 @@ BM_UniNttFunctional(benchmark::State &state)
     UniNttEngine<F> engine(makeDgxA100(4));
     auto dist = DistributedVector<F>::fromGlobal(x, 4);
     for (auto _ : state) {
-        auto report = engine.forward(dist);
+        auto report = Dir == NttDirection::Forward ? engine.forward(dist)
+                                                   : engine.inverse(dist);
         benchmark::DoNotOptimize(report.totalSeconds());
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -59,7 +61,14 @@ BM_UniNttFunctional(benchmark::State &state)
 
 BENCHMARK(BM_CpuRadix2<Goldilocks>)->Arg(12)->Arg(16)->Arg(20);
 BENCHMARK(BM_CpuRadix2<Bn254Fr>)->Arg(12)->Arg(16);
-BENCHMARK(BM_UniNttFunctional<Goldilocks>)->Arg(12)->Arg(16)->Arg(18);
+BENCHMARK(BM_UniNttFunctional<Goldilocks, NttDirection::Forward>)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(18);
+BENCHMARK(BM_UniNttFunctional<Goldilocks, NttDirection::Inverse>)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(18);
 
 } // namespace
 } // namespace unintt

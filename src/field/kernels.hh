@@ -21,7 +21,9 @@
  *  - Any span length, including lengths below the vector width (the
  *    vector kernels peel scalar tails / fall back wholesale).
  *  - `tw_stride` on the radix-2 slots supports strided twiddle walks
- *    (TwiddleTable layouts); data spans are always unit-stride.
+ *    (TwiddleTable layouts); data spans are always unit-stride, and
+ *    the radix-4/radix-8 slots of the fused sweep (both directions)
+ *    read their twiddle slabs at unit stride too.
  *
  * The scalar table here is the reference semantics; the SIMD tables
  * (kernels_avx2.cc / kernels_avx512.cc) mirror its formulas
@@ -100,6 +102,27 @@ struct FieldKernels
     void (*r8Fwd)(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6,
                   F *p7, const F *twa, const F *twb, const F *twc,
                   size_t q8) = nullptr;
+
+    /**
+     * Inverse (DIT) radix-4 butterfly span of the fused sweep: the
+     * stages of halves h and 2h applied in registers, in that order.
+     * Column i < n couples p0[i]..p3[i]; the half-h stage pairs
+     * (p0, p1) and (p2, p3) with twa[i], the half-2h stage pairs
+     * (p0, p2) with twb[i] and (p1, p3) with twb[h + i]. Unit stride,
+     * and every read stays below its slab length: no wraps.
+     */
+    void (*r4Inv)(F *p0, F *p1, F *p2, F *p3, const F *twa,
+                  const F *twb, size_t h, size_t n) = nullptr;
+
+    /**
+     * Inverse (DIT) radix-8 butterfly span: three stages (halves h,
+     * 2h, 4h) in registers. The first two apply r4Inv's pairings to
+     * p0..p3 and to p4..p7; the half-4h stage pairs (p[k], p[k + 4])
+     * with twc[k * h + i] for k < 4.
+     */
+    void (*r8Inv)(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6,
+                  F *p7, const F *twa, const F *twb, const F *twc,
+                  size_t h, size_t n) = nullptr;
 
     /** In-place scale: p[j] *= s. */
     void (*scaleSpan)(F *p, F s, size_t n) = nullptr;
@@ -228,6 +251,61 @@ r8FwdScalar(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6, F *p7,
         p5[j] = (v4 - v5) * wc;
         p6[j] = v6 + v7;
         p7[j] = (v6 - v7) * wc;
+    }
+}
+
+template <typename F>
+void
+r4InvScalar(F *p0, F *p1, F *p2, F *p3, const F *twa, const F *twb,
+            size_t h, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        const F wa = twa[i];
+        const F a0 = p0[i], m1 = p1[i] * wa;
+        const F a2 = p2[i], m3 = p3[i] * wa;
+        const F u0 = a0 + m1, u1 = a0 - m1;
+        const F u2 = a2 + m3, u3 = a2 - m3;
+        const F n2 = u2 * twb[i], n3 = u3 * twb[h + i];
+        p0[i] = u0 + n2;
+        p2[i] = u0 - n2;
+        p1[i] = u1 + n3;
+        p3[i] = u1 - n3;
+    }
+}
+
+template <typename F>
+void
+r8InvScalar(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6, F *p7,
+            const F *twa, const F *twb, const F *twc, size_t h,
+            size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        const F wa = twa[i];
+        const F a0 = p0[i], m1 = p1[i] * wa;
+        const F a2 = p2[i], m3 = p3[i] * wa;
+        const F a4 = p4[i], m5 = p5[i] * wa;
+        const F a6 = p6[i], m7 = p7[i] * wa;
+        const F u0 = a0 + m1, u1 = a0 - m1;
+        const F u2 = a2 + m3, u3 = a2 - m3;
+        const F u4 = a4 + m5, u5 = a4 - m5;
+        const F u6 = a6 + m7, u7 = a6 - m7;
+        const F wb0 = twb[i], wb1 = twb[h + i];
+        const F n2 = u2 * wb0, n3 = u3 * wb1;
+        const F n6 = u6 * wb0, n7 = u7 * wb1;
+        const F v0 = u0 + n2, v2 = u0 - n2;
+        const F v1 = u1 + n3, v3 = u1 - n3;
+        const F v4 = u4 + n6, v6 = u4 - n6;
+        const F v5 = u5 + n7, v7 = u5 - n7;
+        const F c4 = v4 * twc[i], c5 = v5 * twc[h + i];
+        const F c6 = v6 * twc[2 * h + i], c7 = v7 * twc[3 * h + i];
+        p0[i] = v0 + c4;
+        p4[i] = v0 - c4;
+        p1[i] = v1 + c5;
+        p5[i] = v1 - c5;
+        p2[i] = v2 + c6;
+        p6[i] = v2 - c6;
+        p3[i] = v3 + c7;
+        p7[i] = v3 - c7;
     }
 }
 
@@ -387,6 +465,8 @@ scalarKernelTable()
     t.bflyInv = &spankernels::bflyInvScalar<F>;
     t.r4Fwd = &spankernels::r4FwdScalar<F>;
     t.r8Fwd = &spankernels::r8FwdScalar<F>;
+    t.r4Inv = &spankernels::r4InvScalar<F>;
+    t.r8Inv = &spankernels::r8InvScalar<F>;
     t.scaleSpan = &spankernels::scaleSpanScalar<F>;
     t.dotSpan = &spankernels::dotSpanScalar<F>;
     t.hornerSpan = &spankernels::hornerSpanScalar<F>;

@@ -226,6 +226,82 @@ struct VecKernels
     }
 
     static void
+    r4Inv(F *p0, F *p1, F *p2, F *p3, const F *twa, const F *twb,
+          size_t h, size_t n)
+    {
+        size_t i = 0;
+        for (; i + L <= n; i += L) {
+            const auto wa = Ops::load(twa + i);
+            const auto a0 = Ops::load(p0 + i);
+            const auto m1 = Ops::mul(Ops::load(p1 + i), wa);
+            const auto a2 = Ops::load(p2 + i);
+            const auto m3 = Ops::mul(Ops::load(p3 + i), wa);
+            const auto u0 = Ops::add(a0, m1);
+            const auto u1 = Ops::sub(a0, m1);
+            const auto n2 = Ops::mul(Ops::add(a2, m3),
+                                     Ops::load(twb + i));
+            const auto n3 = Ops::mul(Ops::sub(a2, m3),
+                                     Ops::load(twb + h + i));
+            Ops::store(p0 + i, Ops::add(u0, n2));
+            Ops::store(p2 + i, Ops::sub(u0, n2));
+            Ops::store(p1 + i, Ops::add(u1, n3));
+            Ops::store(p3 + i, Ops::sub(u1, n3));
+        }
+        // n is independent of h, so the tail rebases every pointer.
+        r4InvScalar(p0 + i, p1 + i, p2 + i, p3 + i, twa + i, twb + i, h,
+                    n - i);
+    }
+
+    static void
+    r8Inv(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6, F *p7,
+          const F *twa, const F *twb, const F *twc, size_t h, size_t n)
+    {
+        size_t i = 0;
+        for (; i + L <= n; i += L) {
+            const auto wa = Ops::load(twa + i);
+            const auto a0 = Ops::load(p0 + i);
+            const auto m1 = Ops::mul(Ops::load(p1 + i), wa);
+            const auto a2 = Ops::load(p2 + i);
+            const auto m3 = Ops::mul(Ops::load(p3 + i), wa);
+            const auto a4 = Ops::load(p4 + i);
+            const auto m5 = Ops::mul(Ops::load(p5 + i), wa);
+            const auto a6 = Ops::load(p6 + i);
+            const auto m7 = Ops::mul(Ops::load(p7 + i), wa);
+            const auto wb0 = Ops::load(twb + i);
+            const auto wb1 = Ops::load(twb + h + i);
+            const auto u0 = Ops::add(a0, m1);
+            const auto u1 = Ops::sub(a0, m1);
+            const auto n2 = Ops::mul(Ops::add(a2, m3), wb0);
+            const auto n3 = Ops::mul(Ops::sub(a2, m3), wb1);
+            const auto u4 = Ops::add(a4, m5);
+            const auto u5 = Ops::sub(a4, m5);
+            const auto n6 = Ops::mul(Ops::add(a6, m7), wb0);
+            const auto n7 = Ops::mul(Ops::sub(a6, m7), wb1);
+            const auto v0 = Ops::add(u0, n2);
+            const auto v2 = Ops::sub(u0, n2);
+            const auto v1 = Ops::add(u1, n3);
+            const auto v3 = Ops::sub(u1, n3);
+            const auto c4 = Ops::mul(Ops::add(u4, n6), Ops::load(twc + i));
+            const auto c6 = Ops::mul(Ops::sub(u4, n6),
+                                     Ops::load(twc + 2 * h + i));
+            const auto c5 = Ops::mul(Ops::add(u5, n7),
+                                     Ops::load(twc + h + i));
+            const auto c7 = Ops::mul(Ops::sub(u5, n7),
+                                     Ops::load(twc + 3 * h + i));
+            Ops::store(p0 + i, Ops::add(v0, c4));
+            Ops::store(p4 + i, Ops::sub(v0, c4));
+            Ops::store(p1 + i, Ops::add(v1, c5));
+            Ops::store(p5 + i, Ops::sub(v1, c5));
+            Ops::store(p2 + i, Ops::add(v2, c6));
+            Ops::store(p6 + i, Ops::sub(v2, c6));
+            Ops::store(p3 + i, Ops::add(v3, c7));
+            Ops::store(p7 + i, Ops::sub(v3, c7));
+        }
+        r8InvScalar(p0 + i, p1 + i, p2 + i, p3 + i, p4 + i, p5 + i,
+                    p6 + i, p7 + i, twa + i, twb + i, twc + i, h, n - i);
+    }
+
+    static void
     scaleSpan(F *p, F s, size_t n)
     {
         const auto vs = Ops::bcast(s);
@@ -302,6 +378,8 @@ struct VecKernels
         t.bflyInv = &bflyInv;
         t.r4Fwd = &r4Fwd;
         t.r8Fwd = &r8Fwd;
+        t.r4Inv = &r4Inv;
+        t.r8Inv = &r8Inv;
         t.scaleSpan = &scaleSpan;
         t.dotSpan = &dotSpanScalar<F>; // ABFT-only; scalar is exact
         t.hornerSpan = &hornerSpan;

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/fourstep_multigpu.hh"
@@ -52,12 +53,44 @@ namespace {
 /** Host memory the functional subcommands may fill with data. */
 constexpr double kHostBudgetBytes = 4.0 * (1ULL << 30);
 
+// Bounds of the size and count flags (flagInRange).
+constexpr int64_t kMaxGpus = 1024;
+constexpr int64_t kMaxLogN = 63; // 2^log-n must fit a 64-bit size
+constexpr int64_t kMaxThreads = 256;
+constexpr int64_t kMaxCount = int64_t{1} << 20;
+/** log2 of the Goldilocks elements that fill the host budget. */
+constexpr int64_t kMaxHostLogN = 29;
+static_assert(double(int64_t{1} << kMaxHostLogN) * sizeof(Goldilocks) ==
+              kHostBudgetBytes);
+/** The default tenant mix needs 2^8 (LoadScenario::defaultTenants). */
+constexpr int64_t kMinServiceLogN = 8;
+/** An open loop needs a positive load; 10x capacity is overload. */
+constexpr int64_t kMaxOfferedPercent = 1000;
+
+/**
+ * Integer flag @p name, fatal unless it lies in [lo, hi]: a negative
+ * or oversized size or count is a user error, never a value to wrap
+ * through an unsigned cast. Commands read every such flag through
+ * here before they build anything.
+ */
+template <typename T = unsigned>
+T
+flagInRange(const CliParser &cli, const char *name, int64_t lo, int64_t hi)
+{
+    const int64_t v = cli.getInt(name);
+    if (v < lo || v > hi)
+        fatal("--%s must be in [%lld, %lld], got %lld", name,
+              static_cast<long long>(lo), static_cast<long long>(hi),
+              static_cast<long long>(v));
+    return static_cast<T>(v);
+}
+
 MultiGpuSystem
 systemFromFlags(const CliParser &cli)
 {
+    const unsigned gpus = flagInRange(cli, "gpus", 1, kMaxGpus);
     return MultiGpuSystem{gpuModelByName(cli.getString("gpu")),
-                          fabricByName(cli.getString("fabric")),
-                          static_cast<unsigned>(cli.getInt("gpus"))};
+                          fabricByName(cli.getString("fabric")), gpus};
 }
 
 /** Shared --isa flag (schedule and ntt subcommands). */
@@ -83,11 +116,19 @@ configFromFlags(const CliParser &cli)
 size_t
 batchFromFlags(const CliParser &cli)
 {
-    const int64_t batch = cli.getInt("batch");
-    if (batch < 1)
-        fatal("--batch must be at least 1, got %lld",
-              static_cast<long long>(batch));
-    return static_cast<size_t>(batch);
+    return flagInRange<size_t>(cli, "batch", 1, kMaxCount);
+}
+
+/**
+ * log2 trace lengths a STARK proves: the trace must outgrow FRI's
+ * final polynomial, and its LDE codeword must fit the host budget
+ * `ntt --functional` uses.
+ */
+std::pair<int64_t, int64_t>
+starkLogStepsRange(const StarkParams &params)
+{
+    return {log2Floor(2 * params.friFinalTerms) + 1,
+            kMaxHostLogN - params.logBlowup};
 }
 
 void
@@ -106,7 +147,7 @@ cmdPlan(int argc, char **argv)
     addCommonFlags(cli);
     cli.parse(argc, argv);
     auto sys = systemFromFlags(cli);
-    auto pl = planNtt(static_cast<unsigned>(cli.getInt("log-n")), sys, 8);
+    auto pl = planNtt(flagInRange(cli, "log-n", 0, kMaxLogN), sys, 8);
     std::printf("machine: %s\n", sys.description().c_str());
     std::printf("plan:    %s\n", pl.toString().c_str());
     std::printf("chunk:   %s elements per GPU\n",
@@ -119,7 +160,7 @@ int
 runSchedule(const CliParser &cli)
 {
     auto sys = systemFromFlags(cli);
-    unsigned logN = static_cast<unsigned>(cli.getInt("log-n"));
+    const unsigned logN = flagInRange(cli, "log-n", 0, kMaxLogN);
     size_t batch = batchFromFlags(cli);
     NttDirection dir = cli.getBool("inverse") ? NttDirection::Inverse
                                               : NttDirection::Forward;
@@ -255,17 +296,18 @@ int
 runNtt(const CliParser &cli)
 {
     auto sys = systemFromFlags(cli);
-    unsigned logN = static_cast<unsigned>(cli.getInt("log-n"));
+    const unsigned logN = flagInRange(cli, "log-n", 0, kMaxLogN);
     size_t batch = batchFromFlags(cli);
     NttDirection dir = cli.getBool("inverse") ? NttDirection::Inverse
                                               : NttDirection::Forward;
+
+    const unsigned threads = flagInRange(cli, "threads", 0, kMaxThreads);
 
     std::printf("machine: %s, %s NTT of 2^%u x%zu over %s\n",
                 sys.description().c_str(), toString(dir), logN, batch,
                 F::kName);
     std::printf("%s\n\n", routerDescription().c_str());
 
-    unsigned threads = static_cast<unsigned>(cli.getInt("threads"));
     if (threads > 0)
         ThreadPool::setGlobalThreads(threads);
 
@@ -377,10 +419,7 @@ cmdMsm(int argc, char **argv)
     addCommonFlags(cli);
     cli.parse(argc, argv);
     auto sys = systemFromFlags(cli);
-    const int64_t log_n = cli.getInt("log-n");
-    if (log_n < 0 || log_n >= 64)
-        fatal("--log-n must be in [0, 63], got %lld",
-              static_cast<long long>(log_n));
+    const int64_t log_n = flagInRange<int64_t>(cli, "log-n", 0, kMaxLogN);
     MsmEngine engine(sys);
     auto report = engine.analyticRun(1ULL << log_n, cli.getBool("g2"));
     std::printf("machine: %s, %s MSM of 2^%lld points\n\n",
@@ -401,7 +440,7 @@ cmdProver(int argc, char **argv)
     cli.parse(argc, argv);
     auto sys = systemFromFlags(cli);
 
-    unsigned logc = static_cast<unsigned>(cli.getInt("log-constraints"));
+    const unsigned logc = flagInRange(cli, "log-constraints", 0, kMaxLogN);
     auto stages = cli.getString("proto") == "plonk"
                       ? ZkpPipeline::plonkStages(logc)
                       : ZkpPipeline::groth16Stages(logc);
@@ -432,25 +471,15 @@ cmdStark(int argc, char **argv)
     cli.addString("proof-out", "", "write the serialized proof here");
     cli.parse(argc, argv);
 
-    // The trace must outgrow FRI's final polynomial, and its LDE
-    // codeword must fit the host budget `ntt --functional` uses.
     const StarkParams params;
-    const int64_t log_steps = cli.getInt("log-steps");
-    const int64_t min_log = log2Floor(2 * params.friFinalTerms) + 1;
-    const int64_t max_log =
-        static_cast<int64_t>(std::log2(kHostBudgetBytes /
-                                       sizeof(Goldilocks))) -
-        params.logBlowup;
-    if (log_steps < min_log || log_steps > max_log)
-        fatal("--log-steps must be in [%lld, %lld], got %lld",
-              static_cast<long long>(min_log),
-              static_cast<long long>(max_log),
-              static_cast<long long>(log_steps));
+    const auto [min_log, max_log] = starkLogStepsRange(params);
+    const unsigned log_steps =
+        flagInRange(cli, "log-steps", min_log, max_log);
 
     SquareStark stark(params);
     auto t0 = Goldilocks::fromU64(
         static_cast<uint64_t>(cli.getInt("start")));
-    auto proof = stark.prove(t0, static_cast<unsigned>(log_steps));
+    auto proof = stark.prove(t0, log_steps);
     bool ok = stark.verify(proof);
     auto bytes = serializeStarkProof(proof);
     std::printf("proof: %s, verifies: %s\n",
@@ -524,8 +553,8 @@ serviceChaos(unsigned gpus, double kill_at)
 int
 runServiceSoak(const CliParser &cli)
 {
-    unsigned gpus = static_cast<unsigned>(cli.getInt("gpus"));
-    unsigned logN = static_cast<unsigned>(cli.getInt("log-n"));
+    const unsigned gpus = flagInRange(cli, "gpus", 1, kMaxGpus);
+    unsigned logN = flagInRange(cli, "log-n", kMinServiceLogN, kMaxHostLogN);
     unsigned jobs = 400;
     if (cli.getBool("small")) {
         // Keep the 8-GPU slot structure: a 2-slot fleet cannot absorb
@@ -656,30 +685,29 @@ cmdServe(int argc, char **argv)
     cli.parse(argc, argv);
 
     MultiGpuSystem fleet = systemFromFlags(cli);
+    const unsigned log_n =
+        flagInRange(cli, "log-n", kMinServiceLogN, kMaxHostLogN);
     ServiceConfig cfg;
-    cfg.jobGpus = static_cast<unsigned>(cli.getInt("job-gpus"));
+    cfg.jobGpus = flagInRange(cli, "job-gpus", 1, kMaxGpus);
     cfg.seed = static_cast<uint64_t>(cli.getInt("seed"));
 
     LoadScenario scn;
     scn.seed = cfg.seed;
     scn.closedLoop = cli.getBool("closed");
     scn.offeredLoad =
-        static_cast<double>(cli.getInt("offered")) / 100.0;
-    scn.jobsTarget = static_cast<unsigned>(cli.getInt("jobs"));
-    scn.clientsPerTenant = static_cast<unsigned>(cli.getInt("clients"));
+        flagInRange<double>(cli, "offered", 1, kMaxOfferedPercent) / 100.0;
+    scn.jobsTarget = flagInRange(cli, "jobs", 0, kMaxCount);
+    scn.clientsPerTenant = flagInRange(cli, "clients", 0, kMaxCount);
     scn.durationSeconds =
         static_cast<double>(cli.getInt("duration-us")) * 1e-6;
-    scn.tenants = serviceTenants(
-        static_cast<unsigned>(cli.getInt("log-n")),
-        cli.getBool("proofs"));
+    scn.tenants = serviceTenants(log_n, cli.getBool("proofs"));
 
     ServiceChaos chaos;
     if (cli.getBool("chaos")) {
         // Approximate the makespan to arm the kills a third in.
         ProvingService probe(fleet, cfg);
-        const double est = probe.estimateServiceSeconds(
-            JobKind::NttForward,
-            static_cast<unsigned>(cli.getInt("log-n")));
+        const double est =
+            probe.estimateServiceSeconds(JobKind::NttForward, log_n);
         const unsigned slots =
             std::max(1u, fleet.numGpus / cfg.jobGpus);
         const double makespan = static_cast<double>(scn.jobsTarget) *
@@ -728,12 +756,13 @@ cmdSoak(int argc, char **argv)
     if (cli.getBool("service"))
         return runServiceSoak(cli);
 
+    const auto [min_trace, max_trace] = starkLogStepsRange(StarkParams{});
     ChaosConfig cfg;
     cfg.seed = static_cast<uint64_t>(cli.getInt("seed"));
-    cfg.campaigns = static_cast<unsigned>(cli.getInt("campaigns"));
-    cfg.gpus = static_cast<unsigned>(cli.getInt("gpus"));
-    cfg.logN = static_cast<unsigned>(cli.getInt("log-n"));
-    cfg.logTrace = static_cast<unsigned>(cli.getInt("log-trace"));
+    cfg.campaigns = flagInRange(cli, "campaigns", 0, kMaxCount);
+    cfg.gpus = flagInRange(cli, "gpus", 1, kMaxGpus);
+    cfg.logN = flagInRange(cli, "log-n", 1, kMaxHostLogN);
+    cfg.logTrace = flagInRange(cli, "log-trace", min_trace, max_trace);
     cfg.overlapComm = !cli.getBool("no-overlap");
     cfg.abft = !cli.getBool("no-abft");
     if (cli.getBool("small")) {

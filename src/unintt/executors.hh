@@ -274,8 +274,10 @@ localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
  * pair distance. Forward fuses stage pairs into a DIF radix-4
  * butterfly over the compacted slabs (the stage pair's tw[2e]/tw[3e]
  * reads become slab(s+1)[j] and the sign-folded slab(s)[3j]), plus a
- * trailing radix-2 stage when the group has an odd stage count; the
- * inverse runs radix-2 DIT with the stage order reversed. Exact field
+ * trailing radix-2 stage when the group has an odd stage count. The
+ * inverse is the DIT mirror: stages s1-1 down to s0 as radix-8 triples
+ * (r8Inv), then at most one radix-4 pair (r4Inv) and one radix-2
+ * stage, with unit-stride twiddle reads that never wrap. Exact field
  * arithmetic on canonical representations makes both bit-identical to
  * running the stages separately.
  */
@@ -323,15 +325,52 @@ fusedTileStages(F *buf, size_t row_stride, size_t cols, size_t col0,
             }
         }
     } else {
-        for (unsigned s = s1; s-- > s0;) {
-            const size_t d = size_t{1} << (s1 - s - 1);
-            const F *tws = slabs.slab(s);
-            for (size_t q = 0; q < rows; q += 2 * d) {
+        // DIT mirror: stages s1-1 down to s0, three (then two, then
+        // one) per sweep. Stage s - 1 pairs rows d apart, so a sweep
+        // couples rows q + rq + k*d and reads every slab at offset
+        // rq * h1 + col0, with half-span d * h1 (see r8Inv).
+        unsigned s = s1; // stages [s0, s) remain
+        for (; s >= s0 + 3; s -= 3) {
+            const size_t d = size_t{1} << (s1 - s);
+            const size_t rd = d * row_stride;
+            const F *twa = slabs.slab(s - 1);
+            const F *twb = slabs.slab(s - 2);
+            const F *twc = slabs.slab(s - 3);
+            for (size_t q = 0; q < rows; q += 8 * d) {
                 for (size_t rq = 0; rq < d; ++rq) {
-                    F *r0 = buf + (q + rq) * row_stride;
-                    F *r1 = r0 + d * row_stride;
-                    fk.bflyInv(r0, r1, tws + rq * h1 + col0, 1, cols);
+                    F *r = buf + (q + rq) * row_stride;
+                    const size_t off = rq * h1 + col0;
+                    fk.r8Inv(r, r + rd, r + 2 * rd, r + 3 * rd,
+                             r + 4 * rd, r + 5 * rd, r + 6 * rd,
+                             r + 7 * rd, twa + off, twb + off, twc + off,
+                             d * h1, cols);
                 }
+            }
+        }
+        if (s >= s0 + 2) {
+            const size_t d = size_t{1} << (s1 - s);
+            const size_t rd = d * row_stride;
+            const F *twa = slabs.slab(s - 1);
+            const F *twb = slabs.slab(s - 2);
+            for (size_t q = 0; q < rows; q += 4 * d) {
+                for (size_t rq = 0; rq < d; ++rq) {
+                    F *r = buf + (q + rq) * row_stride;
+                    const size_t off = rq * h1 + col0;
+                    fk.r4Inv(r, r + rd, r + 2 * rd, r + 3 * rd,
+                             twa + off, twb + off, d * h1, cols);
+                }
+            }
+            s -= 2;
+        }
+        if (s > s0) {
+            // Radix-2 remainder: stage s0 pairs the two halves of the
+            // block, rows / 2 apart.
+            const size_t d = rows / 2;
+            const F *tws = slabs.slab(s0);
+            for (size_t rq = 0; rq < d; ++rq) {
+                F *r = buf + rq * row_stride;
+                fk.bflyInv(r, r + d * row_stride, tws + rq * h1 + col0,
+                           1, cols);
             }
         }
     }
@@ -343,10 +382,14 @@ fusedTileStages(F *buf, size_t row_stride, size_t cols, size_t col0,
  * collapse: at stage s the butterfly half-span is SB >> (s-s0+1)
  * contiguous elements and the twiddle index equals the flat offset
  * within the block, so every inner loop walks both data and slab at
- * unit stride with no per-row pointer arithmetic. Same butterflies,
- * same exact arithmetic — bit-identical to the general form; this is
- * the shape the in-place (unsliced) dispatch uses because the general
- * form's inner width collapses to h1 (often 1) for late-stage groups.
+ * unit stride with no per-row pointer arithmetic. Both directions run
+ * radix-8 triples, then at most one radix-4 pair and one radix-2
+ * stage: the forward from s0 down the shrinking spans, the inverse
+ * (its DIT mirror) from s1-1 up the growing ones, each skipping the
+ * unit twiddles of its span-8 sweep. Same butterflies, same exact
+ * arithmetic — bit-identical to the general form; this is the shape
+ * the in-place (unsliced) dispatch uses because the general form's
+ * inner width collapses to h1 (often 1) for late-stage groups.
  */
 template <NttField F>
 void
@@ -469,15 +512,72 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
             }
         }
     } else {
-        size_t half = sb_elems >> (s1 - s0);
-        for (unsigned s = s1; s-- > s0; half *= 2) {
-            const F *tws = slabs.slab(s);
-            for (size_t start = 0; start < sb_elems;
-                 start += 2 * half) {
+        // DIT mirror of the forward sweep: stages s1-1 down to s0, so
+        // the half-span h grows from the smallest. Each kernel applies
+        // its stages in that order, and every twiddle index is a
+        // block-local offset below its slab length.
+        unsigned s = s1; // stages [s0, s) remain
+        size_t h = sb_elems >> (s1 - s0); // half-span of stage s - 1
+        for (; s >= s0 + 3; s -= 3, h *= 8) {
+            const F *twa = slabs.slab(s - 1);
+            const F *twb = slabs.slab(s - 2);
+            const F *twc = slabs.slab(s - 3);
+            if (h == 1) {
+                // The sweep with the most blocks, mirrored from the
+                // forward's span == 8 case: the twiddles at slab
+                // index 0 are one, so those multiplies are skipped
+                // and the other four are hoisted out of the loop.
+                const F wb1 = twb[1];
+                const F wc1 = twc[1], wc2 = twc[2], wc3 = twc[3];
+                for (size_t start = 0; start < sb_elems; start += 8) {
+                    F *p = buf + start;
+                    const F a0 = p[0], a1 = p[1];
+                    const F a2 = p[2], a3 = p[3];
+                    const F a4 = p[4], a5 = p[5];
+                    const F a6 = p[6], a7 = p[7];
+                    const F u0 = a0 + a1, u1 = a0 - a1;
+                    const F u2 = a2 + a3, u3 = a2 - a3;
+                    const F u4 = a4 + a5, u5 = a4 - a5;
+                    const F u6 = a6 + a7, u7 = a6 - a7;
+                    const F n3 = u3 * wb1, n7 = u7 * wb1;
+                    const F v0 = u0 + u2, v2 = u0 - u2;
+                    const F v1 = u1 + n3, v3 = u1 - n3;
+                    const F v4 = u4 + u6, v6 = u4 - u6;
+                    const F v5 = u5 + n7, v7 = u5 - n7;
+                    const F c5 = v5 * wc1, c6 = v6 * wc2;
+                    const F c7 = v7 * wc3;
+                    p[0] = v0 + v4;
+                    p[4] = v0 - v4;
+                    p[1] = v1 + c5;
+                    p[5] = v1 - c5;
+                    p[2] = v2 + c6;
+                    p[6] = v2 - c6;
+                    p[3] = v3 + c7;
+                    p[7] = v3 - c7;
+                }
+                continue;
+            }
+            for (size_t start = 0; start < sb_elems; start += 8 * h) {
                 F *p0 = buf + start;
-                fk.bflyInv(p0, p0 + half, tws, 1, half);
+                fk.r8Inv(p0, p0 + h, p0 + 2 * h, p0 + 3 * h, p0 + 4 * h,
+                         p0 + 5 * h, p0 + 6 * h, p0 + 7 * h, twa, twb,
+                         twc, h, h);
             }
         }
+        if (s >= s0 + 2) {
+            const F *twa = slabs.slab(s - 1);
+            const F *twb = slabs.slab(s - 2);
+            for (size_t start = 0; start < sb_elems; start += 4 * h) {
+                F *p0 = buf + start;
+                fk.r4Inv(p0, p0 + h, p0 + 2 * h, p0 + 3 * h, twa, twb,
+                         h, h);
+            }
+            s -= 2;
+            h *= 4;
+        }
+        // Radix-2 remainder: stage s0 pairs the two halves of the block.
+        if (s > s0)
+            fk.bflyInv(buf, buf + h, slabs.slab(s0), 1, h);
     }
 }
 

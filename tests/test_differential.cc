@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "field/babybear.hh"
@@ -262,10 +263,15 @@ TEST(Differential, FusedMatchesPerStageAcrossTilesAndThreads)
     // head group plus a pinned tail group. The seeded draws stop at
     // 2^14, where only BN254-Fr on one GPU splits, so fixed draws
     // split a Goldilocks and a BN254-Fr phase on one and two GPUs.
+    // A single head super-block runs column slices at 4 and 16
+    // threads: the two-stage heads reach r4Inv there, and the
+    // four-stage head of 2^19 on one GPU reaches r8Inv plus the
+    // radix-2 remainder.
     const Draw split[] = {{-1, 0, 17, 1, 0x5eed17ULL},
                           {-2, 0, 18, 2, 0x5eed18ULL},
                           {-3, 2, 15, 1, 0x5eed15ULL},
-                          {-4, 2, 16, 2, 0x5eed16ULL}};
+                          {-4, 2, 16, 2, 0x5eed16ULL},
+                          {-5, 0, 19, 1, 0x5eed19ULL}};
     for (const Draw &d : split) {
         if (d.field == 0)
             runFusionDraw<Goldilocks>(d);
@@ -860,6 +866,61 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
                      twb.data(), twc.data(), q8);
         for (int r = 0; r < 8; ++r)
             ASSERT_EQ(rows_a[r], rows_b[r]) << "row " << r;
+    }
+
+    // Inverse radix-4/radix-8 blocks of 4h/8h elements: the flat
+    // sweep's n == h and the column sweep's n < h (widths around the
+    // lane count), with misaligned twiddle heads. The scalar table is
+    // also held to the slot's definition: two (three) bflyInv stages
+    // of halves h, 2h (, 4h) over the same block, on columns i < n.
+    for (size_t h : {size_t{1}, size_t{3}, size_t{8}, size_t{13},
+                     2 * size_t{fk.lanes} + 3}) {
+        std::vector<size_t> widths{h};
+        for (size_t n : {size_t{1}, size_t{fk.lanes} - 1,
+                         size_t{fk.lanes} + 1, h - 1})
+            if (n > 0 && n < h &&
+                std::find(widths.begin(), widths.end(), n) ==
+                    widths.end())
+                widths.push_back(n);
+        const std::vector<F> twa = draw(h, 1);
+        const std::vector<F> twb = draw(2 * h, 1);
+        const std::vector<F> twc = draw(4 * h, 1);
+        for (size_t radix : {size_t{4}, size_t{8}}) {
+            for (size_t n : widths) {
+                SCOPED_TRACE("r" + std::to_string(radix) + "Inv h=" +
+                             std::to_string(h) + " n=" +
+                             std::to_string(n));
+                const std::vector<F> block0 = draw(radix * h, 0);
+                auto run = [&](const FieldKernels<F> &k) {
+                    std::vector<F> b = block0;
+                    F *p = b.data();
+                    if (radix == 4)
+                        k.r4Inv(p, p + h, p + 2 * h, p + 3 * h,
+                                twa.data() + 1, twb.data() + 1, h, n);
+                    else
+                        k.r8Inv(p, p + h, p + 2 * h, p + 3 * h,
+                                p + 4 * h, p + 5 * h, p + 6 * h,
+                                p + 7 * h, twa.data() + 1,
+                                twb.data() + 1, twc.data() + 1, h, n);
+                    return b;
+                };
+                const std::vector<F> want = run(scalar);
+                ASSERT_EQ(run(fk), want);
+
+                std::vector<F> def = block0;
+                const F *tws[] = {twa.data() + 1, twb.data() + 1,
+                                  twc.data() + 1};
+                for (size_t half = h, k = 0; half < radix * h;
+                     half *= 2, ++k)
+                    for (size_t b = 0; b < radix * h; b += 2 * half)
+                        scalar.bflyInv(def.data() + b,
+                                       def.data() + b + half, tws[k],
+                                       1, half);
+                for (size_t e = 0; e < radix * h; ++e)
+                    ASSERT_EQ(want[e], e % h < n ? def[e] : block0[e])
+                        << "element " << e;
+            }
+        }
     }
 }
 
