@@ -66,6 +66,8 @@ static_assert(double(int64_t{1} << kMaxHostLogN) * sizeof(Goldilocks) ==
 constexpr int64_t kMinServiceLogN = 8;
 /** An open loop needs a positive load; 10x capacity is overload. */
 constexpr int64_t kMaxOfferedPercent = 1000;
+/** A closed loop submits for a positive horizon of at most 1000 s. */
+constexpr int64_t kMaxDurationUs = 1000000000;
 
 /**
  * Integer flag @p name, fatal unless it lies in [lo, hi]: a negative
@@ -699,7 +701,7 @@ cmdServe(int argc, char **argv)
     scn.jobsTarget = flagInRange(cli, "jobs", 0, kMaxCount);
     scn.clientsPerTenant = flagInRange(cli, "clients", 0, kMaxCount);
     scn.durationSeconds =
-        static_cast<double>(cli.getInt("duration-us")) * 1e-6;
+        flagInRange<double>(cli, "duration-us", 1, kMaxDurationUs) * 1e-6;
     scn.tenants = serviceTenants(log_n, cli.getBool("proofs"));
 
     ServiceChaos chaos;

@@ -58,7 +58,6 @@
 #include "unintt/schedule.hh"
 #include "unintt/verify.hh"
 #include "util/bitops.hh"
-#include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
 #include "util/thread_pool.hh"
@@ -114,7 +113,7 @@ class UniNttEngine
     NttPlan
     plan(unsigned logN) const
     {
-        return planCached(logN, sys_, nullptr);
+        return cachedPlan<F>(logN, sys_, cfg_);
     }
 
     /**
@@ -128,7 +127,7 @@ class UniNttEngine
              bool *plan_hit_out = nullptr,
              bool *sched_hit_out = nullptr) const
     {
-        const NttPlan pl = planCached(logN, sys_, plan_hit_out);
+        const NttPlan pl = cachedPlan<F>(logN, sys_, cfg_, plan_hit_out);
         return ScheduleCache::global().get(pl, sys_, dir, sizeof(F), cfg_,
                                            costs_, batch, sched_hit_out);
     }
@@ -358,31 +357,43 @@ class UniNttEngine
                                        DeviceHealthTracker *health) const;
 
     /**
-     * Fresh spot-check seed: the configured base mixed with a
-     * per-engine counter, so repeated checks sample fresh positions
-     * while a given engine's sequence stays deterministic.
+     * The host facts of one dispatch of @p sched: lanes, plan-cache
+     * service, the fused groups, and, when @p exec ran it, the
+     * twiddle-slab service (the flat table is only consulted on a slab
+     * miss) and the bound kernel table with its dispatch count, which
+     * also feeds the router's process counters.
      */
-    uint64_t
-    nextSpotSeed(uint64_t base) const
+    HostExecStats
+    hostStats(const StageSchedule &sched, bool plan_hit, bool slab_hit,
+              bool tw_hit, const FunctionalStepExecutor<F> *exec) const
     {
-        return mix64(base ^ mix64(++spotCheckEpoch_));
-    }
-
-    /** Plan via the shared PlanCache. */
-    NttPlan
-    planCached(unsigned logN, const MultiGpuSystem &sys,
-               bool *hit_out) const
-    {
-        requireTwoAdicSize<F>(logN);
-        return PlanCache::global().get(logN, sys, sizeof(F),
-                                       cfg_.forceLogBlockTile, hit_out);
+        HostExecStats hx;
+        hx.hostThreads = hostLanes();
+        (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
+        for (const auto &st : sched.steps)
+            if (st.kind == StepKind::FusedLocalPass)
+                hx.fusedGroups++;
+        if (exec != nullptr) {
+            (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) = 1;
+            if (!slab_hit)
+                (tw_hit ? hx.twiddleCacheHits : hx.twiddleCacheMisses) = 1;
+            hx.isaPath = exec->kernels().name;
+            hx.isaLanes = exec->kernels().lanes;
+            hx.isaDispatches = exec->kernelDispatches();
+            recordKernelDispatch(exec->kernels().path,
+                                 exec->kernelDispatches());
+        }
+        return hx;
     }
 
     MultiGpuSystem sys_;
     UniNttConfig cfg_;
     CostConstants costs_;
     PerfModel perf_;
-    /** Spot-check seed derivation counter (see nextSpotSeed). */
+    /**
+     * Spot-check seed counter: each check mixes the configured base
+     * with its next value (ResilientStepExecutor::spotCheckStep).
+     */
     mutable uint64_t spotCheckEpoch_ = 0;
     /** Lent to one resilient run at a time (ResilientScratch). */
     mutable std::mutex scratchMutex_;
@@ -400,7 +411,7 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
                      size_t analytic_batch) const
 {
     bool plan_hit = false;
-    const NttPlan pl = planCached(logN, sys_, &plan_hit);
+    const NttPlan pl = cachedPlan<F>(logN, sys_, cfg_, &plan_hit);
     const uint64_t n = 1ULL << logN;
     const size_t nbatch = batch.empty() ? analytic_batch : batch.size();
     const bool functional = !batch.empty();
@@ -426,51 +437,32 @@ UniNttEngine<F>::run(unsigned logN, NttDirection dir,
         slabs = cachedTwiddleSlabs<F>(n, dir, &slab_hit, &tw_hit);
 
     SimReport report;
-    {
-        HostExecStats hx;
-        hx.hostThreads = hostLanes();
-        for (const auto &st : sched->steps)
-            if (st.kind == StepKind::FusedLocalPass)
-                hx.fusedGroups++;
-        (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
-        (sched_hit ? hx.scheduleCacheHits : hx.scheduleCacheMisses) = 1;
-        if (functional) {
-            (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) = 1;
-            // The flat table is only consulted on a slab miss.
-            if (!slab_hit)
-                (tw_hit ? hx.twiddleCacheHits : hx.twiddleCacheMisses) = 1;
-        }
-        report.addHostExecStats(hx);
-    }
     report.setPeakDeviceBytes(sched->peakDeviceBytes);
-
-    // Overlap counters come from the schedule itself: the waves of an
-    // overlapped DAG, and (functional runs) its exchange chunk nodes.
     HostExecStats hx;
-    if (sched->overlapped)
-        hx.overlapWaves = sched->waves.size();
     if (functional) {
         FunctionalStepExecutor<F> exec(
             sys_, perf_, report, batch, *slabs, logN, dir, hostLanes(),
             kernels());
         Status st = dispatchSchedule(sched, exec);
         UNINTT_ASSERT(st.ok(), "functional execution cannot fail");
-        if (sched->overlapped)
-            for (const ScheduleDagNode &nd : sched->dag)
-                if (sched->steps[nd.step].kind == StepKind::Exchange)
-                    hx.exchangeChunks++;
-        hx.isaPath = exec.kernels().name;
-        hx.isaLanes = exec.kernels().lanes;
-        hx.isaDispatches = exec.kernelDispatches();
-        recordKernelDispatch(exec.kernels().path,
-                             exec.kernelDispatches());
+        hx = hostStats(*sched, plan_hit, slab_hit, tw_hit, &exec);
     } else {
         AnalyticStepExecutor exec(sys_, perf_, report);
         Status st = dispatchSchedule(sched, exec);
         UNINTT_ASSERT(st.ok(), "analytic execution cannot fail");
+        hx = hostStats(*sched, plan_hit, slab_hit, tw_hit, nullptr);
     }
-    if (hx.any())
-        report.addHostExecStats(hx);
+    (sched_hit ? hx.scheduleCacheHits : hx.scheduleCacheMisses) = 1;
+    // Overlap counters come from the schedule itself: the waves of an
+    // overlapped DAG, and (functional runs) its exchange chunk nodes.
+    if (sched->overlapped) {
+        hx.overlapWaves = sched->waves.size();
+        if (functional)
+            for (const ScheduleDagNode &nd : sched->dag)
+                if (sched->steps[nd.step].kind == StepKind::Exchange)
+                    hx.exchangeChunks++;
+    }
+    report.addHostExecStats(hx);
     return report;
 }
 
@@ -564,78 +556,18 @@ UniNttEngine<F>::runResilientImpl(NttDirection dir,
     }
 
     bool plan_hit = false;
-    NttPlan pl = planCached(logN, sys, &plan_hit);
-    const unsigned logMg0 = pl.logMg;
-    {
-        HostExecStats hx;
-        hx.hostThreads = hostLanes();
-        (plan_hit ? hx.planCacheHits : hx.planCacheMisses) = 1;
-        (slab_hit ? hx.twiddleSlabHits : hx.twiddleSlabMisses) = 1;
-        if (!slab_hit)
-            (tw_hit ? hx.twiddleCacheHits : hx.twiddleCacheMisses) = 1;
-        report.addHostExecStats(hx);
-    }
-
-    // Resilient schedules are compiled fresh (never cached): they
-    // carry the checksum additions and may be recompiled mid-run after
-    // a degradation, which would poison a shared cache.
-    ScheduleOptions opts;
-    opts.resilient = true;
-    opts.spotChecks = rc.spotChecks;
-    opts.abft = rc.abft;
-    auto sched = std::make_shared<const StageSchedule>(compileSchedule(
-        pl, sys, dir, sizeof(F), cfg_, costs_, opts));
-    report.setPeakDeviceBytes(sched->peakDeviceBytes);
-    {
-        HostExecStats hx;
-        for (const auto &st : sched->steps)
-            if (st.kind == StepKind::FusedLocalPass)
-                hx.fusedGroups++;
-        if (hx.fusedGroups > 0)
-            report.addHostExecStats(hx);
-    }
-
-    ResilientHooks hooks;
-    hooks.replan = [this](unsigned lg, const MultiGpuSystem &s) {
-        return planCached(lg, s, nullptr);
-    };
-    hooks.recompile = [this, spot_checks = rc.spotChecks,
-                       abft = rc.abft](
-                          const NttPlan &p, const MultiGpuSystem &s,
-                          NttDirection d, unsigned resume_stage,
-                          unsigned orig_log_mg) {
-        ScheduleOptions o;
-        o.resilient = true;
-        o.spotChecks = spot_checks;
-        o.abft = abft;
-        o.resume = true;
-        o.resumeStage = resume_stage;
-        o.origLogMg = orig_log_mg;
-        return std::make_shared<const StageSchedule>(
-            compileSchedule(p, s, d, sizeof(F), cfg_, costs_, o));
-    };
-    hooks.nextSpotSeed = [this](uint64_t base) {
-        return nextSpotSeed(base);
-    };
-
-    ResilientStepExecutor<F> exec(sys, perf_, cfg_, report, data, input,
-                                  faults, rc, health, slabs, pl, logMg0,
-                                  dir, hostLanes(), std::move(hooks), fs,
+    const NttPlan pl = cachedPlan<F>(logN, sys, cfg_, &plan_hit);
+    std::vector<DistributedVector<F> *> batch{&data};
+    ResilientStepExecutor<F> exec(sys, perf_, cfg_, costs_, report, batch,
+                                  input, faults, rc, health, slabs, pl,
+                                  dir, hostLanes(), spotCheckEpoch_, fs,
                                   scratch, kernels());
-    exec.attachSchedule(sched);
-    Status st = dispatchSchedule(std::move(sched), exec);
+    const auto sched = exec.firstSchedule();
+    Status st = dispatchSchedule(sched, exec);
     if (!st.ok())
         return st;
-
-    {
-        HostExecStats hx;
-        hx.isaPath = exec.kernels().name;
-        hx.isaLanes = exec.kernels().lanes;
-        hx.isaDispatches = exec.kernelDispatches();
-        recordKernelDispatch(exec.kernels().path,
-                             exec.kernelDispatches());
-        report.addHostExecStats(hx);
-    }
+    report.addHostExecStats(
+        hostStats(*sched, plan_hit, slab_hit, tw_hit, &exec));
     report.addFaultStats(fs);
     return report;
 }

@@ -15,25 +15,27 @@
  *  - FunctionalStepExecutor additionally executes the bit-exact field
  *    arithmetic on the host pool, then defers to the analytic pricing
  *    — the timeline is identical by construction.
- *  - ResilientStepExecutor decorates the functional execution of a
- *    single transform with the fault machinery: checksummed exchanges,
- *    bounded-backoff retries, the straggler watchdog, degraded-mode
- *    re-plans, and the post-transform spot check. Resilience decorates
- *    the node dispatch; it does not fork the stage loops.
+ *  - ResilientStepExecutor derives from the functional one and adds
+ *    the fault machinery of a single transform around the inherited
+ *    node work and wave pricing: checksummed exchanges,
+ *    bounded-backoff retries, the straggler watchdog, ABFT checks,
+ *    degraded-mode re-plans, and the post-transform spot check.
+ *
+ * There is one node loop per wave and one overlap rule (priceWave):
+ * every executor prices a schedule the same way.
  *
  * Phase-order note: the IR lists an Exchange before the CrossStage
  * that consumes it (dataflow order), while the report historically
- * shows compute first and the exchange second (with the overlap split
- * computed against that compute). Executors therefore hold the
- * exchange's resolved time and emit its comm phase right after the
- * paired CrossStage's kernel phase.
+ * shows compute first and the exchange second. priceWave therefore
+ * accumulates the exchange's visible/hidden split wave by wave and
+ * emits its comm phase right after the paired CrossStage's kernel
+ * phase.
  */
 
 #ifndef UNINTT_UNINTT_EXECUTORS_HH
 #define UNINTT_UNINTT_EXECUTORS_HH
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -49,6 +51,7 @@
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
 #include "unintt/abft.hh"
+#include "unintt/cache.hh"
 #include "unintt/config.hh"
 #include "unintt/distributed.hh"
 #include "unintt/health.hh"
@@ -137,6 +140,20 @@ kernelCost(uint64_t butterflies, NttDirection dir, unsigned lanes)
 }
 
 /**
+ * Slices to cut each of @p units independent work units into, each
+ * unit @p width independent elements wide: enough to give every one of
+ * @p lanes host lanes about two slices when the units are fewer than
+ * the lanes, never more than @p width; otherwise 1.
+ */
+constexpr uint64_t
+laneSlices(uint64_t units, uint64_t width, unsigned lanes)
+{
+    if (lanes <= 1 || units >= lanes)
+        return 1;
+    return std::min<uint64_t>(width, (2ULL * lanes + units - 1) / units);
+}
+
+/**
  * Functional butterflies of one cross-GPU stage over the element slice
  * [c_begin, c_end) of every chunk. Each butterfly couples position c
  * of a pair's two chunks and nothing else, so a slice reads and writes
@@ -169,10 +186,7 @@ crossStageCompute(DistributedVector<F> &data, unsigned s, unsigned logN,
         if ((g / partner_gap) % 2 == 0)
             lows.push_back(g);
 
-    uint64_t slices = 1;
-    if (lanes > 1 && lows.size() < lanes)
-        slices = std::min<uint64_t>(
-            span, (2ULL * lanes + lows.size() - 1) / lows.size());
+    const uint64_t slices = laneSlices(lows.size(), span, lanes);
 
     // Compacted stage slab: tws[j] == full_table[j << s], unit stride.
     const F *tws = slabs.slab(s);
@@ -236,10 +250,7 @@ localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
         const uint64_t blocks_per_gpu = C / block;
         const uint64_t units =
             static_cast<uint64_t>(G) * blocks_per_gpu;
-        uint64_t jslices = 1;
-        if (lanes > 1 && units < lanes)
-            jslices = std::min<uint64_t>(
-                half, (2ULL * lanes + units - 1) / units);
+        const uint64_t jslices = laneSlices(units, half, lanes);
 
         const F *tws = slabs.slab(s); // tws[j] == full_table[j << s]
         hostParallelFor(
@@ -614,10 +625,7 @@ fusedLocalStagesCompute(DistributedVector<F> &data, unsigned s_begin,
     const uint64_t sbs_per_gpu = C / SB;
 
     const uint64_t units = static_cast<uint64_t>(G) * sbs_per_gpu;
-    uint64_t csl = 1;
-    if (lanes > 1 && units < lanes)
-        csl = std::min<uint64_t>(h1,
-                                 (2ULL * lanes + units - 1) / units);
+    const uint64_t csl = laneSlices(units, h1, lanes);
     hostParallelFor(
         units * csl, kernelCost(SB / 2 * t / csl, dir, fk.lanes),
         lanes, [&](size_t u) {
@@ -689,7 +697,7 @@ class AnalyticStepExecutor
     StepAction
     onWave(const StageSchedule &sched, size_t w)
     {
-        priceWave(sched, w);
+        priceWave(sched, sched.waves[w]);
         return StepAction{};
     }
 
@@ -701,7 +709,11 @@ class AnalyticStepExecutor
     }
 
   protected:
-    /** Reset the per-schedule DAG accounting on a schedule swap. */
+    /**
+     * Reset the per-schedule DAG accounting on a schedule swap. Every
+     * exchange slot starts at the step's fault-free price: its
+     * pairwise exchange time and its compiled CommStats.
+     */
     void
     initDagState(const StageSchedule &sched)
     {
@@ -713,23 +725,37 @@ class AnalyticStepExecutor
             remaining_[nd.step]++;
         exVisible_.assign(sched.steps.size(), 0.0);
         exHidden_.assign(sched.steps.size(), 0.0);
+        exSeconds_.assign(sched.steps.size(), 0.0);
+        exComm_.assign(sched.steps.size(), CommStats{});
+        for (size_t i = 0; i < sched.steps.size(); ++i) {
+            const ScheduleStep &st = sched.steps[i];
+            if (st.kind != StepKind::Exchange)
+                continue;
+            const Interconnect &fabric =
+                st.crossesNodes ? sys_.nodeFabric : sys_.fabric;
+            exSeconds_[i] = fabric.pairwiseExchangeTime(
+                st.comm.bytesPerGpu, st.effectiveDistance);
+            exComm_[i] = st.comm;
+        }
     }
 
     /**
-     * Price one wave of the schedule's DAG. The wave's makespan is
-     * max(comm, compute): only the excess of the wave's exchange time
-     * over its butterfly time is visible, and that visible/hidden
-     * split is attributed back to each exchange step proportionally to
-     * its nodes' share of the wave's comm. A lone exchange node (a
-     * linear schedule's wave) has no compute beside it, so its whole
-     * time is visible. Phases materialize once per *step* — same
-     * names, same order, same CommStats in both dispatch modes — when
-     * the step's last node completes, so reports keep their historical
-     * shape and total fabric bytes/messages are untouched; only the
-     * makespan of an overlapped schedule shrinks.
+     * Price the DAG nodes @p wave — one wave of the schedule, or the
+     * part of one that ran. The wave's makespan is max(comm, compute):
+     * only the excess of the wave's exchange time over its butterfly
+     * time is visible, and that visible/hidden split is attributed
+     * back to each exchange step proportionally to its nodes' share of
+     * the wave's comm. An exchange node costs its slice's share of the
+     * step's exchange slot. A lone exchange node (a linear schedule's
+     * wave) has no compute beside it, so its whole time is visible.
+     * Phases materialize once per *step* — same names, same order,
+     * same CommStats in both dispatch modes — when the step's last
+     * node completes, so reports keep their historical shape and total
+     * fabric bytes/messages are untouched; only the makespan of an
+     * overlapped schedule shrinks.
      */
     void
-    priceWave(const StageSchedule &sched, size_t w)
+    priceWave(const StageSchedule &sched, const std::vector<uint32_t> &wave)
     {
         initDagState(sched);
         double comp_w = 0.0;
@@ -738,19 +764,14 @@ class AnalyticStepExecutor
         std::vector<uint32_t> completed;
         const double chunk_elems =
             static_cast<double>(sched.plan.chunkElems());
-        for (uint32_t ni : sched.waves[w]) {
+        for (uint32_t ni : wave) {
             const ScheduleDagNode &nd = sched.dag[ni];
             const ScheduleStep &st = sched.steps[nd.step];
             const double frac =
                 static_cast<double>(nd.sliceEnd - nd.sliceBegin) /
                 chunk_elems;
             if (st.kind == StepKind::Exchange) {
-                const Interconnect &fabric =
-                    st.crossesNodes ? sys_.nodeFabric : sys_.fabric;
-                const double t =
-                    fabric.pairwiseExchangeTime(st.comm.bytesPerGpu,
-                                                st.effectiveDistance) *
-                    frac;
+                const double t = exSeconds_[nd.step] * frac;
                 comm_w += t;
                 comm_nodes.emplace_back(nd.step, t);
             } else {
@@ -790,8 +811,8 @@ class AnalyticStepExecutor
                                           StepKind::Exchange,
                           "cross stage without a preceding exchange");
             const ScheduleStep &ex = sched.steps[sidx - 1];
-            report_.addCommPhase(ex.name, exVisible_[sidx - 1], ex.comm,
-                                 exHidden_[sidx - 1]);
+            report_.addCommPhase(ex.name, exVisible_[sidx - 1],
+                                 exComm_[sidx - 1], exHidden_[sidx - 1]);
             tagPhase(ex);
             return;
           }
@@ -832,6 +853,13 @@ class AnalyticStepExecutor
     std::vector<uint32_t> remaining_;
     std::vector<double> exVisible_;
     std::vector<double> exHidden_;
+    /**
+     * Per-step exchange slots: the seconds and CommStats a step's
+     * exchange costs. The resilient executor overwrites a step's slot
+     * with its resolved outcome before the wave is priced.
+     */
+    std::vector<double> exSeconds_;
+    std::vector<CommStats> exComm_;
 };
 
 // ---------------------------------------------------------------------
@@ -871,7 +899,7 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
     {
         for (uint32_t ni : sched.waves[w])
             computeNode(sched.steps[sched.dag[ni].step], sched.dag[ni]);
-        priceWave(sched, w);
+        priceWave(sched, sched.waves[w]);
         return StepAction{};
     }
 
@@ -881,7 +909,7 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
     /** The kernel table this executor runs on. */
     const FieldKernels<F> &kernels() const { return fk_; }
 
-  private:
+  protected:
     /** The functional work of one DAG node. */
     void
     computeNode(const ScheduleStep &st, const ScheduleDagNode &nd)
@@ -935,26 +963,24 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
 };
 
 // ---------------------------------------------------------------------
-// Resilient executor: the fault machinery as a step decorator.
+// Resilient executor: the functional one plus the fault machinery.
 // ---------------------------------------------------------------------
 
 /**
- * Everything the resilient executor needs from the engine besides the
- * data itself: re-planning and re-compiling after a degradation, and
- * the per-engine spot-check seed sequence.
+ * The plan of a 2^@p logN transform of F on @p sys, served by the
+ * shared PlanCache under @p cfg's tile override: the one plan lookup
+ * of the engine and of the resilient executor's replans. @p hit_out
+ * (optional) reports whether the cache served it.
  */
-struct ResilientHooks
+template <NttField F>
+NttPlan
+cachedPlan(unsigned logN, const MultiGpuSystem &sys,
+           const UniNttConfig &cfg, bool *hit_out = nullptr)
 {
-    /** Plan for the (possibly shrunk) machine, via the plan cache. */
-    std::function<NttPlan(unsigned logN, const MultiGpuSystem &sys)> replan;
-    /** Compile a resume schedule for the current plan/machine. */
-    std::function<std::shared_ptr<const StageSchedule>(
-        const NttPlan &pl, const MultiGpuSystem &sys, NttDirection dir,
-        unsigned resume_stage, unsigned orig_log_mg)>
-        recompile;
-    /** Derive the next spot-check seed from the configured base. */
-    std::function<uint64_t(uint64_t base)> nextSpotSeed;
-};
+    requireTwoAdicSize<F>(logN);
+    return PlanCache::global().get(logN, sys, sizeof(F),
+                                   cfg.forceLogBlockTile, hit_out);
+}
 
 /**
  * The host buffers a resilient run writes before it reads them: the
@@ -970,167 +996,188 @@ struct ResilientScratch
     std::vector<std::vector<F>> abftSnap;
 };
 
+/**
+ * The functional executor decorated with the fault machinery of one
+ * transform. Every node runs through the inherited computeNode and
+ * every wave is priced by the inherited priceWave, so a fault-free run
+ * reports what the analytic executor prices for the same schedule.
+ * Around them it adds only:
+ *  - exchange resolution ahead of the wave's nodes: the injector draw,
+ *    straggler watchdog, bounded-backoff retries and the checksum /
+ *    retransmission loop, whose outcome lands in the step's exchange
+ *    slot;
+ *  - the ABFT arm before a compute step's first node and the guard
+ *    after its last;
+ *  - the spot check, as the work of the SpotCheck node;
+ *  - degraded mode: a device loss (or a spent ABFT budget) reshards the
+ *    data onto the surviving power-of-two subset and asks the dispatch
+ *    loop to continue on a resume schedule.
+ */
 template <NttField F>
-class ResilientStepExecutor
+class ResilientStepExecutor : public FunctionalStepExecutor<F>
 {
+    using Base = FunctionalStepExecutor<F>;
+
   public:
-    ResilientStepExecutor(MultiGpuSystem sys, const PerfModel &perf,
-                          const UniNttConfig &cfg, SimReport &report,
-                          DistributedVector<F> &data,
+    /**
+     * @p sys is the run's machine, shrunk in place when devices drop
+     * out; @p batch holds the one transform; @p spot_epoch is the
+     * engine's spot-check counter.
+     */
+    ResilientStepExecutor(MultiGpuSystem &sys, const PerfModel &perf,
+                          const UniNttConfig &cfg,
+                          const CostConstants &costs, SimReport &report,
+                          std::vector<DistributedVector<F> *> &batch,
                           const std::vector<F> &input,
                           FaultInjector &faults,
                           const ResilienceConfig &rc,
                           DeviceHealthTracker *health,
                           const TwiddleSlabs<F> &slabs, NttPlan pl,
-                          unsigned logMg0, NttDirection dir,
-                          unsigned lanes, ResilientHooks hooks,
-                          FaultStats &fs, ResilientScratch<F> &scratch,
-                          const FieldKernels<F> &fk = fieldKernels<F>())
-        : sys_(std::move(sys)),
-          perf_(perf),
+                          NttDirection dir, unsigned lanes,
+                          uint64_t &spot_epoch, FaultStats &fs,
+                          ResilientScratch<F> &scratch,
+                          const FieldKernels<F> &fk)
+        : Base(sys, perf, report, batch, slabs, pl.logN, dir, lanes, fk),
+          machine_(sys),
           cfg_(cfg),
-          report_(report),
-          data_(data),
+          costs_(costs),
           input_(input),
           faults_(faults),
           rc_(rc),
           health_(health),
-          slabs_(slabs),
           pl_(std::move(pl)),
-          logMg0_(logMg0),
-          dir_(dir),
-          lanes_(lanes),
-          fk_(fk),
-          hooks_(std::move(hooks)),
+          logMg0_(pl_.logMg),
+          spotEpoch_(spot_epoch),
           fs_(fs),
           abftSnap_(scratch.abftSnap)
     {
+        UNINTT_ASSERT(batch.size() == 1, "resilient runs are single");
     }
 
     /**
-     * Wave-driven dispatch over the schedule's DAG: nodes run
-     * sequentially in wave order, with exchange chunks issued before
-     * the wave's butterfly chunks — on an overlapped schedule the
-     * *next* stage's buffer is on the link while the *previous*
-     * stage's butterflies are still in flight, which is exactly the
-     * mid-overlap window a device loss must be able to land in. One
-     * fault draw per exchange step, at its first chunk, keeps the
-     * injector sequence identical in both dispatch modes; on a loss
-     * the in-flight butterfly chunks of earlier stages drain
-     * deterministically before the reshard, so the recompiled resume
-     * schedule replays from a whole-stage boundary.
+     * Resolve the wave's exchanges, run its nodes, price it. Exchanges
+     * resolve first: on an overlapped schedule the *next* stage's
+     * buffer is on the link while the *previous* stage's butterflies
+     * are still in flight, which is exactly the mid-overlap window a
+     * device loss must be able to land in. One fault draw per exchange
+     * step, at its chunk-0 node, keeps the injector sequence identical
+     * in both dispatch modes. A wave cut short by an ABFT escalation
+     * or a failure is not priced.
      */
     StepAction
     onWave(const StageSchedule &sched, size_t w)
     {
-        initDag(sched);
-        std::vector<uint32_t> order(sched.waves[w]);
-        std::stable_sort(
-            order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-                const bool ea = sched.steps[sched.dag[a].step].kind ==
-                                StepKind::Exchange;
-                const bool eb = sched.steps[sched.dag[b].step].kind ==
-                                StepKind::Exchange;
-                return ea && !eb;
-            });
-        for (uint32_t ni : order) {
-            if (nodeDone_[ni])
+        this->initDagState(sched);
+        const std::vector<uint32_t> &wave = sched.waves[w];
+        for (uint32_t ni : wave) {
+            const ScheduleDagNode &nd = sched.dag[ni];
+            const ScheduleStep &st = sched.steps[nd.step];
+            if (st.kind != StepKind::Exchange || nd.chunk != 0)
                 continue;
-            StepAction act = runNode(sched, ni);
+            int lost_gpu = -1;
+            Status s = resolveExchange(st, nd.step, lost_gpu);
+            if (!s.ok())
+                return StepAction{s, false};
+            if (lost_gpu >= 0)
+                return loseDevice(sched, w, nd.step, lost_gpu);
+        }
+        for (uint32_t ni : wave) {
+            const ScheduleDagNode &nd = sched.dag[ni];
+            StepAction act = runNode(sched.steps[nd.step], nd);
             if (!act.status.ok() || act.reschedule)
                 return act;
         }
+        this->priceWave(sched, wave);
         return StepAction{};
+    }
+
+    /** Compile and bind the run's schedule; the engine dispatches it. */
+    std::shared_ptr<const StageSchedule>
+    firstSchedule()
+    {
+        return compile(false);
     }
 
     /** Recompile the remaining stages for the degraded machine. */
     std::shared_ptr<const StageSchedule>
     reschedule()
     {
-        auto sched = hooks_.recompile(pl_, sys_, dir_, resumeStage_,
-                                      logMg0_);
+        return compile(true);
+    }
+
+  private:
+    using Base::dir_;
+    using Base::fk_;
+    using Base::lanes_;
+    using Base::report_;
+    using Base::slabs_;
+
+    /**
+     * Compile a resilient schedule for the current plan and machine —
+     * checksummed exchanges, the spot check and the ABFT annotation of
+     * the run's ResilienceConfig; after a degradation (@p resume) only
+     * the stages from resumeStage_ on, for a transform first planned
+     * over 2^logMg0_ GPUs — and bind it. Compiled fresh, never cached:
+     * a shared cache would hand the resume schedule to other runs.
+     * Binding fetches fresh coefficient vectors lazily at the first
+     * checked step (ABFT-off runs never touch the cache) and restarts
+     * the first-boundary init; the injection ordinal keeps counting,
+     * so replayed steps never repeat an earlier fault draw.
+     */
+    std::shared_ptr<const StageSchedule>
+    compile(bool resume)
+    {
+        ScheduleOptions o;
+        o.resilient = true;
+        o.spotChecks = rc_.spotChecks;
+        o.abft = rc_.abft;
+        if (resume) {
+            o.resume = true;
+            o.resumeStage = resumeStage_;
+            o.origLogMg = logMg0_;
+        }
+        auto sched = std::make_shared<const StageSchedule>(compileSchedule(
+            pl_, machine_, dir_, sizeof(F), cfg_, costs_, o));
         report_.setPeakDeviceBytes(sched->peakDeviceBytes);
-        // Fresh coefficient vectors and a fresh first-boundary init for
-        // the resume schedule; the injection ordinal keeps counting, so
-        // replayed steps never repeat an earlier fault draw.
-        attachSchedule(sched);
+        abftSched_ = sched;
+        abftCoef_.reset();
+        abftBoundary_ = 0;
+        abftInited_ = false;
         return sched;
     }
 
     /**
-     * Bind the schedule whose checked steps the ABFT layer verifies
-     * (the engine calls this before dispatch; reschedule() re-binds the
-     * resume schedule). Coefficient vectors are fetched lazily at the
-     * first checked step, so ABFT-off runs never touch the cache.
-     */
-    void
-    attachSchedule(std::shared_ptr<const StageSchedule> sched)
-    {
-        abftSched_ = std::move(sched);
-        abftCoef_.reset();
-        abftBoundary_ = 0;
-        abftInited_ = false;
-    }
-
-    /** Resilience counters observed so far. */
-    const FaultStats &faultStats() const { return fs_; }
-
-    /** Span-kernel dispatches through the bound table (router stats). */
-    uint64_t kernelDispatches() const { return kernelDispatches_; }
-
-    /** The kernel table this executor runs on. */
-    const FieldKernels<F> &kernels() const { return fk_; }
-
-  private:
-    /** What the fault machinery decided about one exchange step. */
-    struct ExchangeResolution
-    {
-        Status status;
-        /** >= 0: a device died; the caller drains, degrades, replans. */
-        int lostGpu = -1;
-        double commT = 0.0;
-        CommStats comm;
-    };
-
-    /**
-     * The fault machinery of one exchange step: the injector draw,
+     * The fault machinery of exchange step @p sidx: the injector draw,
      * straggler watchdog, bounded-backoff transient retries, and the
-     * checksum/retransmission loop, run at the step's first node —
-     * the same point in both dispatch modes, so counters, health
-     * records, and priced retry time cannot drift between them.
+     * checksum/retransmission loop. The step's exchange slot holds its
+     * fault-free price until the outcome overwrites it. Sets
+     * @p lost_gpu when a device died instead.
      */
-    ExchangeResolution
-    resolveExchange(const ScheduleStep &st)
+    Status
+    resolveExchange(const ScheduleStep &st, uint32_t sidx, int &lost_gpu)
     {
-        ExchangeResolution res;
         const unsigned s = st.sBegin;
         ExchangeOutcome out = faults_.nextExchange(rc_.retry.maxRetries);
         fs_.exchanges++;
         if (out.lostGpu >= 0) {
-            res.lostGpu = out.lostGpu;
-            return res;
+            lost_gpu = out.lostGpu;
+            return Status();
         }
-        if (out.exhausted) {
-            res.status = Status::error(
+        if (out.exhausted)
+            return Status::error(
                 StatusCode::TransientFault,
                 detail::format("cross-GPU exchange at stage %u "
                                "still failing after %u retries",
                                s, rc_.retry.maxRetries));
-            return res;
-        }
 
-        const uint64_t C = pl_.chunkElems();
-        const uint64_t bytes = C * sizeof(F);
+        const uint64_t bytes = pl_.chunkElems() * sizeof(F);
         // The step's counters already include the checksum generation
         // and verification adds (compiled with resilient=true).
         fs_.checksummedBytes += 2 * bytes;
 
         const unsigned distance = st.distance;
-        const Interconnect &fabric =
-            st.crossesNodes ? sys_.nodeFabric : sys_.fabric;
-        const double once =
-            fabric.pairwiseExchangeTime(bytes, st.effectiveDistance);
-        CommStats comm{bytes, 1};
+        const double once = this->exSeconds_[sidx];
+        CommStats &comm = this->exComm_[sidx];
         // Faults at this stage are attributed to gpu 0's exchange
         // partner — the same device whose chunk demonstrates the
         // corruption below. An approximation (every pair faults
@@ -1167,7 +1214,7 @@ class ResilientStepExecutor
         bool corrupted = out.corrupted;
         unsigned tries = 0;
         while (corrupted) {
-            const std::vector<F> &payload = data_.chunk(distance);
+            const std::vector<F> &payload = data().chunk(distance);
             const uint64_t good = checksumBytes(payload.data(), bytes);
             std::vector<F> received = payload;
             auto *raw =
@@ -1184,187 +1231,80 @@ class ResilientStepExecutor
                 health_->recordFault(suspect);
             comm_t += once;
             comm.retries += 1;
-            if (++tries > rc_.retry.maxRetries) {
-                res.status = Status::error(
+            if (++tries > rc_.retry.maxRetries)
+                return Status::error(
                     StatusCode::DataCorruption,
                     detail::format(
                         "payload checksum mismatch at stage %u "
                         "persisted across %u retransmissions",
                         s, rc_.retry.maxRetries));
-                return res;
-            }
             corrupted = faults_.retransmitCorrupted();
         }
-        res.commT = comm_t;
-        res.comm = comm;
-        return res;
+        this->exSeconds_[sidx] = comm_t;
+        return Status();
     }
 
-    /** Reset the wave-dispatch state on a schedule swap. */
-    void
-    initDag(const StageSchedule &sched)
-    {
-        if (dagSched_ == &sched)
-            return;
-        dagSched_ = &sched;
-        nodeDone_.assign(sched.dag.size(), false);
-        nodesLeft_.assign(sched.steps.size(), 0);
-        for (const ScheduleDagNode &nd : sched.dag)
-            nodesLeft_[nd.step]++;
-        stepCommT_.assign(sched.steps.size(), 0.0);
-        stepComm_.assign(sched.steps.size(), CommStats{});
-    }
-
-    /** Execute one DAG node. */
+    /**
+     * One node's work: the spot check for a SpotCheck node, else the
+     * inherited kernels, with the ABFT arm before a compute step's
+     * first node and the guard after its last. A split step's chunk k
+     * depends on its chunk k-1, so chunk 0 sees the data exactly at
+     * the step boundary and the last chunk completes the step; the
+     * next step's nodes read the data in place after the guard, so an
+     * injected flip (or its recovery) reaches them exactly as it would
+     * in the linear dispatch.
+     */
     StepAction
-    runNode(const StageSchedule &sched, uint32_t ni)
+    runNode(const ScheduleStep &st, const ScheduleDagNode &nd)
     {
-        const ScheduleDagNode &nd = sched.dag[ni];
-        const ScheduleStep &st = sched.steps[nd.step];
-        switch (st.kind) {
-          case StepKind::Exchange: {
-            // The exchange moves no host data (the butterflies read
-            // the partner chunk in place); it carries the fault
-            // machinery. One draw per exchange *step*, at its first
-            // chunk: the injector sequence is the same whether or not
-            // the step is split.
-            if (nd.chunk != 0)
-                break;
-            ExchangeResolution res = resolveExchange(st);
-            if (res.lostGpu >= 0) {
-                StepAction drained = drainBefore(sched, nd.step);
-                if (!drained.status.ok() || drained.reschedule)
-                    return drained;
-                Status dst = degrade(res.lostGpu, st.sBegin);
-                if (!dst.ok())
-                    return StepAction{dst, false};
-                return StepAction{Status(), /*reschedule=*/true};
-            }
-            if (!res.status.ok())
-                return StepAction{res.status, false};
-            stepCommT_[nd.step] = res.commT;
-            stepComm_[nd.step] = res.comm;
-            break;
-          }
-          case StepKind::CrossStage:
-            // The first butterfly node of a checked cross stage (chunk
-            // 0: chunk k depends on chunk k-1) sees the data exactly at
-            // the step boundary (its dependencies have completed, later
-            // steps depend on it), so the ABFT arm — and the recovery
-            // snapshot, when injection is live — happens here rather
-            // than per node.
-            if (nd.chunk == 0)
-                abftArmStep(st);
-            crossStageCompute(data_, st.sBegin, pl_.logN, slabs_, dir_,
-                              lanes_, nd.sliceBegin, nd.sliceEnd, fk_);
-            kernelDispatches_++;
-            break;
-          case StepKind::LocalPass:
-          case StepKind::FusedLocalPass:
-          case StepKind::Scale: {
-            // Unsplit compute steps: one node, one phase, one
-            // watchdog unit, guarded like any other step.
+        if (st.kind == StepKind::SpotCheck)
+            return spotCheckStep();
+        const bool compute = st.kind == StepKind::CrossStage ||
+                             st.kind == StepKind::LocalPass ||
+                             st.kind == StepKind::FusedLocalPass ||
+                             st.kind == StepKind::Scale;
+        if (compute && nd.chunk == 0)
             abftArmStep(st);
-            if (st.kind == StepKind::LocalPass) {
-                localStagesCompute(data_, st.sBegin, st.sEnd, pl_.logN,
-                                   slabs_, dir_, lanes_, fk_);
-                kernelDispatches_++;
-            } else if (st.kind == StepKind::FusedLocalPass) {
-                fusedLocalStagesCompute(data_, st.sBegin, st.sEnd,
-                                        pl_.logN, slabs_, dir_, lanes_,
-                                        fk_);
-                kernelDispatches_++;
-            } else if (st.applyInverseScale) {
-                std::vector<DistributedVector<F> *> batch{&data_};
-                inverseScaleCompute(batch, 1ULL << pl_.logN, lanes_,
-                                    fk_);
-                kernelDispatches_++;
+        this->computeNode(st, nd);
+        if (compute && nd.chunk + 1 == nd.chunkCount)
+            return abftGuardStep(st);
+        return StepAction{};
+    }
+
+    /**
+     * A device died at the exchange of step @p sidx, resolved in wave
+     * @p w before any compute node of the wave ran. First drain the nodes
+     * of earlier steps still pending — the butterfly chunks in flight
+     * on the surviving devices when the loss lands mid-overlap — wave
+     * by wave, pricing only the nodes that ran. Every earlier exchange
+     * resolved in an earlier wave, so no nested fault draw can occur.
+     * Then degrade and reschedule from the stage that was lost.
+     */
+    StepAction
+    loseDevice(const StageSchedule &sched, size_t w, uint32_t sidx,
+               int lost_gpu)
+    {
+        for (size_t v = w; v < sched.waves.size(); ++v) {
+            std::vector<uint32_t> ran;
+            for (uint32_t ni : sched.waves[v]) {
+                const ScheduleDagNode &nd = sched.dag[ni];
+                if (nd.step >= sidx)
+                    continue;
+                const ScheduleStep &st = sched.steps[nd.step];
+                UNINTT_ASSERT(st.kind != StepKind::Exchange,
+                              "exchange of an earlier stage still "
+                              "unresolved");
+                StepAction act = runNode(st, nd);
+                if (!act.status.ok() || act.reschedule)
+                    return act;
+                ran.push_back(ni);
             }
-            StepAction guard = abftGuardStep(st);
-            if (!guard.status.ok() || guard.reschedule)
-                return guard;
-            report_.addKernelPhase(st.name, st.stats, perf_);
-            tagPhase(st);
-            break;
-          }
-          case StepKind::SpotCheck: {
-            StepAction act = spotCheckStep(st);
-            if (!act.status.ok())
-                return act;
-            break;
-          }
-          case StepKind::BitRevGather:
-            panic("resilient schedules do not reorder output");
+            this->priceWave(sched, ran);
         }
-        nodeDone_[ni] = true;
-        UNINTT_ASSERT(nodesLeft_[nd.step] > 0, "DAG node ran twice");
-        if (--nodesLeft_[nd.step] == 0 &&
-            st.kind == StepKind::CrossStage)
-            return finishCross(sched, nd.step);
-        return StepAction{};
-    }
-
-    /**
-     * Drain every not-yet-run node of steps before @p step_limit —
-     * the butterfly chunks still in flight on the surviving devices
-     * when a loss lands mid-overlap. DAG index order is wave order
-     * within a step, so the drain is deterministic; exchanges of
-     * earlier steps are always already resolved (their first chunk
-     * ran in an earlier wave), so no nested fault draw can occur.
-     */
-    StepAction
-    drainBefore(const StageSchedule &sched, uint32_t step_limit)
-    {
-        for (uint32_t ni = 0;
-             ni < static_cast<uint32_t>(sched.dag.size()); ++ni) {
-            const ScheduleDagNode &nd = sched.dag[ni];
-            if (nodeDone_[ni] || nd.step >= step_limit)
-                continue;
-            UNINTT_ASSERT(
-                sched.steps[nd.step].kind != StepKind::Exchange,
-                "exchange of an earlier stage still unresolved");
-            StepAction act = runNode(sched, ni);
-            if (!act.status.ok() || act.reschedule)
-                return act;
-        }
-        return StepAction{};
-    }
-
-    /**
-     * Inject/verify and emit the phases of a completed cross stage.
-     * The ABFT guard sits between the last butterfly node and the
-     * phase emission; the next stage's butterflies read the data in
-     * place after it, so an injected flip (or its recovery) reaches
-     * them exactly as it would in the linear dispatch. Under
-     * overlapComm the comm phase hides time behind this stage's whole
-     * kernel (priced per step, not per wave as the analytic executor
-     * does).
-     */
-    StepAction
-    finishCross(const StageSchedule &sched, uint32_t sidx)
-    {
-        const ScheduleStep &st = sched.steps[sidx];
-        StepAction guard = abftGuardStep(st);
-        if (!guard.status.ok() || guard.reschedule)
-            return guard;
-        const double kernel_t = perf_.kernelSeconds(st.stats);
-        report_.addKernelPhase(st.name, st.stats, perf_);
-        tagPhase(st);
-        UNINTT_ASSERT(sidx > 0 && sched.steps[sidx - 1].kind ==
-                                      StepKind::Exchange,
-                      "cross stage without a preceding exchange");
-        const ScheduleStep &ex = sched.steps[sidx - 1];
-        const double comm_t = stepCommT_[sidx - 1];
-        const CommStats &comm = stepComm_[sidx - 1];
-        if (cfg_.overlapComm) {
-            const double visible = std::max(0.0, comm_t - kernel_t);
-            report_.addCommPhase(ex.name, visible, comm,
-                                 comm_t - visible);
-        } else {
-            report_.addCommPhase(ex.name, comm_t, comm);
-        }
-        tagPhase(ex);
-        return StepAction{};
+        Status dst = degrade(lost_gpu, sched.steps[sidx].sBegin);
+        if (!dst.ok())
+            return StepAction{dst, false};
+        return StepAction{Status(), /*reschedule=*/true};
     }
 
     /**
@@ -1388,30 +1328,31 @@ class ResilientStepExecutor
                 detail::format(
                     "GPU %d lost and degraded mode is disabled",
                     lost_gpu));
-        if (sys_.numGpus <= 1)
+        if (machine_.numGpus <= 1)
             return Status::error(
                 StatusCode::DeviceLost,
                 "GPU lost with no surviving devices to re-plan onto");
         const uint64_t n = 1ULL << pl_.logN;
-        const unsigned newG = sys_.numGpus / 2;
+        const unsigned newG = machine_.numGpus / 2;
         const uint64_t lost_chunk_bytes = pl_.chunkElems() * sizeof(F);
         const uint64_t reshard_bytes = (n / newG) * sizeof(F);
         double t = rc_.detectionSeconds;
-        t += sys_.fabric.pairwiseExchangeTime(lost_chunk_bytes, 1);
-        t += sys_.fabric.allToAllTime(reshard_bytes, newG);
+        t += machine_.fabric.pairwiseExchangeTime(lost_chunk_bytes, 1);
+        t += machine_.fabric.allToAllTime(reshard_bytes, newG);
         CommStats comm;
         comm.bytesPerGpu = reshard_bytes + lost_chunk_bytes;
         comm.messages = newG;
         report_.addCommPhase(
             "degrade-to-" + std::to_string(newG) + "gpu-reshard", t,
             comm);
-        Status reshard_st = data_.reshardChecked(newG);
+        Status reshard_st = data().reshardChecked(newG);
         if (!reshard_st.ok())
             return reshard_st;
-        sys_.numGpus = newG;
-        if (sys_.gpusPerNode != 0 && sys_.numGpus <= sys_.gpusPerNode)
-            sys_.gpusPerNode = 0; // survivors fit inside one node
-        pl_ = hooks_.replan(pl_.logN, sys_);
+        machine_.numGpus = newG;
+        if (machine_.gpusPerNode != 0 &&
+            machine_.numGpus <= machine_.gpusPerNode)
+            machine_.gpusPerNode = 0; // survivors fit inside one node
+        pl_ = cachedPlan<F>(pl_.logN, machine_, cfg_);
         fs_.devicesLost++;
         fs_.degradedReplans++;
         resumeStage_ = s;
@@ -1427,20 +1368,20 @@ class ResilientStepExecutor
      * as x^(g*C) * P_g(x).
      */
     StepAction
-    spotCheckStep(const ScheduleStep &st)
+    spotCheckStep()
     {
-        report_.addKernelPhase(st.name, st.stats, perf_);
-        tagPhase(st);
         fs_.spotChecks += rc_.spotChecks;
-        // Derived seed: repeated checks of the same transform sample
-        // fresh positions (the config seed alone would re-sample the
-        // same ones every run). Drawn only when the check actually
-        // executes, so earlier-failing runs do not advance the
-        // engine's seed sequence.
-        const uint64_t spot_seed = hooks_.nextSpotSeed(rc_.spotCheckSeed);
+        // Derived seed: the configured base mixed with the engine's
+        // check counter, so repeated checks of the same transform
+        // sample fresh positions (the config seed alone would re-sample
+        // the same ones every run) while a given engine's sequence
+        // stays deterministic. Drawn only when the check actually
+        // executes, so earlier-failing runs do not advance it.
+        const uint64_t spot_seed =
+            mix64(rc_.spotCheckSeed ^ mix64(++spotEpoch_));
         SpanList<F> shards;
-        for (unsigned g = 0; g < data_.numGpus(); ++g)
-            shards.emplace_back(data_.chunk(g));
+        for (unsigned g = 0; g < data().numGpus(); ++g)
+            shards.emplace_back(data().chunk(g));
         const SpanList<F> input{input_};
         const bool forward = dir_ == NttDirection::Forward;
         const bool good =
@@ -1448,7 +1389,6 @@ class ResilientStepExecutor
                       F::one(), rc_.spotChecks, spot_seed, fk_, lanes_);
         if (!good) {
             fs_.spotCheckFailures++;
-            report_.addFaultStats(fs_);
             return StepAction{
                 Status::error(
                     StatusCode::DataCorruption,
@@ -1505,15 +1445,15 @@ class ResilientStepExecutor
         }
         if (!abftInited_) {
             abftPrev_ = abftChunkChecksums(abftCoef_->boundary(0),
-                                           data_, lanes_);
+                                           data(), lanes_);
             abftInited_ = true;
         }
         if (abftInjectOn()) {
-            const unsigned G = data_.numGpus();
+            const unsigned G = data().numGpus();
             abftSnap_.resize(G);
-            hostParallelFor(G, data_.chunkSize(), lanes_,
+            hostParallelFor(G, data().chunkSize(), lanes_,
                             [&](size_t g) {
-                                abftSnap_[g] = data_.chunk(
+                                abftSnap_[g] = data().chunk(
                                     static_cast<unsigned>(g));
                             });
         }
@@ -1538,11 +1478,11 @@ class ResilientStepExecutor
         const uint64_t ord = stepOrdinal_++;
         if (inject) {
             const unsigned g_t =
-                static_cast<unsigned>(ord % data_.numGpus());
+                static_cast<unsigned>(ord % data().numGpus());
             ComputeFaultOutcome out =
                 faults_.computeFault(g_t, ord, 0);
             if (out.corrupted)
-                abftCorrupt(g_t, 0, data_.chunkSize(), out);
+                abftCorrupt(g_t, 0, data().chunkSize(), out);
         }
         if (!check)
             return StepAction{}; // ABFT off: corruption flows silently
@@ -1554,7 +1494,7 @@ class ResilientStepExecutor
     abftCorrupt(unsigned g, uint64_t w0, uint64_t len,
                 const ComputeFaultOutcome &out)
     {
-        auto &chunk = data_.chunk(g);
+        auto &chunk = data().chunk(g);
         const uint64_t word = w0 + out.corruptWord % len;
         auto *raw = reinterpret_cast<unsigned char *>(chunk.data() +
                                                       word);
@@ -1574,8 +1514,8 @@ class ResilientStepExecutor
     StepAction
     abftVerifyStep(const ScheduleStep &st, uint64_t ord)
     {
-        const unsigned G = data_.numGpus();
-        const uint64_t C = data_.chunkSize();
+        const unsigned G = data().numGpus();
+        const uint64_t C = data().chunkSize();
         const std::vector<F> &prev_coef =
             abftCoef_->boundary(abftBoundary_);
         const std::vector<F> &cur_coef =
@@ -1586,7 +1526,7 @@ class ResilientStepExecutor
         unsigned attempt = 0;
         for (;;) {
             std::vector<F> actual =
-                abftChunkChecksums(cur_coef, data_, lanes_);
+                abftChunkChecksums(cur_coef, data(), lanes_);
             fs_.abftChecks++;
             std::vector<unsigned> bad; // suspect shards (pair lows)
             if (cross) {
@@ -1637,13 +1577,11 @@ class ResilientStepExecutor
                     // Localization floor: the scaling pass has no
                     // sub-chunk structure worth bisecting — the tile
                     // is the shard.
-                    data_.chunk(g) = abftSnap_[g];
-                    if (st.applyInverseScale) {
-                        const F sc =
-                            inverseScale<F>(1ULL << pl_.logN);
-                        for (F &v : data_.chunk(g))
-                            v *= sc;
-                    }
+                    data().chunk(g) = abftSnap_[g];
+                    if (st.applyInverseScale)
+                        fk_.scaleSpan(data().chunk(g).data(),
+                                      inverseScale<F>(1ULL << pl_.logN),
+                                      C);
                     fs_.tilesRecomputed++;
                     continue;
                 }
@@ -1662,14 +1600,14 @@ class ResilientStepExecutor
                     const F got = abftSpanDot(
                         cur_coef.data() +
                             static_cast<uint64_t>(g) * C + o,
-                        data_.chunk(g).data() + o, SB);
+                        data().chunk(g).data() + o, SB);
                     if (got == want)
                         continue;
                     std::copy(abftSnap_[g].begin() + o,
                               abftSnap_[g].begin() + o + SB,
-                              data_.chunk(g).begin() + o);
+                              data().chunk(g).begin() + o);
                     abftRecomputeLocalSpan(
-                        data_.chunk(g).data() + o, SB, st);
+                        data().chunk(g).data() + o, SB, st);
                     fs_.tilesRecomputed++;
                     redo_w0 = o;
                     redo_len = SB;
@@ -1691,9 +1629,9 @@ class ResilientStepExecutor
     abftRecomputeCrossPair(const ScheduleStep &st, unsigned g_lo)
     {
         const unsigned gap = st.distance;
-        const uint64_t C = data_.chunkSize();
-        F *lo = data_.chunk(g_lo).data();
-        F *hi = data_.chunk(g_lo + gap).data();
+        const uint64_t C = data().chunkSize();
+        F *lo = data().chunk(g_lo).data();
+        F *hi = data().chunk(g_lo + gap).data();
         // The span kernels run in place, so re-seed the pair from the
         // pre-step snapshot first; the butterflies themselves are the
         // same exact arithmetic the step originally ran.
@@ -1754,15 +1692,15 @@ class ResilientStepExecutor
     abftEscalate(const ScheduleStep &st, unsigned suspect)
     {
         fs_.abftEscalations++;
-        const unsigned G = data_.numGpus();
+        const unsigned G = data().numGpus();
         for (unsigned g = 0; g < G; ++g)
-            data_.chunk(g) = abftSnap_[g];
+            data().chunk(g) = abftSnap_[g];
         const bool local = st.kind == StepKind::LocalPass ||
                            st.kind == StepKind::FusedLocalPass;
         const bool resumable =
             st.kind == StepKind::CrossStage ||
             (local && dir_ == NttDirection::Forward);
-        if (!resumable || !rc_.allowDegraded || sys_.numGpus <= 1)
+        if (!resumable || !rc_.allowDegraded || machine_.numGpus <= 1)
             return StepAction{
                 Status::error(
                     StatusCode::DataCorruption,
@@ -1777,43 +1715,30 @@ class ResilientStepExecutor
         return StepAction{Status(), /*reschedule=*/true};
     }
 
-    void
-    tagPhase(const ScheduleStep &st)
-    {
-        report_.tagLastPhase(toString(st.kind), toString(st.level));
-    }
+    /** The one transform this executor runs. */
+    DistributedVector<F> &data() { return *this->batch_.front(); }
 
-    MultiGpuSystem sys_; // shrinks when devices drop out
-    const PerfModel &perf_;
+    /**
+     * The run's machine, shrunk in place when devices drop out. It is
+     * the object the base's sys_ refers to, so waves priced after a
+     * degradation price on the surviving devices.
+     */
+    MultiGpuSystem &machine_;
     const UniNttConfig &cfg_;
-    SimReport &report_;
-    DistributedVector<F> &data_;
+    const CostConstants &costs_;
     const std::vector<F> &input_;
     FaultInjector &faults_;
     const ResilienceConfig &rc_;
     DeviceHealthTracker *health_;
-    const TwiddleSlabs<F> &slabs_;
     NttPlan pl_;
     const unsigned logMg0_;
-    const NttDirection dir_;
-    const unsigned lanes_;
-    const FieldKernels<F> &fk_;
-    ResilientHooks hooks_;
+    /** The engine's spot-check counter (spotCheckStep). */
+    uint64_t &spotEpoch_;
     /** The caller's counters (may already hold health exclusions). */
     FaultStats &fs_;
     unsigned resumeStage_ = 0;
-    uint64_t kernelDispatches_ = 0;
 
-    // Wave-dispatch state, reset on schedule swap.
-    const StageSchedule *dagSched_ = nullptr;
-    std::vector<bool> nodeDone_;
-    /** Per step: nodes still to run; phases emit when it hits 0. */
-    std::vector<uint32_t> nodesLeft_;
-    /** Resolved comm time / stats stashed until the step completes. */
-    std::vector<double> stepCommT_;
-    std::vector<CommStats> stepComm_;
-
-    // ABFT state (attachSchedule resets all but the ordinal).
+    // ABFT state (compile resets all but the ordinal).
     /** Schedule whose checked steps are verified (keeps coef alive). */
     std::shared_ptr<const StageSchedule> abftSched_;
     std::shared_ptr<const AbftCoefficients<F>> abftCoef_;

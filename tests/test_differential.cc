@@ -134,9 +134,9 @@ TEST(Differential, SeededDrawsAgainstAllReferences)
 
 /**
  * Every schedule executor must tell the same story: identical phase
- * timelines between the analytic and functional interpreters, and
- * bit-identical data between serial, threaded and (fault-free)
- * resilient execution.
+ * timelines between the analytic, functional and (fault-free)
+ * resilient interpreters, and bit-identical data between serial,
+ * threaded and resilient execution.
  */
 void
 expectPhasesIdentical(const SimReport &a, const SimReport &b)
@@ -153,6 +153,9 @@ expectPhasesIdentical(const SimReport &a, const SimReport &b)
         EXPECT_EQ(pa.hiddenSeconds, pb.hiddenSeconds);
         EXPECT_EQ(pa.step, pb.step);
         EXPECT_EQ(pa.level, pb.level);
+        EXPECT_EQ(pa.comm.bytesPerGpu, pb.comm.bytesPerGpu);
+        EXPECT_EQ(pa.comm.messages, pb.comm.messages);
+        EXPECT_EQ(pa.comm.retries, pb.comm.retries);
     }
     EXPECT_EQ(a.peakDeviceBytes(), b.peakDeviceBytes());
 }
@@ -203,6 +206,50 @@ runExecutorDraw(const Draw &d)
     Result<SimReport> r = serial.forwardResilient(data_resilient, quiet);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(data_resilient.toGlobal(), data_serial.toGlobal());
+
+    // With no fault injected, a resilient run must report exactly what
+    // the analytic executor prices for the same resilient schedule: one
+    // overlap-pricing rule in every dispatch mode and direction, with
+    // ABFT on or off.
+    const PerfModel perf(sys.gpu, fieldCostOf<F>());
+    for (bool overlap : {true, false}) {
+        UniNttConfig cfg = serial_cfg;
+        cfg.overlapComm = overlap;
+        const UniNttEngine<F> engine(sys, cfg);
+        for (NttDirection dir :
+             {NttDirection::Forward, NttDirection::Inverse}) {
+            for (bool abft : {true, false}) {
+                SCOPED_TRACE(std::string("overlap ") +
+                             (overlap ? "on" : "off") + ", " +
+                             toString(dir) + ", abft " +
+                             (abft ? "on" : "off"));
+                ScheduleOptions opts;
+                opts.resilient = true;
+                opts.spotChecks = 4;
+                opts.abft = abft;
+                auto sched = std::make_shared<const StageSchedule>(
+                    compileSchedule(engine.plan(d.logN), sys, dir,
+                                    sizeof(F), engine.config(),
+                                    CostConstants{}, opts));
+                SimReport priced;
+                priced.setPeakDeviceBytes(sched->peakDeviceBytes);
+                AnalyticStepExecutor analytic(sys, perf, priced);
+                ASSERT_TRUE(dispatchSchedule(sched, analytic).ok());
+
+                ResilienceConfig rc;
+                rc.spotChecks = 4;
+                rc.abft = abft;
+                FaultInjector none{FaultModel{}};
+                auto data = DistributedVector<F>::fromGlobal(input, d.gpus);
+                Result<SimReport> res =
+                    dir == NttDirection::Forward
+                        ? engine.forwardResilient(data, none, rc)
+                        : engine.inverseResilient(data, none, rc);
+                ASSERT_TRUE(res.ok()) << res.status().toString();
+                expectPhasesIdentical(res.value(), priced);
+            }
+        }
+    }
 }
 
 /**
