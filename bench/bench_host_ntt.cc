@@ -12,15 +12,19 @@
  * independently across commits. Each point times both directions,
  * the forward (DIF) and the inverse (DIT, n^-1 scale included). Every
  * path's output is first checked bit-identical against the
- * forced-scalar engine on the same input, per direction; the harness
- * then reports ns per butterfly, elements per second, and the fused
- * speedup, and writes the machine-readable BENCH_host_ntt.json that
- * scripts/bench.sh (and CI in --smoke mode) diff across commits.
+ * forced-scalar engine on the same input, per direction. The four
+ * timings of a point (fused and per-stage, forward and inverse) then
+ * run interleaved, rep by rep, so host drift lands on all four alike;
+ * each reports the median ns per butterfly and its interquartile
+ * range over the reps. The harness also reports elements per second
+ * and the fused speedup, and writes the machine-readable
+ * BENCH_host_ntt.json that scripts/bench.sh (and CI in --smoke mode)
+ * diff across commits; EXPERIMENTS.md documents its schema.
  *
  * Flags:
- *   --smoke      tiny sizes for CI; exits non-zero if the fused path
- *                is more than 10% slower than the per-stage path in
- *                either direction.
+ *   --smoke      tiny sizes for CI; exits non-zero if the fused path's
+ *                median is more than 10% slower than the per-stage
+ *                path's in either direction.
  *   --out=PATH   where to write the JSON (default BENCH_host_ntt.json).
  */
 
@@ -75,15 +79,31 @@ transform(UniNttEngine<F> &engine, const std::vector<F> &input,
     return dist.toGlobal();
 }
 
-/** Best-of-reps wall seconds of one transform in direction @p dir. */
-double
-timeTransform(UniNttEngine<F> &engine, const std::vector<F> &input,
-              NttDirection dir, int reps)
+/**
+ * One timed configuration of a point: an engine, a direction and the
+ * vector it transforms in place, rep after rep.
+ */
+struct Timed
 {
-    auto dist = DistributedVector<F>::fromGlobal(input, kGpus);
-    runTransform(engine, dist, dir); // warm plan/schedule/twiddle caches
-    return bestWallSeconds(reps,
-                           [&] { runTransform(engine, dist, dir); });
+    UniNttEngine<F> *engine;
+    NttDirection dir;
+    DistributedVector<F> dist;
+    std::vector<double> seconds;
+};
+
+/**
+ * Time every configuration in @p runs once per rep, interleaved, after
+ * one warm-up call each (plan, schedule and twiddle caches).
+ */
+void
+timeInterleaved(std::vector<Timed> &runs, int reps)
+{
+    for (Timed &t : runs)
+        runTransform(*t.engine, t.dist, t.dir);
+    for (int r = 0; r < reps; ++r)
+        for (Timed &t : runs)
+            t.seconds.push_back(wallSeconds(
+                [&] { runTransform(*t.engine, t.dist, t.dir); }));
 }
 
 } // namespace
@@ -109,16 +129,20 @@ main(int argc, char **argv)
     verifyOrDie<F>(sys);
     std::printf("%s\n", routerDescription().c_str());
 
+    // 2^12-2^16 put every remainder of the tail group's upper stages
+    // (after its sub-lane stages) in the sweep; 2^20-2^24 stream head
+    // groups from DRAM.
     const std::vector<unsigned> log_ns =
         smoke ? std::vector<unsigned>{14, 16}
-              : std::vector<unsigned>{20, 22, 24};
-    const int reps = smoke ? 2 : 5;
+              : std::vector<unsigned>{12, 13, 14, 15, 16, 20, 22, 24};
+    const int reps = smoke ? 7 : 9;
     const std::vector<IsaPath> paths = availableIsaPaths();
 
     UniNttConfig base_cfg;
     base_cfg.hostThreads = 1;
 
-    std::printf("pinned: %s, %u host thread, best of %d reps\n\n",
+    std::printf("pinned: %s, %u host thread, median and IQR of %d "
+                "interleaved reps\n\n",
                 sys.description().c_str(), base_cfg.hostThreads, reps);
 
     JsonWriter jw;
@@ -128,6 +152,9 @@ main(int argc, char **argv)
         .field("hostThreads", base_cfg.hostThreads)
         .field("router", isaPathName(resolveIsaPath(IsaPath::Auto)))
         .field("smoke", smoke)
+        .field("reps", static_cast<unsigned>(reps))
+        .field("statistic", "median")
+        .field("spread", "iqr")
         .beginArray("points");
 
     // Scalar reference engine: every path's bytes must match its
@@ -136,9 +163,9 @@ main(int argc, char **argv)
     scalar_cfg.isaPath = IsaPath::Scalar;
     UniNttEngine<F> scalar_ref(sys, scalar_cfg);
 
-    Table t({"logN", "isa", "tile", "fused ns/bfly",
-             "per-stage ns/bfly", "fused elem/s", "speedup",
-             "inv fused ns/bfly", "inv per-stage ns/bfly"});
+    Table t({"logN", "isa", "tile", "fused ns/bfly (iqr)",
+             "per-stage ns/bfly (iqr)", "fused elem/s", "speedup",
+             "inv fused ns/bfly (iqr)", "inv per-stage ns/bfly (iqr)"});
     bool smoke_ok = true;
     double min_large_speedup = 1e300;
     double best_fused_ns = 1e300;
@@ -183,19 +210,27 @@ main(int argc, char **argv)
                 if (st.kind == StepKind::FusedLocalPass)
                     tile_log2 = st.tileLog2;
 
-            const double fsec = timeTransform(
-                fused, input, NttDirection::Forward, reps);
-            const double usec = timeTransform(
-                unfused, input, NttDirection::Forward, reps);
-            const double fns = nsPerButterfly(fsec, logN);
-            const double uns = nsPerButterfly(usec, logN);
-            const double fins = nsPerButterfly(
-                timeTransform(fused, input, NttDirection::Inverse, reps),
-                logN);
-            const double uins = nsPerButterfly(
-                timeTransform(unfused, input, NttDirection::Inverse,
-                              reps),
-                logN);
+            std::vector<Timed> runs;
+            for (auto dir : {NttDirection::Forward,
+                             NttDirection::Inverse})
+                for (UniNttEngine<F> *e : {&fused, &unfused})
+                    runs.push_back(
+                        {e, dir,
+                         DistributedVector<F>::fromGlobal(input, kGpus),
+                         {}});
+            timeInterleaved(runs, reps);
+            // runs: fused fwd, per-stage fwd, fused inv, per-stage inv.
+            const Spread f(runs[0].seconds), u(runs[1].seconds);
+            const Spread fi(runs[2].seconds), ui(runs[3].seconds);
+            auto ns = [&](double sec) { return nsPerButterfly(sec, logN); };
+            auto cell = [&](const Spread &x) {
+                return fmtF(ns(x.median), 3) + " (" + fmtF(ns(x.iqr), 3) +
+                       ")";
+            };
+            const double fns = ns(f.median);
+            const double uns = ns(u.median);
+            const double fins = ns(fi.median);
+            const double uins = ns(ui.median);
             const double elems = static_cast<double>(1ULL << logN);
             const double speedup = uns / fns;
             if (smoke && (fns > 1.10 * uns || fins > 1.10 * uins))
@@ -207,10 +242,9 @@ main(int argc, char **argv)
                 best_fused_ns = std::min(best_fused_ns, fns);
 
             t.addRow({std::to_string(logN), isaPathName(isa),
-                      "2^" + std::to_string(tile_log2), fmtF(fns, 3),
-                      fmtF(uns, 3), formatRate(elems / fsec),
-                      fmtF(speedup, 2) + "x", fmtF(fins, 3),
-                      fmtF(uins, 3)});
+                      "2^" + std::to_string(tile_log2), cell(f), cell(u),
+                      formatRate(elems / f.median),
+                      fmtF(speedup, 2) + "x", cell(fi), cell(ui)});
 
             jw.beginObject()
                 .field("logN", logN)
@@ -218,11 +252,15 @@ main(int argc, char **argv)
                 .field("isaLanes", isaLaneWidth(isa, sizeof(F)))
                 .field("tileLog2", tile_log2)
                 .field("fusedNsPerButterfly", fns)
+                .field("fusedNsPerButterflyIqr", ns(f.iqr))
                 .field("unfusedNsPerButterfly", uns)
+                .field("unfusedNsPerButterflyIqr", ns(u.iqr))
                 .field("fusedInverseNsPerButterfly", fins)
+                .field("fusedInverseNsPerButterflyIqr", ns(fi.iqr))
                 .field("unfusedInverseNsPerButterfly", uins)
-                .field("fusedElementsPerSec", elems / fsec)
-                .field("unfusedElementsPerSec", elems / usec)
+                .field("unfusedInverseNsPerButterflyIqr", ns(ui.iqr))
+                .field("fusedElementsPerSec", elems / f.median)
+                .field("unfusedElementsPerSec", elems / u.median)
                 .field("speedup", speedup)
                 .endObject();
         }
@@ -243,30 +281,36 @@ main(int argc, char **argv)
         for (auto &v : input)
             v = F::fromU64(rng.next());
         UniNttEngine<F> fused(sys, base_cfg);
-        auto timeResilient = [&](bool abft) {
-            ResilienceConfig rc;
-            rc.abft = abft;
-            auto dist =
-                DistributedVector<F>::fromGlobal(input, kGpus);
-            FaultInjector warm(FaultModel::none());
-            if (!fused.forwardResilient(dist, warm, rc).ok())
-                fatal("resilient warmup failed");
-            return bestWallSeconds(reps, [&] {
+        // Both arms interleaved, rep by rep, like the points above.
+        std::vector<double> sec[2];
+        DistributedVector<F> dist[2] = {
+            DistributedVector<F>::fromGlobal(input, kGpus),
+            DistributedVector<F>::fromGlobal(input, kGpus)};
+        for (int r = -1; r < reps; ++r) { // r == -1 warms up
+            for (int abft = 0; abft < 2; ++abft) {
+                ResilienceConfig rc;
+                rc.abft = abft == 1;
                 FaultInjector inj(FaultModel::none());
-                (void)fused.forwardResilient(dist, inj, rc);
-            });
-        };
-        const double off_sec = timeResilient(false);
-        const double on_sec = timeResilient(true);
-        const double ovh = (on_sec / off_sec - 1.0) * 100.0;
-        std::printf("\nabft point (2^%u): off %s, on %s, overhead "
-                    "%.1f%% (target < 10%% at 2^22)\n",
-                    logN, formatSeconds(off_sec).c_str(),
-                    formatSeconds(on_sec).c_str(), ovh);
+                const double s = wallSeconds([&] {
+                    if (!fused.forwardResilient(dist[abft], inj, rc).ok())
+                        fatal("clean resilient forward failed");
+                });
+                if (r >= 0)
+                    sec[abft].push_back(s);
+            }
+        }
+        const Spread off(sec[0]), on(sec[1]);
+        const double ovh = (on.median / off.median - 1.0) * 100.0;
+        std::printf("\nabft point (2^%u): off %s, on %s (medians), "
+                    "overhead %.1f%% (target < 10%% at 2^22)\n",
+                    logN, formatSeconds(off.median).c_str(),
+                    formatSeconds(on.median).c_str(), ovh);
         jw.beginObject("abft")
             .field("logN", logN)
-            .field("offSeconds", off_sec)
-            .field("onSeconds", on_sec)
+            .field("offSeconds", off.median)
+            .field("offSecondsIqr", off.iqr)
+            .field("onSeconds", on.median)
+            .field("onSecondsIqr", on.iqr)
             .field("overheadPercent", ovh)
             .endObject();
     }

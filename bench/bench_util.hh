@@ -22,6 +22,7 @@
 #include "unintt/engine.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "util/stats.hh"
 
 namespace unintt {
 
@@ -68,6 +69,17 @@ verifyOrDie(const MultiGpuSystem &sys, unsigned logN = 12)
                 sys.description().c_str());
 }
 
+/** Wall-clock seconds of one call of @p fn. */
+template <typename Fn>
+double
+wallSeconds(Fn &&fn)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    fn();
+    auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
 /**
  * Wall-clock @p fn for @p reps repetitions and return the best (not
  * mean) seconds of one run — the standard perf-harness statistic,
@@ -78,15 +90,27 @@ double
 bestWallSeconds(int reps, Fn &&fn)
 {
     double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-        auto t0 = std::chrono::steady_clock::now();
-        fn();
-        auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
+    for (int r = 0; r < reps; ++r)
+        best = std::min(best, wallSeconds(fn));
     return best;
 }
+
+/**
+ * Median and interquartile range (q3 - q1) of a timing sample, by the
+ * nearest-rank percentiles of util/stats.hh: the statistic of the
+ * BENCH_*.json points, which report their spread beside their value.
+ */
+struct Spread
+{
+    double median = 0;
+    double iqr = 0;
+
+    explicit Spread(const std::vector<double> &xs)
+        : median(percentile(xs, 50)),
+          iqr(percentile(xs, 75) - percentile(xs, 25))
+    {
+    }
+};
 
 /**
  * Minimal JSON emitter for the machine-readable BENCH_*.json

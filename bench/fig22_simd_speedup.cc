@@ -7,23 +7,23 @@
  * acceleration path the router can bind (field/dispatch.hh), for
  * Goldilocks and BabyBear. Each vector path's output is checked
  * bit-identical against the forced-scalar engine before timing; the
- * bench then reports ns per butterfly and the vector-over-scalar
- * speedup per (field, logN, isa) cell.
+ * paths of one size are then timed interleaved, rep by rep, and the
+ * bench reports the median ns per butterfly and the vector-over-scalar
+ * speedup of the medians per (field, logN, isa) cell.
  *
- * Hard gate: at every logN >= 16 every vector path must be at least
+ * Hard gate: at every swept size every vector path must be at least
  * as fast as forced scalar (ratio >= 1.0x). A vector path losing to
- * scalar at a cache-resident or larger size means the router would
- * bind a pessimization, so the bench exits non-zero. Sizes below 16
- * are context only (span lengths there are short enough that fixed
- * overheads can dominate).
+ * scalar means the router would bind a pessimization, so the bench
+ * exits non-zero. The smallest size, 2^12, is one tile whose
+ * sub-lane stages run transposed in registers (field/kernels.hh).
  *
  * Flags:
- *   --smoke   tiny sizes for CI (still includes logN=16 so the gate
- *             stays armed).
+ *   --smoke   two sizes for CI, 2^12 and 2^16, both gated.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,7 +40,6 @@ using namespace unintt;
 namespace {
 
 constexpr unsigned kGpus = 1;
-constexpr unsigned kGateLogN = 16;
 
 double
 nsPerButterfly(double seconds, unsigned logN)
@@ -52,9 +51,9 @@ nsPerButterfly(double seconds, unsigned logN)
 }
 
 /**
- * Sweep one field: per (logN, vector path) time forced-scalar vs the
- * vector engine and record the speedup. Returns false if any vector
- * path at logN >= kGateLogN is slower than scalar.
+ * Sweep one field: per logN time forced scalar and every vector
+ * engine, interleaved, and record each vector path's speedup. Returns
+ * false if any vector path is slower than scalar.
  */
 template <NttField F>
 bool
@@ -76,6 +75,12 @@ sweepField(const MultiGpuSystem &sys, Table &t,
     scalar_cfg.hostThreads = 1;
     scalar_cfg.isaPath = IsaPath::Scalar;
     UniNttEngine<F> scalar(sys, scalar_cfg);
+    std::vector<std::unique_ptr<UniNttEngine<F>>> vec;
+    for (IsaPath isa : vec_paths) {
+        UniNttConfig cfg = scalar_cfg;
+        cfg.isaPath = isa;
+        vec.push_back(std::make_unique<UniNttEngine<F>>(sys, cfg));
+    }
 
     bool ok = true;
     for (unsigned logN : log_ns) {
@@ -84,30 +89,34 @@ sweepField(const MultiGpuSystem &sys, Table &t,
         for (auto &v : input)
             v = F::fromU64(rng.next());
 
-        auto ds = DistributedVector<F>::fromGlobal(input, kGpus);
-        scalar.forward(ds);
-        const std::vector<F> ref = ds.toGlobal();
-        auto dist = DistributedVector<F>::fromGlobal(input, kGpus);
-        const double ssec = bestWallSeconds(
-            reps, [&] { scalar.forward(dist); });
-
-        for (IsaPath isa : vec_paths) {
-            UniNttConfig cfg = scalar_cfg;
-            cfg.isaPath = isa;
-            UniNttEngine<F> vec(sys, cfg);
-
-            auto dv = DistributedVector<F>::fromGlobal(input, kGpus);
-            vec.forward(dv);
-            if (dv.toGlobal() != ref)
+        // engines[0] is scalar; every engine's first forward doubles
+        // as its warm-up and, for a vector path, its byte check.
+        std::vector<UniNttEngine<F> *> engines{&scalar};
+        for (auto &e : vec)
+            engines.push_back(e.get());
+        std::vector<DistributedVector<F>> dist;
+        std::vector<F> ref;
+        for (size_t k = 0; k < engines.size(); ++k) {
+            dist.push_back(DistributedVector<F>::fromGlobal(input, kGpus));
+            engines[k]->forward(dist[k]);
+            if (k == 0)
+                ref = dist[k].toGlobal();
+            else if (dist[k].toGlobal() != ref)
                 fatal("%s %s output differs from scalar at 2^%u",
-                      F::kName, isaPathName(isa), logN);
+                      F::kName, isaPathName(vec_paths[k - 1]), logN);
+        }
+        std::vector<std::vector<double>> sec(engines.size());
+        for (int r = 0; r < reps; ++r)
+            for (size_t k = 0; k < engines.size(); ++k)
+                sec[k].push_back(
+                    wallSeconds([&] { engines[k]->forward(dist[k]); }));
 
-            auto dt = DistributedVector<F>::fromGlobal(input, kGpus);
-            const double vsec = bestWallSeconds(
-                reps, [&] { vec.forward(dt); });
+        const double ssec = Spread(sec[0]).median;
+        for (size_t k = 1; k < engines.size(); ++k) {
+            const IsaPath isa = vec_paths[k - 1];
+            const double vsec = Spread(sec[k]).median;
             const double speedup = ssec / vsec;
-            const bool gated = logN >= kGateLogN;
-            const bool lost = gated && speedup < 1.0;
+            const bool lost = speedup < 1.0;
             if (lost)
                 ok = false;
 
@@ -116,8 +125,7 @@ sweepField(const MultiGpuSystem &sys, Table &t,
                       std::to_string(isaLaneWidth(isa, sizeof(F))),
                       fmtF(nsPerButterfly(ssec, logN), 3),
                       fmtF(nsPerButterfly(vsec, logN), 3),
-                      fmtF(speedup, 2) + "x",
-                      lost ? "FAIL" : (gated ? "ok" : "-")});
+                      fmtF(speedup, 2) + "x", lost ? "FAIL" : "ok"});
         }
     }
     return ok;
@@ -143,14 +151,13 @@ main(int argc, char **argv)
     verifyOrDie<Goldilocks>(sys);
     std::printf("%s\n", routerDescription().c_str());
 
-    // The gate size (16) must always be in the sweep, smoke or not.
     const std::vector<unsigned> log_ns =
-        smoke ? std::vector<unsigned>{14, 16}
-              : std::vector<unsigned>{14, 16, 18, 20, 22};
-    const int reps = smoke ? 2 : 5;
-    std::printf("pinned: %s, 1 host thread, best of %d reps; gate: "
-                "vector >= scalar at logN >= %u\n\n",
-                sys.description().c_str(), reps, kGateLogN);
+        smoke ? std::vector<unsigned>{12, 16}
+              : std::vector<unsigned>{12, 14, 16, 18, 20, 22};
+    const int reps = smoke ? 7 : 9;
+    std::printf("pinned: %s, 1 host thread, median of %d interleaved "
+                "reps; gate: vector >= scalar at every size\n\n",
+                sys.description().c_str(), reps);
 
     Table t({"field", "logN", "isa", "lanes", "scalar ns/bfly",
              "vector ns/bfly", "speedup", "gate"});
@@ -160,12 +167,11 @@ main(int argc, char **argv)
 
     if (!ok) {
         std::fprintf(stderr,
-                     "\nFAIL: a vector path lost to forced scalar at "
-                     "logN >= %u — the router would bind a "
-                     "pessimization\n", kGateLogN);
+                     "\nFAIL: a vector path lost to forced scalar — the "
+                     "router would bind a pessimization\n");
         return 1;
     }
     std::printf("\nOK: every vector path at least matches scalar at "
-                "logN >= %u\n", kGateLogN);
+                "every swept size\n");
     return 0;
 }

@@ -3,10 +3,12 @@
 # kernel harness, validates its JSON artifact, and in full mode also
 # runs the micro/host benches that put the number in context.
 #
-#   ./scripts/bench.sh           full run (logN 20/22/24, best-of-5)
+#   ./scripts/bench.sh           full run (logN 12-16 and 20/22/24,
+#                                median and IQR of 9 interleaved reps)
 #   ./scripts/bench.sh --smoke   CI mode: tiny sizes, fails if the
-#                                fused path is >10% slower than the
-#                                per-stage path
+#                                fused path's median is >10% slower
+#                                than the per-stage path's, or if a
+#                                vector path loses to scalar
 #
 # The artifact BENCH_host_ntt.json lands in the repo root so commits
 # can be diffed against each other; see EXPERIMENTS.md for the schema.
@@ -59,7 +61,7 @@ if command -v python3 >/dev/null 2>&1; then
     echo "==> $OUT parses and carries the router/isa fields"
 fi
 
-echo "==> fig22: SIMD speedup gate (vector must not lose at logN >= 16)"
+echo "==> fig22: SIMD speedup gate (vector must not lose at any swept size)"
 "$BUILD_DIR"/bench/fig22_simd_speedup $SMOKE
 
 if [ -z "$SMOKE" ]; then

@@ -25,6 +25,16 @@
  *    the radix-4/radix-8 slots of the fused sweep (both directions)
  *    read their twiddle slabs at unit stride too.
  *
+ * A fused sweep splits its stages at the table's sub-lane width
+ * W = max(8, lanes) (subLaneWidth()). The upper stages, half-span
+ * >= W, run in the radix-8/4/2 slots, whose spans then always fill
+ * whole vectors. The sub-lane stages, halves W/2 down to 1, run in
+ * one subLaneFwd/subLaneInv call over the group's W-element blocks:
+ * the vector tables transpose L blocks so that each vector holds one
+ * in-block position of L blocks, and run those stages lane-wise, the
+ * host's counterpart of a GPU warp finishing its smallest butterflies
+ * in registers.
+ *
  * The scalar table here is the reference semantics; the SIMD tables
  * (kernels_avx2.cc / kernels_avx512.cc) mirror its formulas
  * lane-wise. Wide multi-word fields (montfield256) get a "mw2" table
@@ -124,6 +134,25 @@ struct FieldKernels
                   F *p7, const F *twa, const F *twb, const F *twc,
                   size_t h, size_t n) = nullptr;
 
+    /**
+     * Sub-lane tail of a forward sweep: the last log2(W) DIF stages,
+     * halves W/2, ..., 2, 1, over @p blocks contiguous W-element
+     * blocks from p, W = subLaneWidth(). @p tw holds the stages'
+     * twiddles back to back, W - 1 entries: W/2 for half W/2 at
+     * tw[0], W/4 for half W/4 at tw[W/2], ..., one for half 1 at
+     * tw[W - 2] (the layout of TwiddleSlabs' last log2(W) slabs).
+     * Each stage's head twiddle is w^0 == 1, and the slot skips those
+     * multiplies: multiplying by one is the exact identity.
+     */
+    void (*subLaneFwd)(F *p, const F *tw, size_t blocks) = nullptr;
+
+    /**
+     * Sub-lane head of an inverse sweep: the first log2(W) DIT stages,
+     * halves 1, 2, ..., W/2, in that order, over the blocks and the
+     * twiddle layout of subLaneFwd.
+     */
+    void (*subLaneInv)(F *p, const F *tw, size_t blocks) = nullptr;
+
     /** In-place scale: p[j] *= s. */
     void (*scaleSpan)(F *p, F s, size_t n) = nullptr;
 
@@ -142,6 +171,9 @@ struct FieldKernels
      */
     void (*hornerSpan)(const F *coef, size_t n, const F *x, F *out,
                        size_t k) = nullptr;
+
+    /** Block width W of the sub-lane slots: max(8, lanes). */
+    size_t subLaneWidth() const { return lanes > 8 ? lanes : 8; }
 };
 
 namespace spankernels {
@@ -309,6 +341,109 @@ r8InvScalar(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6, F *p7,
     }
 }
 
+/**
+ * subLaneFwd on W-element blocks. At W == 8 all three stages run in
+ * registers: of the seven twiddles only tw[1..3] (half 4) and tw[5]
+ * (half 2) differ from one, and they are hoisted out of the block
+ * loop. A wider block runs its half-W/2 stage, then the W/2-wide
+ * form on both halves.
+ */
+template <typename F, size_t W = 8>
+void
+subLaneFwdScalar(F *p, const F *tw, size_t blocks)
+{
+    if constexpr (W > 8) {
+        constexpr size_t h = W / 2;
+        for (size_t b = 0; b < blocks; ++b, p += W) {
+            for (size_t j = 0; j < h; ++j) {
+                const F u = p[j], v = p[j + h];
+                p[j] = u + v;
+                p[j + h] = j == 0 ? u - v : (u - v) * tw[j];
+            }
+            subLaneFwdScalar<F, h>(p, tw + h, 2);
+        }
+    } else {
+        static_assert(W == 8, "sub-lane blocks are 8 or more wide");
+        const F wa1 = tw[1], wa2 = tw[2], wa3 = tw[3];
+        const F wb1 = tw[5];
+        for (size_t b = 0; b < blocks; ++b, p += 8) {
+            const F a0 = p[0], a1 = p[1];
+            const F a2 = p[2], a3 = p[3];
+            const F a4 = p[4], a5 = p[5];
+            const F a6 = p[6], a7 = p[7];
+            const F u0 = a0 + a4, u4 = a0 - a4;
+            const F u1 = a1 + a5, u5 = (a1 - a5) * wa1;
+            const F u2 = a2 + a6, u6 = (a2 - a6) * wa2;
+            const F u3 = a3 + a7, u7 = (a3 - a7) * wa3;
+            const F v0 = u0 + u2, v2 = u0 - u2;
+            const F v1 = u1 + u3, v3 = (u1 - u3) * wb1;
+            const F v4 = u4 + u6, v6 = u4 - u6;
+            const F v5 = u5 + u7, v7 = (u5 - u7) * wb1;
+            p[0] = v0 + v1;
+            p[1] = v0 - v1;
+            p[2] = v2 + v3;
+            p[3] = v2 - v3;
+            p[4] = v4 + v5;
+            p[5] = v4 - v5;
+            p[6] = v6 + v7;
+            p[7] = v6 - v7;
+        }
+    }
+}
+
+/**
+ * subLaneInv on W-element blocks, the DIT mirror of subLaneFwdScalar:
+ * at W == 8 the halves 1, 2, 4 in registers with tw[5] (half 2) and
+ * tw[1..3] (half 4) hoisted; a wider block runs the W/2-wide form on
+ * both halves, then its half-W/2 stage.
+ */
+template <typename F, size_t W = 8>
+void
+subLaneInvScalar(F *p, const F *tw, size_t blocks)
+{
+    if constexpr (W > 8) {
+        constexpr size_t h = W / 2;
+        for (size_t b = 0; b < blocks; ++b, p += W) {
+            subLaneInvScalar<F, h>(p, tw + h, 2);
+            for (size_t j = 0; j < h; ++j) {
+                const F u = p[j];
+                const F v = j == 0 ? p[j + h] : p[j + h] * tw[j];
+                p[j] = u + v;
+                p[j + h] = u - v;
+            }
+        }
+    } else {
+        static_assert(W == 8, "sub-lane blocks are 8 or more wide");
+        const F wb1 = tw[5];
+        const F wc1 = tw[1], wc2 = tw[2], wc3 = tw[3];
+        for (size_t b = 0; b < blocks; ++b, p += 8) {
+            const F a0 = p[0], a1 = p[1];
+            const F a2 = p[2], a3 = p[3];
+            const F a4 = p[4], a5 = p[5];
+            const F a6 = p[6], a7 = p[7];
+            const F u0 = a0 + a1, u1 = a0 - a1;
+            const F u2 = a2 + a3, u3 = a2 - a3;
+            const F u4 = a4 + a5, u5 = a4 - a5;
+            const F u6 = a6 + a7, u7 = a6 - a7;
+            const F n3 = u3 * wb1, n7 = u7 * wb1;
+            const F v0 = u0 + u2, v2 = u0 - u2;
+            const F v1 = u1 + n3, v3 = u1 - n3;
+            const F v4 = u4 + u6, v6 = u4 - u6;
+            const F v5 = u5 + n7, v7 = u5 - n7;
+            const F c5 = v5 * wc1, c6 = v6 * wc2;
+            const F c7 = v7 * wc3;
+            p[0] = v0 + v4;
+            p[4] = v0 - v4;
+            p[1] = v1 + c5;
+            p[5] = v1 - c5;
+            p[2] = v2 + c6;
+            p[6] = v2 - c6;
+            p[3] = v3 + c7;
+            p[7] = v3 - c7;
+        }
+    }
+}
+
 template <typename F>
 void
 scaleSpanScalar(F *p, F s, size_t n)
@@ -467,6 +602,8 @@ scalarKernelTable()
     t.r8Fwd = &spankernels::r8FwdScalar<F>;
     t.r4Inv = &spankernels::r4InvScalar<F>;
     t.r8Inv = &spankernels::r8InvScalar<F>;
+    t.subLaneFwd = &spankernels::subLaneFwdScalar<F>;
+    t.subLaneInv = &spankernels::subLaneInvScalar<F>;
     t.scaleSpan = &spankernels::scaleSpanScalar<F>;
     t.dotSpan = &spankernels::dotSpanScalar<F>;
     t.hornerSpan = &spankernels::hornerSpanScalar<F>;

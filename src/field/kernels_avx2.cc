@@ -158,6 +158,23 @@ struct GlAvx2
                                      _mm256_srli_epi64(t, 32))));
         return reduce(p_hi, p_lo);
     }
+
+    /**
+     * 4 x 4 transpose of v[0..4): lane k of v[r] moves to lane r of
+     * v[k]. Pairs of rows interleave, then 128-bit halves swap.
+     */
+    static void
+    transpose(__m256i *v)
+    {
+        const __m256i t0 = _mm256_unpacklo_epi64(v[0], v[1]);
+        const __m256i t1 = _mm256_unpackhi_epi64(v[0], v[1]);
+        const __m256i t2 = _mm256_unpacklo_epi64(v[2], v[3]);
+        const __m256i t3 = _mm256_unpackhi_epi64(v[2], v[3]);
+        v[0] = _mm256_permute2x128_si256(t0, t2, 0x20);
+        v[1] = _mm256_permute2x128_si256(t1, t3, 0x20);
+        v[2] = _mm256_permute2x128_si256(t0, t2, 0x31);
+        v[3] = _mm256_permute2x128_si256(t1, t3, 0x31);
+    }
 };
 
 // ----- BabyBear: 8 lanes of u32 Montgomery residues --------------------
@@ -255,6 +272,36 @@ struct BbAvx2
             _mm256_or_si256(ue, _mm256_slli_epi64(uo, 32));
         // One conditional subtract brings every lane below p.
         return _mm256_min_epu32(r, _mm256_sub_epi32(r, modulus32()));
+    }
+
+    /**
+     * 8 x 8 transpose of v[0..8): lane k of v[r] moves to lane r of
+     * v[k]. 32-bit then 64-bit unpacks leave u[4g + k] holding column
+     * 4q + k of rows 4g .. 4g + 3 in 128-bit half q; a half swap
+     * joins the two row groups. The loops unroll fully, which keeps
+     * the rows in registers.
+     */
+    static void
+    transpose(__m256i *v)
+    {
+        __m256i t[8], u[8];
+#pragma GCC unroll 16
+        for (int r = 0; r < 8; r += 2) {
+            t[r] = _mm256_unpacklo_epi32(v[r], v[r + 1]);
+            t[r + 1] = _mm256_unpackhi_epi32(v[r], v[r + 1]);
+        }
+#pragma GCC unroll 16
+        for (int g = 0; g < 8; g += 4) {
+            u[g] = _mm256_unpacklo_epi64(t[g], t[g + 2]);
+            u[g + 1] = _mm256_unpackhi_epi64(t[g], t[g + 2]);
+            u[g + 2] = _mm256_unpacklo_epi64(t[g + 1], t[g + 3]);
+            u[g + 3] = _mm256_unpackhi_epi64(t[g + 1], t[g + 3]);
+        }
+#pragma GCC unroll 16
+        for (int k = 0; k < 4; ++k) {
+            v[k] = _mm256_permute2x128_si256(u[k], u[4 + k], 0x20);
+            v[4 + k] = _mm256_permute2x128_si256(u[k], u[4 + k], 0x31);
+        }
     }
 };
 

@@ -122,6 +122,40 @@ struct GlAvx512
                                      _mm512_srli_epi64(t, 32))));
         return reduce(p_hi, p_lo);
     }
+
+    /**
+     * 8 x 8 transpose of v[0..8): lane k of v[r] moves to lane r of
+     * v[k]. Pairs of rows interleave (unpack), then quarters
+     * (permutex2var), then halves (shuffle_i64x2). The loops unroll
+     * fully, so every index is a constant and no row leaves its
+     * register.
+     */
+    static void
+    transpose(__m512i *v)
+    {
+        __m512i t[8], u[8];
+#pragma GCC unroll 16
+        for (int r = 0; r < 8; r += 2) {
+            t[r] = _mm512_unpacklo_epi64(v[r], v[r + 1]);
+            t[r + 1] = _mm512_unpackhi_epi64(v[r], v[r + 1]);
+        }
+        // u[k] (k < 4) gathers columns k and k + 4 of rows 0-3, u[4 + k]
+        // those of rows 4-7.
+        const __m512i even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+        const __m512i odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+#pragma GCC unroll 16
+        for (int g = 0; g < 8; g += 4) {
+            u[g] = _mm512_permutex2var_epi64(t[g], even, t[g + 2]);
+            u[g + 2] = _mm512_permutex2var_epi64(t[g], odd, t[g + 2]);
+            u[g + 1] = _mm512_permutex2var_epi64(t[g + 1], even, t[g + 3]);
+            u[g + 3] = _mm512_permutex2var_epi64(t[g + 1], odd, t[g + 3]);
+        }
+#pragma GCC unroll 16
+        for (int k = 0; k < 4; ++k) {
+            v[k] = _mm512_shuffle_i64x2(u[k], u[4 + k], 0x44);
+            v[k + 4] = _mm512_shuffle_i64x2(u[k], u[4 + k], 0xee);
+        }
+    }
 };
 
 // ----- BabyBear: 16 lanes of u32 Montgomery residues -------------------
@@ -208,6 +242,51 @@ struct BbAvx512
             _mm512_or_si512(ue, _mm512_slli_epi64(uo, 32));
         return _mm512_min_epu32(r, _mm512_sub_epi32(r, modulus32()));
     }
+
+    // GCC 12 reports the unused pass-through operand of these
+    // intrinsics (an all-ones mask) as uninitialized here (GCC PR
+    // 105593, fixed in GCC 13).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+    /**
+     * 16 x 16 transpose of v[0..16): lane k of v[r] moves to lane r of
+     * v[k]. 32-bit then 64-bit unpacks leave u[4g + k] holding column
+     * 4q + k of rows 4g .. 4g + 3 in 128-bit lane q; two rounds of
+     * shuffle_i32x4 then collect lane q of u[k], u[4 + k], u[8 + k]
+     * and u[12 + k] into v[4q + k].
+     */
+    static void
+    transpose(__m512i *v)
+    {
+        __m512i t[16], u[16];
+#pragma GCC unroll 16
+        for (int r = 0; r < 16; r += 2) {
+            t[r] = _mm512_unpacklo_epi32(v[r], v[r + 1]);
+            t[r + 1] = _mm512_unpackhi_epi32(v[r], v[r + 1]);
+        }
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; g += 4) {
+            u[g] = _mm512_unpacklo_epi64(t[g], t[g + 2]);
+            u[g + 1] = _mm512_unpackhi_epi64(t[g], t[g + 2]);
+            u[g + 2] = _mm512_unpacklo_epi64(t[g + 1], t[g + 3]);
+            u[g + 3] = _mm512_unpackhi_epi64(t[g + 1], t[g + 3]);
+        }
+#pragma GCC unroll 16
+        for (int k = 0; k < 4; ++k) {
+            // Lanes 0 and 2 (x), 1 and 3 (y) of rows 0-7, then 8-15.
+            const __m512i x0 = _mm512_shuffle_i32x4(u[k], u[4 + k], 0x88);
+            const __m512i y0 = _mm512_shuffle_i32x4(u[k], u[4 + k], 0xdd);
+            const __m512i x1 =
+                _mm512_shuffle_i32x4(u[8 + k], u[12 + k], 0x88);
+            const __m512i y1 =
+                _mm512_shuffle_i32x4(u[8 + k], u[12 + k], 0xdd);
+            v[k] = _mm512_shuffle_i32x4(x0, x1, 0x88);
+            v[8 + k] = _mm512_shuffle_i32x4(x0, x1, 0xdd);
+            v[4 + k] = _mm512_shuffle_i32x4(y0, y1, 0x88);
+            v[12 + k] = _mm512_shuffle_i32x4(y0, y1, 0xdd);
+        }
+    }
+#pragma GCC diagnostic pop
 };
 
 } // namespace

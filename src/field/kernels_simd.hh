@@ -1,10 +1,11 @@
 /**
  * @file
  * Vector kernel shapes shared by every SIMD backend. A backend
- * supplies an "ops policy" — vector load/store/broadcast plus exact
- * lane-wise field add/sub/mul — and VecKernels<Ops> instantiates every
- * FieldKernels slot from it, peeling scalar tails through the field's
- * own operators so any span length and alignment is legal.
+ * supplies an "ops policy" — vector load/store/broadcast, exact
+ * lane-wise field add/sub/mul, and an in-place L x L lane transpose
+ * of L vectors — and VecKernels<Ops> instantiates every FieldKernels
+ * slot from it, peeling scalar tails through the field's own
+ * operators so any span length and alignment is legal.
  *
  * Internal header: include only from translation units compiled with
  * the backend's ISA flags (kernels_avx2.cc, kernels_avx512.cc). The
@@ -16,7 +17,9 @@
 #ifndef UNINTT_FIELD_KERNELS_SIMD_HH
 #define UNINTT_FIELD_KERNELS_SIMD_HH
 
+#include <bit>
 #include <cstddef>
+#include <utility>
 
 #include "field/kernels.hh"
 
@@ -27,7 +30,10 @@ template <typename Ops>
 struct VecKernels
 {
     using F = typename Ops::Field;
+    using Vec = decltype(Ops::load(static_cast<const F *>(nullptr)));
     static constexpr size_t L = Ops::kLanes;
+    /** Sub-lane block width, FieldKernels::subLaneWidth(). */
+    static constexpr size_t W = L > 8 ? L : 8;
 
     static void
     bflyFwd(F *lo, F *hi, const F *tw, size_t tw_stride, size_t n)
@@ -301,6 +307,99 @@ struct VecKernels
                     p6 + i, p7 + i, twa + i, twb + i, twc + i, h, n - i);
     }
 
+    // ----- sub-lane stages: L blocks at a time, transposed -------------
+    //
+    // v[i] holds in-block position i of L consecutive W-element blocks
+    // (lane b = block b), so a stage of half H < W pairs whole vectors
+    // v[i] and v[i + H] under one broadcast twiddle. Every index below
+    // is a compile-time constant, which keeps v in registers.
+
+    /**
+     * Load L blocks from @p p into v transposed: block b's vector c
+     * (elements c*L .. c*L + L) is row b of transpose group c, and
+     * transposing the group leaves position c*L + k in v[c*L + k].
+     */
+    template <size_t... I>
+    static void
+    subLaneLoad(const F *p, Vec *v, std::index_sequence<I...>)
+    {
+        ((v[I] = Ops::load(p + I % L * W + I / L * L)), ...);
+        ((I % L == 0 ? Ops::transpose(v + I) : void()), ...);
+    }
+
+    /** Inverse of subLaneLoad: the transpose undoes itself. */
+    template <size_t... I>
+    static void
+    subLaneStore(F *p, Vec *v, std::index_sequence<I...>)
+    {
+        ((I % L == 0 ? Ops::transpose(v + I) : void()), ...);
+        (Ops::store(p + I % L * W + I / L * L, v[I]), ...);
+    }
+
+    /**
+     * Butterfly K of the stage of half H: it pairs positions i and
+     * i + H under twiddle J = i mod H, broadcast in wt[W - 2H + J]
+     * (the stage's offset in the packed layout). J == 0 is the unit
+     * twiddle and multiplies nothing.
+     */
+    template <size_t H, bool Dit, size_t K>
+    static void
+    subLaneBfly(Vec *v, const Vec *wt)
+    {
+        constexpr size_t J = K % H;
+        constexpr size_t i = K / H * 2 * H + J;
+        const Vec a = v[i];
+        Vec b = v[i + H];
+        if constexpr (Dit) {
+            if constexpr (J != 0)
+                b = Ops::mul(b, wt[W - 2 * H + J]);
+            v[i] = Ops::add(a, b);
+            v[i + H] = Ops::sub(a, b);
+        } else {
+            v[i] = Ops::add(a, b);
+            v[i + H] = Ops::sub(a, b);
+            if constexpr (J != 0)
+                v[i + H] = Ops::mul(v[i + H], wt[W - 2 * H + J]);
+        }
+    }
+
+    /** The log2(W) stages: DIF halves W/2 down to 1, DIT 1 up to W/2. */
+    template <bool Dit, size_t... S>
+    static void
+    subLaneStages(Vec *v, const Vec *wt, std::index_sequence<S...>)
+    {
+        (
+            [&]<size_t... K>(std::index_sequence<K...>) {
+                constexpr size_t H =
+                    Dit ? size_t{1} << S : W / 2 >> S;
+                (subLaneBfly<H, Dit, K>(v, wt), ...);
+            }(std::make_index_sequence<W / 2>{}),
+            ...);
+    }
+
+    /** subLaneFwd (Dit == false) and subLaneInv (Dit == true). */
+    template <bool Dit>
+    static void
+    subLane(F *p, const F *tw, size_t blocks)
+    {
+        Vec wt[W - 1];
+        for (size_t i = 0; i < W - 1; ++i)
+            wt[i] = Ops::bcast(tw[i]);
+        size_t b = 0;
+        for (; b + L <= blocks; b += L) {
+            Vec v[W];
+            subLaneLoad(p + b * W, v, std::make_index_sequence<W>{});
+            subLaneStages<Dit>(
+                v, wt, std::make_index_sequence<std::countr_zero(W)>{});
+            subLaneStore(p + b * W, v, std::make_index_sequence<W>{});
+        }
+        // Fewer than L blocks left: the scalar form of the same width.
+        if constexpr (Dit)
+            subLaneInvScalar<F, W>(p + b * W, tw, blocks - b);
+        else
+            subLaneFwdScalar<F, W>(p + b * W, tw, blocks - b);
+    }
+
     static void
     scaleSpan(F *p, F s, size_t n)
     {
@@ -380,6 +479,8 @@ struct VecKernels
         t.r8Fwd = &r8Fwd;
         t.r4Inv = &r4Inv;
         t.r8Inv = &r8Inv;
+        t.subLaneFwd = &subLane<false>;
+        t.subLaneInv = &subLane<true>;
         t.scaleSpan = &scaleSpan;
         t.dotSpan = &dotSpanScalar<F>; // ABFT-only; scalar is exact
         t.hornerSpan = &hornerSpan;

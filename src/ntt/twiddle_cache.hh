@@ -37,7 +37,9 @@ namespace unintt {
  * slab(s)[j] == tw[j << s] (equivalently, the full table of the
  * size-(n >> s) sub-transform), so every inner loop becomes a unit
  * stride read. Total footprint is sum_s n >> (s+1) = n - 1 elements,
- * twice the flat table.
+ * twice the flat table. The slabs lie back to back in stage order, so
+ * the last k slabs form one run of 2^k - 1 elements: the packed
+ * twiddle layout of the sub-lane kernel slots (field/kernels.hh).
  */
 template <NttField F>
 class TwiddleSlabs

@@ -393,14 +393,24 @@ fusedTileStages(F *buf, size_t row_stride, size_t cols, size_t col0,
  * collapse: at stage s the butterfly half-span is SB >> (s-s0+1)
  * contiguous elements and the twiddle index equals the flat offset
  * within the block, so every inner loop walks both data and slab at
- * unit stride with no per-row pointer arithmetic. Both directions run
- * radix-8 triples, then at most one radix-4 pair and one radix-2
- * stage: the forward from s0 down the shrinking spans, the inverse
- * (its DIT mirror) from s1-1 up the growing ones, each skipping the
- * unit twiddles of its span-8 sweep. Same butterflies, same exact
- * arithmetic — bit-identical to the general form; this is the shape
+ * unit stride with no per-row pointer arithmetic. This is the shape
  * the in-place (unsliced) dispatch uses because the general form's
  * inner width collapses to h1 (often 1) for late-stage groups.
+ *
+ * The stages split at the table's sub-lane width W = max(8, lanes).
+ * A group that ends at half-span 1 (a tail group) and spans at least
+ * one W-element block hands its last log2(W) stages, halves W/2 down
+ * to 1, to one subLaneFwd call (the inverse: its first log2(W) DIT
+ * stages, to one subLaneInv call). The upper stages, halves >= W,
+ * run in radix-8 triples plus at most one radix-4 pair or radix-2
+ * stage, which takes the widest span: the forward runs it first, at
+ * s0, then its triples down the shrinking spans; the inverse (its DIT
+ * mirror) runs its triples up the growing spans, then the remainder.
+ * So no upper kernel call spans less than W elements, and no stage
+ * below the vector width reaches a kernel's scalar tail. A group
+ * narrower than one block runs all its stages in the radix loops.
+ * Same butterflies, same exact arithmetic: bit-identical to the
+ * general form.
  */
 template <NttField F>
 void
@@ -408,58 +418,49 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
                 const TwiddleSlabs<F> &slabs, NttDirection dir,
                 const FieldKernels<F> &fk = fieldKernels<F>())
 {
+    const size_t W = fk.subLaneWidth();
+    const bool sub_lane =
+        (sb_elems >> (s1 - s0)) == 1 && sb_elems >= W;
+    // Upper stages [s0, su). The sub-lane slabs slab(su) .. slab(s1-1)
+    // lie back to back, which is the slots' packed twiddle layout.
+    const unsigned su = sub_lane ? s1 - log2Exact(W) : s1;
     if (dir == NttDirection::Forward) {
-        const F im = slabs.fourthRoot();
         unsigned s = s0;
         size_t span = sb_elems; // independent block span at stage s
-        // Radix-8 primary loop: three stages per sweep, applied in
-        // registers exactly as the per-stage path would (stage s,
-        // then s+1, then s+2), so the result is bit-identical by
-        // construction. Every twiddle index is a plain block-local
-        // offset and stays inside its slab — no wrap handling. One
-        // load+store per element per *three* stages is what moves
-        // the streamed head groups from 2 sweeps per pair to 1 per
-        // triple.
-        for (; s + 3 <= s1; s += 3, span /= 8) {
+        // What whole triples leave of the upper stages, one radix-4
+        // pair or one radix-2 stage, runs first, at the widest span.
+        // The radix-4 kernel splits its loop where the tw0[3j] read
+        // wraps, about a third into the span: at a span of one vector,
+        // both sides of the split would fall to its scalar tails.
+        if ((su - s0) % 3 == 2) {
+            const size_t quarter = span / 4;
+            // tw[3j] wraps past hs with a sign flip (w^(hs<<s) =
+            // w^(n/2) = -1); the kernel folds the sign into the
+            // butterfly as (b-a)*w instead of (a-b)*(-w) and splits
+            // the loop at the wrap point (r4SplitIndex) so the hot
+            // loop stays branchless. Exact arithmetic: bit-identical.
+            fk.r4Fwd(buf, buf + quarter, buf + 2 * quarter,
+                     buf + 3 * quarter, slabs.slab(s), slabs.slab(s + 1),
+                     slabs.fourthRoot(), 0, slabs.count(s), quarter);
+            s += 2;
+            span /= 4;
+        } else if ((su - s0) % 3 == 1) {
+            fk.bflyFwd(buf, buf + span / 2, slabs.slab(s), 1, span / 2);
+            s += 1;
+            span /= 2;
+        }
+        // Radix-8 sweeps: three stages per sweep, applied in registers
+        // exactly as the per-stage path would (stage s, then s+1, then
+        // s+2), so the result is bit-identical by construction. Every
+        // twiddle index is a plain block-local offset and stays inside
+        // its slab — no wrap handling. One load+store per element per
+        // *three* stages is what moves the streamed head groups from 2
+        // sweeps per pair to 1 per triple.
+        for (; s < su; s += 3, span /= 8) {
             const size_t q8 = span / 8;
             const F *twa = slabs.slab(s);
             const F *twb = slabs.slab(s + 1);
             const F *twc = slabs.slab(s + 2);
-            if (q8 == 1) {
-                // span == 8: every block sees the same seven
-                // twiddles, and the ones at slab index 0 are w^0 == 1
-                // — multiplying by one is the exact identity, so
-                // those five multiplies are skipped outright and the
-                // remaining twiddles are hoisted out of the block
-                // loop. This is the pass with the most blocks, so
-                // the per-block pointer setup matters too.
-                const F wa1 = twa[1], wa2 = twa[2], wa3 = twa[3];
-                const F wb1 = twb[1];
-                for (size_t start = 0; start < sb_elems; start += 8) {
-                    F *p = buf + start;
-                    const F a0 = p[0], a1 = p[1];
-                    const F a2 = p[2], a3 = p[3];
-                    const F a4 = p[4], a5 = p[5];
-                    const F a6 = p[6], a7 = p[7];
-                    const F u0 = a0 + a4, u4 = a0 - a4;
-                    const F u1 = a1 + a5, u5 = (a1 - a5) * wa1;
-                    const F u2 = a2 + a6, u6 = (a2 - a6) * wa2;
-                    const F u3 = a3 + a7, u7 = (a3 - a7) * wa3;
-                    const F v0 = u0 + u2, v2 = u0 - u2;
-                    const F v1 = u1 + u3, v3 = (u1 - u3) * wb1;
-                    const F v4 = u4 + u6, v6 = u4 - u6;
-                    const F v5 = u5 + u7, v7 = (u5 - u7) * wb1;
-                    p[0] = v0 + v1;
-                    p[1] = v0 - v1;
-                    p[2] = v2 + v3;
-                    p[3] = v2 - v3;
-                    p[4] = v4 + v5;
-                    p[5] = v4 - v5;
-                    p[6] = v6 + v7;
-                    p[7] = v6 - v7;
-                }
-                continue;
-            }
             for (size_t start = 0; start < sb_elems; start += span) {
                 F *p0 = buf + start;
                 fk.r8Fwd(p0, p0 + q8, p0 + 2 * q8, p0 + 3 * q8,
@@ -467,107 +468,21 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
                          p0 + 7 * q8, twa, twb, twc, q8);
             }
         }
-        for (; s + 2 <= s1; s += 2, span /= 4) {
-            const size_t quarter = span / 4;
-            const F *tw0 = slabs.slab(s);
-            const F *tw1 = slabs.slab(s + 1);
-            const size_t hs = slabs.count(s);
-            // tw[3j] wraps past hs with a sign flip (w^(hs<<s) =
-            // w^(n/2) = -1); the kernel folds the sign into the
-            // butterfly as (b-a)*w instead of (a-b)*(-w) and splits
-            // the loop at the wrap point (r4SplitIndex) so the hot
-            // loop stays branchless. Exact arithmetic: bit-identical.
-            if (quarter == 1) {
-                // span == 4: all three stage twiddles sit at slab
-                // index 0 and equal one; only the fourth-root factor
-                // survives (see the span == 8 case above).
-                for (size_t start = 0; start < sb_elems; start += 4) {
-                    F *p = buf + start;
-                    const F a0 = p[0], a1 = p[1];
-                    const F a2 = p[2], a3 = p[3];
-                    const F t02p = a0 + a2, t02m = a0 - a2;
-                    const F t13p = a1 + a3;
-                    const F t13m = (a1 - a3) * im;
-                    p[0] = t02p + t13p;
-                    p[1] = t02p - t13p;
-                    p[2] = t02m + t13m;
-                    p[3] = t02m - t13m;
-                }
-                continue;
-            }
-            for (size_t start = 0; start < sb_elems; start += span) {
-                F *p0 = buf + start;
-                fk.r4Fwd(p0, p0 + quarter, p0 + 2 * quarter,
-                         p0 + 3 * quarter, tw0, tw1, im, 0, hs,
-                         quarter);
-            }
-        }
-        // Radix-2 remainder: at most one stage after the r4 loop.
-        for (; s < s1; ++s, span /= 2) {
-            const size_t half = span / 2;
-            const F *tws = slabs.slab(s);
-            if (half == 1) {
-                // span == 2: the only twiddle is w^0 == 1.
-                for (size_t start = 0; start < sb_elems; start += 2) {
-                    const F a = buf[start];
-                    const F b = buf[start + 1];
-                    buf[start] = a + b;
-                    buf[start + 1] = a - b;
-                }
-            } else {
-                for (size_t start = 0; start < sb_elems;
-                     start += span) {
-                    F *p0 = buf + start;
-                    fk.bflyFwd(p0, p0 + half, tws, 1, half);
-                }
-            }
-        }
+        if (sub_lane)
+            fk.subLaneFwd(buf, slabs.slab(su), sb_elems / W);
     } else {
         // DIT mirror of the forward sweep: stages s1-1 down to s0, so
         // the half-span h grows from the smallest. Each kernel applies
         // its stages in that order, and every twiddle index is a
         // block-local offset below its slab length.
-        unsigned s = s1; // stages [s0, s) remain
-        size_t h = sb_elems >> (s1 - s0); // half-span of stage s - 1
+        if (sub_lane)
+            fk.subLaneInv(buf, slabs.slab(su), sb_elems / W);
+        unsigned s = su; // stages [s0, s) remain
+        size_t h = sb_elems >> (su - s0); // half-span of stage s - 1
         for (; s >= s0 + 3; s -= 3, h *= 8) {
             const F *twa = slabs.slab(s - 1);
             const F *twb = slabs.slab(s - 2);
             const F *twc = slabs.slab(s - 3);
-            if (h == 1) {
-                // The sweep with the most blocks, mirrored from the
-                // forward's span == 8 case: the twiddles at slab
-                // index 0 are one, so those multiplies are skipped
-                // and the other four are hoisted out of the loop.
-                const F wb1 = twb[1];
-                const F wc1 = twc[1], wc2 = twc[2], wc3 = twc[3];
-                for (size_t start = 0; start < sb_elems; start += 8) {
-                    F *p = buf + start;
-                    const F a0 = p[0], a1 = p[1];
-                    const F a2 = p[2], a3 = p[3];
-                    const F a4 = p[4], a5 = p[5];
-                    const F a6 = p[6], a7 = p[7];
-                    const F u0 = a0 + a1, u1 = a0 - a1;
-                    const F u2 = a2 + a3, u3 = a2 - a3;
-                    const F u4 = a4 + a5, u5 = a4 - a5;
-                    const F u6 = a6 + a7, u7 = a6 - a7;
-                    const F n3 = u3 * wb1, n7 = u7 * wb1;
-                    const F v0 = u0 + u2, v2 = u0 - u2;
-                    const F v1 = u1 + n3, v3 = u1 - n3;
-                    const F v4 = u4 + u6, v6 = u4 - u6;
-                    const F v5 = u5 + n7, v7 = u5 - n7;
-                    const F c5 = v5 * wc1, c6 = v6 * wc2;
-                    const F c7 = v7 * wc3;
-                    p[0] = v0 + v4;
-                    p[4] = v0 - v4;
-                    p[1] = v1 + c5;
-                    p[5] = v1 - c5;
-                    p[2] = v2 + c6;
-                    p[6] = v2 - c6;
-                    p[3] = v3 + c7;
-                    p[7] = v3 - c7;
-                }
-                continue;
-            }
             for (size_t start = 0; start < sb_elems; start += 8 * h) {
                 F *p0 = buf + start;
                 fk.r8Inv(p0, p0 + h, p0 + 2 * h, p0 + 3 * h, p0 + 4 * h,

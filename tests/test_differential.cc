@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "field/babybear.hh"
@@ -304,6 +305,23 @@ runFusionDraw(const Draw &d)
     }
 }
 
+/** runFusionDraw for the draw's field. */
+void
+runFusionDrawOfField(const Draw &d)
+{
+    switch (d.field) {
+    case 0:
+        runFusionDraw<Goldilocks>(d);
+        break;
+    case 1:
+        runFusionDraw<BabyBear>(d);
+        break;
+    default:
+        runFusionDraw<Bn254Fr>(d);
+        break;
+    }
+}
+
 TEST(Differential, FusedMatchesPerStageAcrossTilesAndThreads)
 {
     // A local phase longer than the fused tile splits into a streamed
@@ -314,16 +332,29 @@ TEST(Differential, FusedMatchesPerStageAcrossTilesAndThreads)
     // threads: the two-stage heads reach r4Inv there, and the
     // four-stage head of 2^19 on one GPU reaches r8Inv plus the
     // radix-2 remainder.
+    //
+    // A tail group hands its stages below the sub-lane width W to
+    // subLaneFwd/subLaneInv. Goldilocks 2^10-2^16 on two GPUs (the
+    // service's shapes) have tail groups of 9, 10, 11, 13, 14 and 15
+    // stages, so their upper stages leave every remainder past whole
+    // radix-8 triples. BabyBear groups of two and three stages are
+    // shorter than log2(16): on the 16-lane table they run in the
+    // radix loops alone.
     const Draw split[] = {{-1, 0, 17, 1, 0x5eed17ULL},
                           {-2, 0, 18, 2, 0x5eed18ULL},
                           {-3, 2, 15, 1, 0x5eed15ULL},
                           {-4, 2, 16, 2, 0x5eed16ULL},
-                          {-5, 0, 19, 1, 0x5eed19ULL}};
+                          {-5, 0, 19, 1, 0x5eed19ULL},
+                          {-6, 0, 10, 2, 0x5eed0aULL},
+                          {-7, 0, 11, 2, 0x5eed0bULL},
+                          {-8, 0, 12, 2, 0x5eed0cULL},
+                          {-9, 0, 14, 2, 0x5eed0eULL},
+                          {-10, 0, 15, 2, 0x5eed0fULL},
+                          {-11, 0, 16, 2, 0x5eed10ULL},
+                          {-12, 1, 2, 1, 0x5eed02ULL},
+                          {-13, 1, 3, 1, 0x5eed03ULL}};
     for (const Draw &d : split) {
-        if (d.field == 0)
-            runFusionDraw<Goldilocks>(d);
-        else
-            runFusionDraw<Bn254Fr>(d);
+        runFusionDrawOfField(d);
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -344,17 +375,7 @@ TEST(Differential, FusedMatchesPerStageAcrossTilesAndThreads)
         if (i % 4 != 0)
             continue;
 
-        switch (d.field) {
-        case 0:
-            runFusionDraw<Goldilocks>(d);
-            break;
-        case 1:
-            runFusionDraw<BabyBear>(d);
-            break;
-        default:
-            runFusionDraw<Bn254Fr>(d);
-            break;
-        }
+        runFusionDrawOfField(d);
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -967,6 +988,60 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
                     ASSERT_EQ(want[e], e % h < n ? def[e] : block0[e])
                         << "element " << e;
             }
+        }
+    }
+
+    // Sub-lane slots over W-element blocks: part of one chunk of L
+    // blocks, one chunk, several, and remainders past them, with
+    // misaligned data and twiddle heads. Held to the scalar form of
+    // the same width and to the slot's definition: per block, the
+    // log2(W) bflyFwd (bflyInv) stages over the packed twiddles,
+    // whose stage heads are one.
+    const size_t W = fk.subLaneWidth();
+    const size_t L = fk.lanes;
+    ASSERT_TRUE(W == 8 || W == 16) << "W=" << W;
+    std::vector<F> tw = draw(W - 1, 3);
+    for (size_t h = W / 2; h >= 1; h /= 2)
+        tw[3 + W - 2 * h] = F::one();
+    const F *twh = tw.data() + 3;
+    std::vector<size_t> block_counts{1, 3 * L, 3 * L + 1};
+    if (L > 1) {
+        block_counts.push_back(L);
+        block_counts.push_back(3 * L - 1);
+    }
+    for (bool inv : {false, true}) {
+        for (size_t blocks : block_counts) {
+            SCOPED_TRACE(std::string(inv ? "subLaneInv" : "subLaneFwd") +
+                         " W=" + std::to_string(W) +
+                         " blocks=" + std::to_string(blocks));
+            const std::vector<F> data0 = draw(blocks * W, 1);
+            auto slot = inv ? fk.subLaneInv : fk.subLaneFwd;
+            auto same_width =
+                W == 8 ? (inv ? &spankernels::subLaneInvScalar<F, 8>
+                              : &spankernels::subLaneFwdScalar<F, 8>)
+                       : (inv ? &spankernels::subLaneInvScalar<F, 16>
+                              : &spankernels::subLaneFwdScalar<F, 16>);
+            auto got = data0, want = data0;
+            slot(got.data() + 1, twh, blocks);
+            same_width(want.data() + 1, twh, blocks);
+            ASSERT_EQ(got, want);
+
+            std::vector<F> def = data0;
+            for (size_t b = 0; b < blocks; ++b) {
+                F *p = def.data() + 1 + b * W;
+                for (int k = 0; k < std::countr_zero(W); ++k) {
+                    const size_t h = inv ? size_t{1} << k : W / 2 >> k;
+                    for (size_t g = 0; g < W; g += 2 * h) {
+                        if (inv)
+                            scalar.bflyInv(p + g, p + g + h,
+                                           twh + W - 2 * h, 1, h);
+                        else
+                            scalar.bflyFwd(p + g, p + g + h,
+                                           twh + W - 2 * h, 1, h);
+                    }
+                }
+            }
+            ASSERT_EQ(got, def);
         }
     }
 }
