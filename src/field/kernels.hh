@@ -20,16 +20,20 @@
  *  - No alignment requirements; spans may start anywhere.
  *  - Any span length, including lengths below the vector width (the
  *    vector kernels peel scalar tails / fall back wholesale).
- *  - `tw_stride` on the radix-2 slots supports strided twiddle walks
- *    (TwiddleTable layouts); data spans are always unit-stride, and
- *    the radix-4/radix-8 slots of the fused sweep (both directions)
- *    read their twiddle slabs at unit stride too.
+ *  - Data spans are always unit-stride. Every library caller passes
+ *    `tw_stride` 1 to the radix-2 slots, and the vector tables hand
+ *    any other stride to the scalar reference. The radix-4/radix-8
+ *    slots of the fused sweep read their twiddle slabs at unit stride
+ *    too, with one parameter list for both directions: a forward slot
+ *    runs its stages outer to inner, the inverse slot inner to outer.
  *
- * A fused sweep splits its stages at the table's sub-lane width
- * W = max(8, lanes) (subLaneWidth()). The upper stages, half-span
- * >= W, run in the radix-8/4/2 slots, whose spans then always fill
- * whole vectors. The sub-lane stages, halves W/2 down to 1, run in
- * one subLaneFwd/subLaneInv call over the group's W-element blocks:
+ * One stage walk (fusedStages, unintt/executors.hh) drives these
+ * slots in both directions. It splits a tail group's stages at the
+ * table's sub-lane width W = max(8, lanes) (subLaneWidth()). The
+ * upper stages, half-span >= W, run in the radix-8/4/2 slots, whose
+ * spans then always fill whole vectors. The sub-lane stages, halves
+ * W/2 down to 1, run in one subLaneFwd/subLaneInv call over the
+ * group's W-element blocks:
  * the vector tables transpose L blocks so that each vector holds one
  * in-block position of L blocks, and run those stages lane-wise, the
  * host's counterpart of a GPU warp finishing its smallest butterflies
@@ -46,7 +50,6 @@
 #ifndef UNINTT_FIELD_KERNELS_HH
 #define UNINTT_FIELD_KERNELS_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -90,28 +93,25 @@ struct FieldKernels
                     size_t n) = nullptr;
 
     /**
-     * Forward radix-4 butterfly span of the fused tile sweep. The
-     * butterfly at span index i couples p0[i]..p3[i] with absolute
-     * twiddle index j = j0 + i over the compacted stage slabs tw0
-     * (stage s) and tw1 (stage s+1); `im` is the fourth root of
-     * unity, `hs` the stage-s slab length. The tw0[3j] read wraps
-     * past hs with a sign fold (w^(n/2) == -1), applied as the exact
-     * operand swap (t13m - t02m) * tw0[3j - hs].
+     * Forward (DIF) radix-4 butterfly span of the fused sweep: the
+     * stages of halves 2h and h applied in registers, in that order.
+     * Column i < n couples p0[i]..p3[i]; the half-2h stage pairs
+     * (p0, p2) with twa[i] and (p1, p3) with twa[h + i], the half-h
+     * stage pairs (p0, p1) and (p2, p3) with twb[i]. Unit stride, and
+     * every read stays below its slab length: no wraps.
      */
-    void (*r4Fwd)(F *p0, F *p1, F *p2, F *p3, const F *tw0,
-                  const F *tw1, F im, size_t j0, size_t hs,
-                  size_t n) = nullptr;
+    void (*r4Fwd)(F *p0, F *p1, F *p2, F *p3, const F *twa,
+                  const F *twb, size_t h, size_t n) = nullptr;
 
     /**
-     * Forward radix-8 butterfly span of the fused flat sweep: three
-     * stages applied in registers; q8 butterflies couple
-     * p0[j]..p7[j] with block-local twiddle reads twa[j + k*q8]
-     * (stage s), twb[j], twb[q8+j] (stage s+1), twc[j] (stage s+2) —
-     * all unit-stride, no wraps.
+     * Forward (DIF) radix-8 butterfly span: three stages (halves 4h,
+     * 2h, h) in registers. The half-4h stage pairs (p[k], p[k + 4])
+     * with twa[k * h + i] for k < 4; the last two apply r4Fwd's
+     * pairings to p0..p3 and to p4..p7 with twb and twc.
      */
     void (*r8Fwd)(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6,
                   F *p7, const F *twa, const F *twb, const F *twc,
-                  size_t q8) = nullptr;
+                  size_t h, size_t n) = nullptr;
 
     /**
      * Inverse (DIT) radix-4 butterfly span of the fused sweep: the
@@ -204,68 +204,44 @@ bflyInvScalar(F *lo, F *hi, const F *tw, size_t tw_stride, size_t n)
     }
 }
 
-/**
- * Split index of the radix-4 span: butterflies [0, isplit) read
- * tw0[3j] directly, [isplit, n) read the sign-folded tw0[3j - hs].
- */
-constexpr size_t
-r4SplitIndex(size_t j0, size_t hs, size_t n)
-{
-    const size_t jsplit = (hs + 2) / 3; // first j with 3j >= hs
-    return jsplit > j0 ? std::min(n, jsplit - j0) : 0;
-}
-
 template <typename F>
 void
-r4FwdScalar(F *p0, F *p1, F *p2, F *p3, const F *tw0, const F *tw1,
-            F im, size_t j0, size_t hs, size_t n)
+r4FwdScalar(F *p0, F *p1, F *p2, F *p3, const F *twa, const F *twb,
+            size_t h, size_t n)
 {
-    const size_t isplit = r4SplitIndex(j0, hs, n);
-    for (size_t i = 0; i < isplit; ++i) {
-        const size_t j = j0 + i;
+    for (size_t i = 0; i < n; ++i) {
         const F a0 = p0[i], a1 = p1[i];
         const F a2 = p2[i], a3 = p3[i];
-        const F t02p = a0 + a2, t02m = a0 - a2;
-        const F t13p = a1 + a3;
-        const F t13m = (a1 - a3) * im;
-        p0[i] = t02p + t13p;
-        p1[i] = (t02p - t13p) * tw1[j];
-        p2[i] = (t02m + t13m) * tw0[j];
-        p3[i] = (t02m - t13m) * tw0[3 * j];
-    }
-    for (size_t i = isplit; i < n; ++i) {
-        const size_t j = j0 + i;
-        const F a0 = p0[i], a1 = p1[i];
-        const F a2 = p2[i], a3 = p3[i];
-        const F t02p = a0 + a2, t02m = a0 - a2;
-        const F t13p = a1 + a3;
-        const F t13m = (a1 - a3) * im;
-        p0[i] = t02p + t13p;
-        p1[i] = (t02p - t13p) * tw1[j];
-        p2[i] = (t02m + t13m) * tw0[j];
-        p3[i] = (t13m - t02m) * tw0[3 * j - hs];
+        const F u0 = a0 + a2, u2 = (a0 - a2) * twa[i];
+        const F u1 = a1 + a3, u3 = (a1 - a3) * twa[h + i];
+        const F wb = twb[i];
+        p0[i] = u0 + u1;
+        p1[i] = (u0 - u1) * wb;
+        p2[i] = u2 + u3;
+        p3[i] = (u2 - u3) * wb;
     }
 }
 
 template <typename F>
 void
 r8FwdScalar(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6, F *p7,
-            const F *twa, const F *twb, const F *twc, size_t q8)
+            const F *twa, const F *twb, const F *twc, size_t h,
+            size_t n)
 {
-    for (size_t j = 0; j < q8; ++j) {
-        const F a0 = p0[j], a1 = p1[j];
-        const F a2 = p2[j], a3 = p3[j];
-        const F a4 = p4[j], a5 = p5[j];
-        const F a6 = p6[j], a7 = p7[j];
+    for (size_t i = 0; i < n; ++i) {
+        const F a0 = p0[i], a1 = p1[i];
+        const F a2 = p2[i], a3 = p3[i];
+        const F a4 = p4[i], a5 = p5[i];
+        const F a6 = p6[i], a7 = p7[i];
         const F u0 = a0 + a4;
-        const F u4 = (a0 - a4) * twa[j];
+        const F u4 = (a0 - a4) * twa[i];
         const F u1 = a1 + a5;
-        const F u5 = (a1 - a5) * twa[q8 + j];
+        const F u5 = (a1 - a5) * twa[h + i];
         const F u2 = a2 + a6;
-        const F u6 = (a2 - a6) * twa[2 * q8 + j];
+        const F u6 = (a2 - a6) * twa[2 * h + i];
         const F u3 = a3 + a7;
-        const F u7 = (a3 - a7) * twa[3 * q8 + j];
-        const F wb0 = twb[j], wb1 = twb[q8 + j];
+        const F u7 = (a3 - a7) * twa[3 * h + i];
+        const F wb0 = twb[i], wb1 = twb[h + i];
         const F v0 = u0 + u2;
         const F v2 = (u0 - u2) * wb0;
         const F v1 = u1 + u3;
@@ -274,15 +250,15 @@ r8FwdScalar(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6, F *p7,
         const F v6 = (u4 - u6) * wb0;
         const F v5 = u5 + u7;
         const F v7 = (u5 - u7) * wb1;
-        const F wc = twc[j];
-        p0[j] = v0 + v1;
-        p1[j] = (v0 - v1) * wc;
-        p2[j] = v2 + v3;
-        p3[j] = (v2 - v3) * wc;
-        p4[j] = v4 + v5;
-        p5[j] = (v4 - v5) * wc;
-        p6[j] = v6 + v7;
-        p7[j] = (v6 - v7) * wc;
+        const F wc = twc[i];
+        p0[i] = v0 + v1;
+        p1[i] = (v0 - v1) * wc;
+        p2[i] = v2 + v3;
+        p3[i] = (v2 - v3) * wc;
+        p4[i] = v4 + v5;
+        p5[i] = (v4 - v5) * wc;
+        p6[i] = v6 + v7;
+        p7[i] = (v6 - v7) * wc;
     }
 }
 

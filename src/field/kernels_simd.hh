@@ -35,6 +35,7 @@ struct VecKernels
     /** Sub-lane block width, FieldKernels::subLaneWidth(). */
     static constexpr size_t W = L > 8 ? L : 8;
 
+    // Strided twiddles (no library caller) take the scalar reference.
     static void
     bflyFwd(F *lo, F *hi, const F *tw, size_t tw_stride, size_t n)
     {
@@ -44,17 +45,6 @@ struct VecKernels
                 const auto u = Ops::load(lo + j);
                 const auto v = Ops::load(hi + j);
                 const auto w = Ops::load(tw + j);
-                Ops::store(lo + j, Ops::add(u, v));
-                Ops::store(hi + j, Ops::mul(Ops::sub(u, v), w));
-            }
-        } else {
-            F wt[L];
-            for (; j + L <= n; j += L) {
-                for (size_t k = 0; k < L; ++k)
-                    wt[k] = tw[(j + k) * tw_stride];
-                const auto u = Ops::load(lo + j);
-                const auto v = Ops::load(hi + j);
-                const auto w = Ops::load(wt);
                 Ops::store(lo + j, Ops::add(u, v));
                 Ops::store(hi + j, Ops::mul(Ops::sub(u, v), w));
             }
@@ -75,108 +65,71 @@ struct VecKernels
                 Ops::store(lo + j, Ops::add(u, v));
                 Ops::store(hi + j, Ops::sub(u, v));
             }
-        } else {
-            F wt[L];
-            for (; j + L <= n; j += L) {
-                for (size_t k = 0; k < L; ++k)
-                    wt[k] = tw[(j + k) * tw_stride];
-                const auto u = Ops::load(lo + j);
-                const auto v =
-                    Ops::mul(Ops::load(hi + j), Ops::load(wt));
-                Ops::store(lo + j, Ops::add(u, v));
-                Ops::store(hi + j, Ops::sub(u, v));
-            }
         }
         bflyInvScalar(lo + j, hi + j, tw + j * tw_stride, tw_stride,
                       n - j);
     }
 
+    // The radix slots' scalar tails run only when columns are left: a
+    // call whose n is a multiple of L (every flat-sweep call) pays no
+    // tail dispatch. n is independent of h, so a tail rebases every
+    // pointer.
+
     static void
-    r4Fwd(F *p0, F *p1, F *p2, F *p3, const F *tw0, const F *tw1,
-          F im, size_t j0, size_t hs, size_t n)
+    r4Fwd(F *p0, F *p1, F *p2, F *p3, const F *twa, const F *twb,
+          size_t h, size_t n)
     {
-        const size_t isplit = r4SplitIndex(j0, hs, n);
-        const auto vim = Ops::bcast(im);
-        F w3t[L];
         size_t i = 0;
-        for (; i + L <= isplit; i += L) {
-            // tw0[3j] is a stride-3 walk; gather through a bounce
-            // buffer so backends need no gather instruction.
-            for (size_t k = 0; k < L; ++k)
-                w3t[k] = tw0[3 * (j0 + i + k)];
-            const auto a0 = Ops::load(p0 + i);
-            const auto a1 = Ops::load(p1 + i);
-            const auto a2 = Ops::load(p2 + i);
-            const auto a3 = Ops::load(p3 + i);
-            const auto t02p = Ops::add(a0, a2);
-            const auto t02m = Ops::sub(a0, a2);
-            const auto t13p = Ops::add(a1, a3);
-            const auto t13m = Ops::mul(Ops::sub(a1, a3), vim);
-            Ops::store(p0 + i, Ops::add(t02p, t13p));
-            Ops::store(p1 + i, Ops::mul(Ops::sub(t02p, t13p),
-                                        Ops::load(tw1 + j0 + i)));
-            Ops::store(p2 + i, Ops::mul(Ops::add(t02m, t13m),
-                                        Ops::load(tw0 + j0 + i)));
-            Ops::store(p3 + i, Ops::mul(Ops::sub(t02m, t13m),
-                                        Ops::load(w3t)));
-        }
-        if (i < isplit) {
-            r4FwdScalar(p0 + i, p1 + i, p2 + i, p3 + i, tw0, tw1, im,
-                        j0 + i, hs, isplit - i);
-            i = isplit;
-        }
         for (; i + L <= n; i += L) {
-            for (size_t k = 0; k < L; ++k)
-                w3t[k] = tw0[3 * (j0 + i + k) - hs];
             const auto a0 = Ops::load(p0 + i);
             const auto a1 = Ops::load(p1 + i);
             const auto a2 = Ops::load(p2 + i);
             const auto a3 = Ops::load(p3 + i);
-            const auto t02p = Ops::add(a0, a2);
-            const auto t02m = Ops::sub(a0, a2);
-            const auto t13p = Ops::add(a1, a3);
-            const auto t13m = Ops::mul(Ops::sub(a1, a3), vim);
-            Ops::store(p0 + i, Ops::add(t02p, t13p));
-            Ops::store(p1 + i, Ops::mul(Ops::sub(t02p, t13p),
-                                        Ops::load(tw1 + j0 + i)));
-            Ops::store(p2 + i, Ops::mul(Ops::add(t02m, t13m),
-                                        Ops::load(tw0 + j0 + i)));
-            Ops::store(p3 + i, Ops::mul(Ops::sub(t13m, t02m),
-                                        Ops::load(w3t)));
+            const auto u0 = Ops::add(a0, a2);
+            const auto u2 =
+                Ops::mul(Ops::sub(a0, a2), Ops::load(twa + i));
+            const auto u1 = Ops::add(a1, a3);
+            const auto u3 =
+                Ops::mul(Ops::sub(a1, a3), Ops::load(twa + h + i));
+            const auto wb = Ops::load(twb + i);
+            Ops::store(p0 + i, Ops::add(u0, u1));
+            Ops::store(p1 + i, Ops::mul(Ops::sub(u0, u1), wb));
+            Ops::store(p2 + i, Ops::add(u2, u3));
+            Ops::store(p3 + i, Ops::mul(Ops::sub(u2, u3), wb));
         }
         if (i < n)
-            r4FwdScalar(p0 + i, p1 + i, p2 + i, p3 + i, tw0, tw1, im,
-                        j0 + i, hs, n - i);
+            r4FwdScalar(p0 + i, p1 + i, p2 + i, p3 + i, twa + i, twb + i,
+                        h, n - i);
     }
 
     static void
     r8Fwd(F *p0, F *p1, F *p2, F *p3, F *p4, F *p5, F *p6, F *p7,
-          const F *twa, const F *twb, const F *twc, size_t q8)
+          const F *twa, const F *twb, const F *twc, size_t h, size_t n)
     {
-        size_t j = 0;
-        for (; j + L <= q8; j += L) {
-            const auto a0 = Ops::load(p0 + j);
-            const auto a1 = Ops::load(p1 + j);
-            const auto a2 = Ops::load(p2 + j);
-            const auto a3 = Ops::load(p3 + j);
-            const auto a4 = Ops::load(p4 + j);
-            const auto a5 = Ops::load(p5 + j);
-            const auto a6 = Ops::load(p6 + j);
-            const auto a7 = Ops::load(p7 + j);
+        size_t i = 0;
+        for (; i + L <= n; i += L) {
+            const auto a0 = Ops::load(p0 + i);
+            const auto a1 = Ops::load(p1 + i);
+            const auto a2 = Ops::load(p2 + i);
+            const auto a3 = Ops::load(p3 + i);
+            const auto a4 = Ops::load(p4 + i);
+            const auto a5 = Ops::load(p5 + i);
+            const auto a6 = Ops::load(p6 + i);
+            const auto a7 = Ops::load(p7 + i);
             const auto u0 = Ops::add(a0, a4);
             const auto u4 =
-                Ops::mul(Ops::sub(a0, a4), Ops::load(twa + j));
+                Ops::mul(Ops::sub(a0, a4), Ops::load(twa + i));
             const auto u1 = Ops::add(a1, a5);
             const auto u5 =
-                Ops::mul(Ops::sub(a1, a5), Ops::load(twa + q8 + j));
+                Ops::mul(Ops::sub(a1, a5), Ops::load(twa + h + i));
             const auto u2 = Ops::add(a2, a6);
-            const auto u6 = Ops::mul(Ops::sub(a2, a6),
-                                     Ops::load(twa + 2 * q8 + j));
+            const auto u6 =
+                Ops::mul(Ops::sub(a2, a6), Ops::load(twa + 2 * h + i));
             const auto u3 = Ops::add(a3, a7);
-            const auto u7 = Ops::mul(Ops::sub(a3, a7),
-                                     Ops::load(twa + 3 * q8 + j));
-            const auto wb0 = Ops::load(twb + j);
-            const auto wb1 = Ops::load(twb + q8 + j);
+            const auto u7 =
+                Ops::mul(Ops::sub(a3, a7), Ops::load(twa + 3 * h + i));
+            const auto wb0 = Ops::load(twb + i);
+            const auto wb1 = Ops::load(twb + h + i);
             const auto v0 = Ops::add(u0, u2);
             const auto v2 = Ops::mul(Ops::sub(u0, u2), wb0);
             const auto v1 = Ops::add(u1, u3);
@@ -185,50 +138,20 @@ struct VecKernels
             const auto v6 = Ops::mul(Ops::sub(u4, u6), wb0);
             const auto v5 = Ops::add(u5, u7);
             const auto v7 = Ops::mul(Ops::sub(u5, u7), wb1);
-            const auto wc = Ops::load(twc + j);
-            Ops::store(p0 + j, Ops::add(v0, v1));
-            Ops::store(p1 + j, Ops::mul(Ops::sub(v0, v1), wc));
-            Ops::store(p2 + j, Ops::add(v2, v3));
-            Ops::store(p3 + j, Ops::mul(Ops::sub(v2, v3), wc));
-            Ops::store(p4 + j, Ops::add(v4, v5));
-            Ops::store(p5 + j, Ops::mul(Ops::sub(v4, v5), wc));
-            Ops::store(p6 + j, Ops::add(v6, v7));
-            Ops::store(p7 + j, Ops::mul(Ops::sub(v6, v7), wc));
+            const auto wc = Ops::load(twc + i);
+            Ops::store(p0 + i, Ops::add(v0, v1));
+            Ops::store(p1 + i, Ops::mul(Ops::sub(v0, v1), wc));
+            Ops::store(p2 + i, Ops::add(v2, v3));
+            Ops::store(p3 + i, Ops::mul(Ops::sub(v2, v3), wc));
+            Ops::store(p4 + i, Ops::add(v4, v5));
+            Ops::store(p5 + i, Ops::mul(Ops::sub(v4, v5), wc));
+            Ops::store(p6 + i, Ops::add(v6, v7));
+            Ops::store(p7 + i, Ops::mul(Ops::sub(v6, v7), wc));
         }
-        // Scalar tail at absolute indices: the twa/twb layouts are
-        // q8-relative, so the tail cannot rebase the slab pointers.
-        for (; j < q8; ++j) {
-            const F a0 = p0[j], a1 = p1[j];
-            const F a2 = p2[j], a3 = p3[j];
-            const F a4 = p4[j], a5 = p5[j];
-            const F a6 = p6[j], a7 = p7[j];
-            const F u0 = a0 + a4;
-            const F u4 = (a0 - a4) * twa[j];
-            const F u1 = a1 + a5;
-            const F u5 = (a1 - a5) * twa[q8 + j];
-            const F u2 = a2 + a6;
-            const F u6 = (a2 - a6) * twa[2 * q8 + j];
-            const F u3 = a3 + a7;
-            const F u7 = (a3 - a7) * twa[3 * q8 + j];
-            const F wb0 = twb[j], wb1 = twb[q8 + j];
-            const F v0 = u0 + u2;
-            const F v2 = (u0 - u2) * wb0;
-            const F v1 = u1 + u3;
-            const F v3 = (u1 - u3) * wb1;
-            const F v4 = u4 + u6;
-            const F v6 = (u4 - u6) * wb0;
-            const F v5 = u5 + u7;
-            const F v7 = (u5 - u7) * wb1;
-            const F wc = twc[j];
-            p0[j] = v0 + v1;
-            p1[j] = (v0 - v1) * wc;
-            p2[j] = v2 + v3;
-            p3[j] = (v2 - v3) * wc;
-            p4[j] = v4 + v5;
-            p5[j] = (v4 - v5) * wc;
-            p6[j] = v6 + v7;
-            p7[j] = (v6 - v7) * wc;
-        }
+        if (i < n)
+            r8FwdScalar(p0 + i, p1 + i, p2 + i, p3 + i, p4 + i, p5 + i,
+                        p6 + i, p7 + i, twa + i, twb + i, twc + i, h,
+                        n - i);
     }
 
     static void
@@ -253,9 +176,9 @@ struct VecKernels
             Ops::store(p1 + i, Ops::add(u1, n3));
             Ops::store(p3 + i, Ops::sub(u1, n3));
         }
-        // n is independent of h, so the tail rebases every pointer.
-        r4InvScalar(p0 + i, p1 + i, p2 + i, p3 + i, twa + i, twb + i, h,
-                    n - i);
+        if (i < n)
+            r4InvScalar(p0 + i, p1 + i, p2 + i, p3 + i, twa + i, twb + i,
+                        h, n - i);
     }
 
     static void
@@ -303,8 +226,10 @@ struct VecKernels
             Ops::store(p3 + i, Ops::add(v3, c7));
             Ops::store(p7 + i, Ops::sub(v3, c7));
         }
-        r8InvScalar(p0 + i, p1 + i, p2 + i, p3 + i, p4 + i, p5 + i,
-                    p6 + i, p7 + i, twa + i, twb + i, twc + i, h, n - i);
+        if (i < n)
+            r8InvScalar(p0 + i, p1 + i, p2 + i, p3 + i, p4 + i, p5 + i,
+                        p6 + i, p7 + i, twa + i, twb + i, twc + i, h,
+                        n - i);
     }
 
     // ----- sub-lane stages: L blocks at a time, transposed -------------

@@ -47,7 +47,7 @@ class TwiddleSlabs
   public:
     /** Compact @p table (powers of the size-n root) into slabs. */
     explicit TwiddleSlabs(const TwiddleTable<F> &table)
-        : n_(table.n()), root_(table.root())
+        : n_(table.n())
     {
         const unsigned log_n = log2Exact(n_);
         offsets_.resize(log_n + 1);
@@ -65,28 +65,18 @@ class TwiddleSlabs
     /** Transform size the slabs were built for. */
     size_t n() const { return n_; }
 
-    /** The primitive size-n root (or its inverse). */
-    F root() const { return root_; }
-
-    /** root^(n/4), the 4th root the radix-4 butterfly needs (n >= 4). */
-    F fourthRoot() const { return root_.pow(n_ / 4); }
-
-    /** Stage-s twiddles, count(s) contiguous entries. */
+    /** Stage-s twiddles, n >> (s+1) contiguous entries. */
     const F *
     slab(unsigned s) const
     {
         return flat_.data() + offsets_[s];
     }
 
-    /** Entries in slab(s): n >> (s+1). */
-    size_t count(unsigned s) const { return n_ >> (s + 1); }
-
     /** Bytes the slabs occupy (cache budget accounting). */
     size_t sizeBytes() const { return flat_.size() * sizeof(F); }
 
   private:
     size_t n_;
-    F root_;
     std::vector<size_t> offsets_;
     std::vector<F> flat_;
 };

@@ -556,8 +556,7 @@ ProvingService::executePlainBatch(std::vector<Job *> &jobs,
     for (size_t i = 0; i < jobs.size(); ++i) {
         bool ok = true;
         if (cfg_.verifyOutputs) {
-            const std::vector<F> out = data[i].toGlobal();
-            ok = checksumBytes(out.data(), out.size() * sizeof(F)) ==
+            ok = checksumShards(data[i].chunks()) ==
                  referenceChecksum(kind, jobs[i]->spec.logN,
                                    jobs[i]->spec.seed);
         }
@@ -626,8 +625,7 @@ ProvingService::executeResilient(Job &job,
         result.seconds = rep.totalSeconds();
         bool ok = true;
         if (cfg_.verifyOutputs) {
-            const std::vector<F> out = data.toGlobal();
-            ok = checksumBytes(out.data(), out.size() * sizeof(F)) ==
+            ok = checksumShards(data.chunks()) ==
                  referenceChecksum(job.spec.kind, job.spec.logN,
                                    job.spec.seed);
         }
@@ -799,8 +797,7 @@ ProvingService::referenceChecksum(JobKind kind, unsigned logN,
             engine.forward(data);
         else
             engine.inverse(data);
-        const std::vector<F> out = data.toGlobal();
-        checksum = checksumBytes(out.data(), out.size() * sizeof(F));
+        checksum = checksumShards(data.chunks());
     }
     referenceCache_.emplace(key, checksum);
     return checksum;

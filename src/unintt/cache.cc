@@ -48,7 +48,6 @@ ScheduleCache::get(const NttPlan &pl, const MultiGpuSystem &sys,
                           cfg.onTheFlyTwiddles,
                           cfg.paddedSmem,
                           cfg.warpShuffle,
-                          cfg.naturalOrderOutput,
                           cfg.fuseLocalPasses,
                           cfg.overlapComm,
                           costs.twiddleTableDramFraction,

@@ -78,7 +78,6 @@ struct ScheduleKey
     bool onTheFlyTwiddles;
     bool paddedSmem;
     bool warpShuffle;
-    bool naturalOrderOutput;
     bool fuseLocalPasses;
     /**
      * Overlap decides whether the DAG splits the cross phase: a linear

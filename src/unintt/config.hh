@@ -79,17 +79,6 @@ struct UniNttConfig
     unsigned forceLogBlockTile = 0;
 
     /**
-     * Append a global bit-reversal gather to forward schedules so the
-     * output lands in natural order instead of the transform-native
-     * globally bit-reversed order. Costs one extra pass (scattered
-     * DRAM writes) plus an all-to-all when the data is sharded over
-     * more than one GPU. Plain forward paths only — the resilient
-     * path's spot check verifies the transform-native ordering and
-     * ignores this flag.
-     */
-    bool naturalOrderOutput = false;
-
-    /**
      * Fuse consecutive local butterfly stages into cache-resident tile
      * groups on the host functional path (and FusedLocalPass steps in
      * the schedule IR): each 2^fusedTileLog2(element bytes)-element

@@ -116,6 +116,9 @@ class DistributedVector
     /** Elements per device (uniform). */
     size_t chunkSize() const { return chunks_.empty() ? 0 : chunks_[0].size(); }
 
+    /** Every GPU's chunk, in GPU order. */
+    const std::vector<std::vector<F>> &chunks() const { return chunks_; }
+
     /** Mutable chunk of GPU @p g. */
     std::vector<F> &
     chunk(unsigned g)

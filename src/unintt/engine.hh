@@ -158,7 +158,7 @@ class UniNttEngine
 
     /**
      * Forward NTT in place: natural order in, globally bit-reversed
-     * order out (natural order when cfg.naturalOrderOutput is on).
+     * order out.
      * Returns the simulated timeline.
      */
     SimReport

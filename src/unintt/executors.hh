@@ -282,228 +282,94 @@ localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
  * the (2^(s1-s0) x h1) super-block matrix, h1 = n >> s1. Stage s pairs
  * rows at distance 2^(s1-s-1); its twiddle for (row r, column c) is
  * slab(s)[(r mod 2^(s1-s)) * h1 + c], the row residue being below the
- * pair distance. Forward fuses stage pairs into a DIF radix-4
- * butterfly over the compacted slabs (the stage pair's tw[2e]/tw[3e]
- * reads become slab(s+1)[j] and the sign-folded slab(s)[3j]), plus a
- * trailing radix-2 stage when the group has an odd stage count. The
- * inverse is the DIT mirror: stages s1-1 down to s0 as radix-8 triples
- * (r8Inv), then at most one radix-4 pair (r4Inv) and one radix-2
- * stage, with unit-stride twiddle reads that never wrap. Exact field
- * arithmetic on canonical representations makes both bit-identical to
- * running the stages separately.
- */
-template <NttField F>
-void
-fusedTileStages(F *buf, size_t row_stride, size_t cols, size_t col0,
-                size_t h1, unsigned s0, unsigned s1,
-                const TwiddleSlabs<F> &slabs, NttDirection dir,
-                const FieldKernels<F> &fk = fieldKernels<F>())
-{
-    const size_t rows = size_t{1} << (s1 - s0);
-    if (dir == NttDirection::Forward) {
-        const F im = slabs.fourthRoot(); // root^(n/4) of the radix-4 step
-        unsigned s = s0;
-        for (; s + 2 <= s1; s += 2) {
-            const size_t d = size_t{1} << (s1 - s - 2);
-            const F *tw0 = slabs.slab(s);
-            const F *tw1 = slabs.slab(s + 1);
-            const size_t hs = slabs.count(s);
-            for (size_t q = 0; q < rows; q += 4 * d) {
-                for (size_t rq = 0; rq < d; ++rq) {
-                    F *r0 = buf + (q + rq) * row_stride;
-                    F *r1 = r0 + d * row_stride;
-                    F *r2 = r1 + d * row_stride;
-                    F *r3 = r2 + d * row_stride;
-                    // The kernel folds the tw0[3j] wrap past hs as
-                    // (t13m - t02m) * tw0[3j - hs] — the same values
-                    // the branchy form multiplies (w^(hs<<s) = -1 and
-                    // (-a)*b == a*(-b) on canonical representations),
-                    // so the bytes cannot differ.
-                    fk.r4Fwd(r0, r1, r2, r3, tw0, tw1, im,
-                             rq * h1 + col0, hs, cols);
-                }
-            }
-        }
-        if (s < s1) {
-            // Trailing radix-2 stage of an odd group: s == s1 - 1, so
-            // the pair distance is one row and the slab index is the
-            // column alone.
-            const F *tws = slabs.slab(s);
-            for (size_t q = 0; q < rows; q += 2) {
-                F *r0 = buf + q * row_stride;
-                F *r1 = r0 + row_stride;
-                fk.bflyFwd(r0, r1, tws + col0, 1, cols);
-            }
-        }
-    } else {
-        // DIT mirror: stages s1-1 down to s0, three (then two, then
-        // one) per sweep. Stage s - 1 pairs rows d apart, so a sweep
-        // couples rows q + rq + k*d and reads every slab at offset
-        // rq * h1 + col0, with half-span d * h1 (see r8Inv).
-        unsigned s = s1; // stages [s0, s) remain
-        for (; s >= s0 + 3; s -= 3) {
-            const size_t d = size_t{1} << (s1 - s);
-            const size_t rd = d * row_stride;
-            const F *twa = slabs.slab(s - 1);
-            const F *twb = slabs.slab(s - 2);
-            const F *twc = slabs.slab(s - 3);
-            for (size_t q = 0; q < rows; q += 8 * d) {
-                for (size_t rq = 0; rq < d; ++rq) {
-                    F *r = buf + (q + rq) * row_stride;
-                    const size_t off = rq * h1 + col0;
-                    fk.r8Inv(r, r + rd, r + 2 * rd, r + 3 * rd,
-                             r + 4 * rd, r + 5 * rd, r + 6 * rd,
-                             r + 7 * rd, twa + off, twb + off, twc + off,
-                             d * h1, cols);
-                }
-            }
-        }
-        if (s >= s0 + 2) {
-            const size_t d = size_t{1} << (s1 - s);
-            const size_t rd = d * row_stride;
-            const F *twa = slabs.slab(s - 1);
-            const F *twb = slabs.slab(s - 2);
-            for (size_t q = 0; q < rows; q += 4 * d) {
-                for (size_t rq = 0; rq < d; ++rq) {
-                    F *r = buf + (q + rq) * row_stride;
-                    const size_t off = rq * h1 + col0;
-                    fk.r4Inv(r, r + rd, r + 2 * rd, r + 3 * rd,
-                             twa + off, twb + off, d * h1, cols);
-                }
-            }
-            s -= 2;
-        }
-        if (s > s0) {
-            // Radix-2 remainder: stage s0 pairs the two halves of the
-            // block, rows / 2 apart.
-            const size_t d = rows / 2;
-            const F *tws = slabs.slab(s0);
-            for (size_t rq = 0; rq < d; ++rq) {
-                F *r = buf + rq * row_stride;
-                fk.bflyInv(r, r + d * row_stride, tws + rq * h1 + col0,
-                           1, cols);
-            }
-        }
-    }
-}
-
-/**
- * fusedTileStages specialized to a full contiguous super-block
- * (row_stride == h1, cols == h1, col0 == 0). The row/column loops
- * collapse: at stage s the butterfly half-span is SB >> (s-s0+1)
- * contiguous elements and the twiddle index equals the flat offset
- * within the block, so every inner loop walks both data and slab at
- * unit stride with no per-row pointer arithmetic. This is the shape
- * the in-place (unsliced) dispatch uses because the general form's
- * inner width collapses to h1 (often 1) for late-stage groups.
+ * pair distance.
  *
- * The stages split at the table's sub-lane width W = max(8, lanes).
- * A group that ends at half-span 1 (a tail group) and spans at least
- * one W-element block hands its last log2(W) stages, halves W/2 down
- * to 1, to one subLaneFwd call (the inverse: its first log2(W) DIT
- * stages, to one subLaneInv call). The upper stages, halves >= W,
- * run in radix-8 triples plus at most one radix-4 pair or radix-2
- * stage, which takes the widest span: the forward runs it first, at
- * s0, then its triples down the shrinking spans; the inverse (its DIT
- * mirror) runs its triples up the growing spans, then the remainder.
- * So no upper kernel call spans less than W elements, and no stage
- * below the vector width reaches a kernel's scalar tail. A group
- * narrower than one block runs all its stages in the radix loops.
- * Same butterflies, same exact arithmetic: bit-identical to the
- * general form.
+ * Both directions walk the same passes, mirror images of each other:
+ * radix-8 triples, plus what whole triples leave over (one radix-4
+ * pair or one radix-2 stage) at the outer end, from s0. The forward
+ * (DIF) runs its passes outer to inner, the inverse (DIT) inner to
+ * outer, and each pass hands its slot (r8Fwd or r8Inv, r4Fwd or
+ * r4Inv, bflyFwd or bflyInv) the slabs in the slot's stage order. A
+ * pass couples rows q + rq + k*d, d the row distance of its innermost
+ * stage, and reads every slab at offset rq * h1 + col0 with half-span
+ * d * h1. A whole super-block (cols == row_stride == h1, so col0 == 0)
+ * is contiguous, and each row group is one kernel call of d * h1
+ * columns.
+ *
+ * A tail group (h1 == 1) of at least W = max(8, lanes) elements hands
+ * its last log2(W) stages, halves W/2 down to 1, to one subLaneFwd
+ * call (the inverse: its first log2(W) DIT stages, to subLaneInv). So
+ * no radix call of a tail group spans less than W elements, and no
+ * stage below the vector width reaches a kernel's scalar tail. Exact
+ * field arithmetic on canonical representations makes every form
+ * bit-identical to running the stages one at a time.
  */
 template <NttField F>
 void
-fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
-                const TwiddleSlabs<F> &slabs, NttDirection dir,
-                const FieldKernels<F> &fk = fieldKernels<F>())
+fusedStages(F *buf, size_t row_stride, size_t cols, size_t col0,
+            size_t h1, unsigned s0, unsigned s1,
+            const TwiddleSlabs<F> &slabs, NttDirection dir,
+            const FieldKernels<F> &fk = fieldKernels<F>())
 {
+    const bool fwd = dir == NttDirection::Forward;
+    const size_t rows = size_t{1} << (s1 - s0);
+    const bool whole = cols == h1 && row_stride == h1;
     const size_t W = fk.subLaneWidth();
-    const bool sub_lane =
-        (sb_elems >> (s1 - s0)) == 1 && sb_elems >= W;
+    const bool sub_lane = whole && h1 == 1 && rows >= W;
     // Upper stages [s0, su). The sub-lane slabs slab(su) .. slab(s1-1)
     // lie back to back, which is the slots' packed twiddle layout.
     const unsigned su = sub_lane ? s1 - log2Exact(W) : s1;
-    if (dir == NttDirection::Forward) {
-        unsigned s = s0;
-        size_t span = sb_elems; // independent block span at stage s
-        // What whole triples leave of the upper stages, one radix-4
-        // pair or one radix-2 stage, runs first, at the widest span.
-        // The radix-4 kernel splits its loop where the tw0[3j] read
-        // wraps, about a third into the span: at a span of one vector,
-        // both sides of the split would fall to its scalar tails.
-        if ((su - s0) % 3 == 2) {
-            const size_t quarter = span / 4;
-            // tw[3j] wraps past hs with a sign flip (w^(hs<<s) =
-            // w^(n/2) = -1); the kernel folds the sign into the
-            // butterfly as (b-a)*w instead of (a-b)*(-w) and splits
-            // the loop at the wrap point (r4SplitIndex) so the hot
-            // loop stays branchless. Exact arithmetic: bit-identical.
-            fk.r4Fwd(buf, buf + quarter, buf + 2 * quarter,
-                     buf + 3 * quarter, slabs.slab(s), slabs.slab(s + 1),
-                     slabs.fourthRoot(), 0, slabs.count(s), quarter);
-            s += 2;
-            span /= 4;
-        } else if ((su - s0) % 3 == 1) {
-            fk.bflyFwd(buf, buf + span / 2, slabs.slab(s), 1, span / 2);
-            s += 1;
-            span /= 2;
+
+    // One pass over stages [lo, hi), radix 2^(hi - lo).
+    auto pass = [&](unsigned lo, unsigned hi) {
+        const size_t radix = size_t{1} << (hi - lo);
+        const size_t d = size_t{1} << (s1 - hi);
+        const size_t h = d * h1;
+        const size_t rd = d * row_stride;
+        const size_t calls = whole ? 1 : d;
+        const size_t width = whole ? h : cols;
+        const F *tw[3];
+        for (unsigned k = 0; k < hi - lo; ++k)
+            tw[k] = slabs.slab(fwd ? lo + k : hi - 1 - k);
+        auto row_groups = [&](auto &&call) {
+            for (size_t q = 0; q < rows; q += radix * d)
+                for (size_t rq = 0; rq < calls; ++rq)
+                    call(buf + (q + rq) * row_stride, rq * h1 + col0);
+        };
+        if (radix == 8) {
+            const auto r8 = fwd ? fk.r8Fwd : fk.r8Inv;
+            row_groups([&](F *r, size_t off) {
+                r8(r, r + rd, r + 2 * rd, r + 3 * rd, r + 4 * rd,
+                   r + 5 * rd, r + 6 * rd, r + 7 * rd, tw[0] + off,
+                   tw[1] + off, tw[2] + off, h, width);
+            });
+        } else if (radix == 4) {
+            const auto r4 = fwd ? fk.r4Fwd : fk.r4Inv;
+            row_groups([&](F *r, size_t off) {
+                r4(r, r + rd, r + 2 * rd, r + 3 * rd, tw[0] + off,
+                   tw[1] + off, h, width);
+            });
+        } else {
+            const auto r2 = fwd ? fk.bflyFwd : fk.bflyInv;
+            row_groups([&](F *r, size_t off) {
+                r2(r, r + rd, tw[0] + off, 1, width);
+            });
         }
-        // Radix-8 sweeps: three stages per sweep, applied in registers
-        // exactly as the per-stage path would (stage s, then s+1, then
-        // s+2), so the result is bit-identical by construction. Every
-        // twiddle index is a plain block-local offset and stays inside
-        // its slab — no wrap handling. One load+store per element per
-        // *three* stages is what moves the streamed head groups from 2
-        // sweeps per pair to 1 per triple.
-        for (; s < su; s += 3, span /= 8) {
-            const size_t q8 = span / 8;
-            const F *twa = slabs.slab(s);
-            const F *twb = slabs.slab(s + 1);
-            const F *twc = slabs.slab(s + 2);
-            for (size_t start = 0; start < sb_elems; start += span) {
-                F *p0 = buf + start;
-                fk.r8Fwd(p0, p0 + q8, p0 + 2 * q8, p0 + 3 * q8,
-                         p0 + 4 * q8, p0 + 5 * q8, p0 + 6 * q8,
-                         p0 + 7 * q8, twa, twb, twc, q8);
-            }
-        }
+    };
+
+    // Pass [hi - min(hi - s0, 3), hi): a triple, or the remainder at s0.
+    auto lo_of = [&](unsigned hi) { return hi - std::min(hi - s0, 3u); };
+    if (fwd) {
+        const unsigned rem = (su - s0) % 3;
+        for (unsigned hi = s0 + (rem != 0 ? rem : 3); hi <= su; hi += 3)
+            pass(lo_of(hi), hi);
         if (sub_lane)
-            fk.subLaneFwd(buf, slabs.slab(su), sb_elems / W);
+            fk.subLaneFwd(buf, slabs.slab(su), rows / W);
     } else {
-        // DIT mirror of the forward sweep: stages s1-1 down to s0, so
-        // the half-span h grows from the smallest. Each kernel applies
-        // its stages in that order, and every twiddle index is a
-        // block-local offset below its slab length.
         if (sub_lane)
-            fk.subLaneInv(buf, slabs.slab(su), sb_elems / W);
-        unsigned s = su; // stages [s0, s) remain
-        size_t h = sb_elems >> (su - s0); // half-span of stage s - 1
-        for (; s >= s0 + 3; s -= 3, h *= 8) {
-            const F *twa = slabs.slab(s - 1);
-            const F *twb = slabs.slab(s - 2);
-            const F *twc = slabs.slab(s - 3);
-            for (size_t start = 0; start < sb_elems; start += 8 * h) {
-                F *p0 = buf + start;
-                fk.r8Inv(p0, p0 + h, p0 + 2 * h, p0 + 3 * h, p0 + 4 * h,
-                         p0 + 5 * h, p0 + 6 * h, p0 + 7 * h, twa, twb,
-                         twc, h, h);
-            }
-        }
-        if (s >= s0 + 2) {
-            const F *twa = slabs.slab(s - 1);
-            const F *twb = slabs.slab(s - 2);
-            for (size_t start = 0; start < sb_elems; start += 4 * h) {
-                F *p0 = buf + start;
-                fk.r4Inv(p0, p0 + h, p0 + 2 * h, p0 + 3 * h, twa, twb,
-                         h, h);
-            }
-            s -= 2;
-            h *= 4;
-        }
-        // Radix-2 remainder: stage s0 pairs the two halves of the block.
-        if (s > s0)
-            fk.bflyInv(buf, buf + h, slabs.slab(s0), 1, h);
+            fk.subLaneInv(buf, slabs.slab(su), rows / W);
+        for (unsigned hi = su; hi > s0; hi = lo_of(hi))
+            pass(lo_of(hi), hi);
     }
 }
 
@@ -512,15 +378,14 @@ fusedSpanStages(F *buf, size_t sb_elems, unsigned s0, unsigned s1,
  * one fork/join per *group* instead of per stage, with every stage of
  * the group running before the data leaves the unit. The schedule's
  * tail group is sized to the fused tile (SB == 2^tileLog2),
- * so its flat sweep is cache-resident end to end; head groups whose
+ * so its sweep is cache-resident end to end; head groups whose
  * super-block exceeds the tile stream the same fused sweep over the
- * block — still one radix-4 pass per stage *pair* where the per-stage
- * path pays a full pass per stage. When whole super-blocks are
- * scarcer than lanes, units split into column slices (columns of the
- * super-block never couple, so any column subset is independent).
- * Work units write disjoint element ranges, which keeps the output
- * bit-identical to localStagesCompute for every thread count, tile
- * size, and slicing.
+ * block — one pass per stage *triple* where the per-stage path pays a
+ * full pass per stage. When whole super-blocks are scarcer than lanes,
+ * units split into column slices (columns of the super-block never
+ * couple, so any column subset is independent). Work units write
+ * disjoint element ranges, which keeps the output bit-identical to
+ * localStagesCompute for every thread count, tile size, and slicing.
  */
 template <NttField F>
 void
@@ -549,16 +414,11 @@ fusedLocalStagesCompute(DistributedVector<F> &data, unsigned s_begin,
             const unsigned g =
                 static_cast<unsigned>(unit / sbs_per_gpu);
             const uint64_t sb = unit % sbs_per_gpu;
-            F *base = data.chunk(g).data() + sb * SB;
-            if (csl == 1) {
-                // Whole super-block in one unit: flat sweep.
-                fusedSpanStages(base, SB, s_begin, s_end, slabs, dir, fk);
-                return;
-            }
+            // Column slice [c0, c1); csl == 1 runs the whole block.
             const uint64_t c0 = h1 * slice / csl;
             const uint64_t c1 = h1 * (slice + 1) / csl;
-            fusedTileStages(base + c0, h1, c1 - c0, c0, h1, s_begin,
-                            s_end, slabs, dir, fk);
+            fusedStages(data.chunk(g).data() + sb * SB + c0, h1, c1 - c0,
+                        c0, h1, s_begin, s_end, slabs, dir, fk);
         });
 }
 
@@ -578,21 +438,6 @@ inverseScaleCompute(std::vector<DistributedVector<F> *> &batch,
                         fk.scaleSpan(chunk.data(), scale,
                                      chunk.size());
                     });
-}
-
-/**
- * Functional bit-reversal gather: redistribute the forward transform's
- * globally bit-reversed output into natural order.
- */
-template <NttField F>
-void
-bitRevGatherCompute(DistributedVector<F> &data, unsigned logN)
-{
-    const std::vector<F> got = data.toGlobal();
-    std::vector<F> natural(got.size());
-    for (uint64_t i = 0; i < got.size(); ++i)
-        natural[i] = got[bitReverse(i, logN)];
-    data = DistributedVector<F>::fromGlobal(natural, data.numGpus());
 }
 
 // ---------------------------------------------------------------------
@@ -738,17 +583,6 @@ class AnalyticStepExecutor
             report_.addKernelPhase(st.name, st.stats, perf_);
             tagPhase(st);
             return;
-          case StepKind::BitRevGather: {
-            report_.addKernelPhase(st.name, st.stats, perf_);
-            tagPhase(st);
-            if (st.comm.bytesPerGpu > 0) {
-                double t = sys_.fabric.allToAllTime(
-                    st.comm.bytesPerGpu, sys_.numGpus);
-                report_.addCommPhase(st.name + "-alltoall", t, st.comm);
-                tagPhase(st);
-            }
-            return;
-          }
         }
     }
 
@@ -857,10 +691,6 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
                                     fk_);
                 kernelDispatches_++;
             }
-            break;
-          case StepKind::BitRevGather:
-            for (auto *d : batch_)
-                bitRevGatherCompute(*d, logN_);
             break;
           case StepKind::Exchange:
           case StepKind::SpotCheck:
@@ -1521,8 +1351,12 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
                     std::copy(abftSnap_[g].begin() + o,
                               abftSnap_[g].begin() + o + SB,
                               data().chunk(g).begin() + o);
-                    abftRecomputeLocalSpan(
-                        data().chunk(g).data() + o, SB, st);
+                    // The same stage walk as the fused sweeps, for
+                    // LocalPass and FusedLocalPass steps alike.
+                    const uint64_t h1 = SB >> (st.sEnd - st.sBegin);
+                    fusedStages(data().chunk(g).data() + o, h1, h1, 0,
+                                h1, st.sBegin, st.sEnd, slabs_, dir_,
+                                fk_);
                     fs_.tilesRecomputed++;
                     redo_w0 = o;
                     redo_len = SB;
@@ -1559,39 +1393,6 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
             fk_.bflyFwd(lo, hi, tws + j0, 1, C);
         else
             fk_.bflyInv(lo, hi, tws + j0, 1, C);
-    }
-
-    /**
-     * Redo local stages [sBegin, sEnd) over one restored tile span —
-     * the same stage order and exact arithmetic as the full kernels,
-     * so the recomputed tile is bit-identical to an uncorrupted run.
-     */
-    void
-    abftRecomputeLocalSpan(F *buf, uint64_t span, const ScheduleStep &st)
-    {
-        if (st.kind == StepKind::FusedLocalPass) {
-            fusedSpanStages(buf, span, st.sBegin, st.sEnd, slabs_,
-                            dir_, fk_);
-            return;
-        }
-        const uint64_t n = 1ULL << pl_.logN;
-        std::vector<unsigned> stages;
-        for (unsigned s = st.sBegin; s < st.sEnd; ++s)
-            stages.push_back(s);
-        if (dir_ == NttDirection::Inverse)
-            std::reverse(stages.begin(), stages.end());
-        for (unsigned s : stages) {
-            const uint64_t half = n >> (s + 1);
-            const F *tws = slabs_.slab(s);
-            for (uint64_t start = 0; start < span;
-                 start += 2 * half) {
-                F *p0 = buf + start;
-                if (dir_ == NttDirection::Forward)
-                    fk_.bflyFwd(p0, p0 + half, tws, 1, half);
-                else
-                    fk_.bflyInv(p0, p0 + half, tws, 1, half);
-            }
-        }
     }
 
     /**

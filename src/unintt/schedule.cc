@@ -26,8 +26,6 @@ toString(StepKind kind)
         return "scale";
       case StepKind::SpotCheck:
         return "spot-check";
-      case StepKind::BitRevGather:
-        return "bitrev-gather";
     }
     return "?";
 }
@@ -240,8 +238,6 @@ class ScheduleBuilder
         cs.distance = distance;
         cs.effectiveDistance = effective;
         cs.crossesNodes = across;
-        cs.twiddleStride = 1ULL << s;
-        cs.twiddleCount = n_ >> (s + 1);
         cs.stats = crossStageEventStats(C_, opts_.batch, eb_, cfg_, costs_);
         if (opts_.resilient) {
             // Checksum generation on send, verification on arrival.
@@ -262,8 +258,6 @@ class ScheduleBuilder
         st.sEnd = s + 1;
         st.pass = GridPassPlan{1, 1};
         st.degraded = true;
-        st.twiddleStride = 1ULL << s;
-        st.twiddleCount = n_ >> (s + 1);
         st.stats =
             gridPassEventStats(C_, st.pass, opts_.batch, eb_, cfg_, costs_);
         out_.steps.push_back(std::move(st));
@@ -311,8 +305,6 @@ class ScheduleBuilder
             st.sEnd = s_begin + pass.bits;
             st.pass = pass;
             st.tileLog2 = fused ? tile_bits : 0;
-            st.twiddleStride = 1ULL << s_begin;
-            st.twiddleCount = n_ >> (s_begin + 1);
             st.stats =
                 gridPassEventStats(C_, pass, opts_.batch, eb_, cfg_, costs_);
             out_.steps.push_back(std::move(st));
@@ -352,31 +344,6 @@ class ScheduleBuilder
         st.stats.fieldAdds =
             static_cast<uint64_t>(opts_.spotChecks) * n_;
         st.stats.kernelLaunches = 1;
-        out_.steps.push_back(std::move(st));
-    }
-
-    /** Bit-reversal gather to natural order (forward, opt-in). */
-    void
-    bitRevGatherStep()
-    {
-        ScheduleStep st;
-        st.kind = StepKind::BitRevGather;
-        st.level =
-            pl_.numGpus > 1 ? ExecLevel::MultiGpu : ExecLevel::Gpu;
-        st.name = "bitrev-gather";
-        // Coalesced read of the chunk; the scattered writes pay whole
-        // DRAM sectors.
-        const uint64_t sector =
-            std::max<uint64_t>(eb_, sys_.gpu.dramSectorBytes);
-        st.stats.globalReadBytes = C_ * eb_ * opts_.batch;
-        st.stats.globalWriteBytes = C_ * sector * opts_.batch;
-        st.stats.kernelLaunches = 1;
-        if (pl_.numGpus > 1) {
-            // Almost every element's bit-reversed home is off-GPU.
-            st.comm.bytesPerGpu = C_ * eb_ * opts_.batch *
-                                  (pl_.numGpus - 1) / pl_.numGpus;
-            st.comm.messages = pl_.numGpus - 1;
-        }
         out_.steps.push_back(std::move(st));
     }
 
@@ -499,12 +466,8 @@ compileSchedule(const NttPlan &pl, const MultiGpuSystem &sys,
         if (!cfg.fuseTwiddles && orig_log_mg > 0)
             b.twiddlePass("mgpu");
         b.localPhase(s, dir);
-        if (opts.resilient) {
-            if (opts.spotChecks > 0)
-                b.spotCheckStep();
-        } else if (cfg.naturalOrderOutput) {
-            b.bitRevGatherStep();
-        }
+        if (opts.resilient && opts.spotChecks > 0)
+            b.spotCheckStep();
     } else {
         if (!opts.resume)
             b.localPhase(pl.logMg, dir);
@@ -541,7 +504,6 @@ compileSchedule(const NttPlan &pl, const MultiGpuSystem &sys,
             if (!compute)
                 continue;
             st.abftCheckElems = pl.chunkElems();
-            st.abftInit = first;
             // The first checked step also accumulates the initial
             // checksum over the input shards (a second dot product).
             const uint64_t passes = first ? 2 : 1;

@@ -77,8 +77,6 @@ enum class StepKind
     Scale,
     /** Post-transform verification against a direct evaluation. */
     SpotCheck,
-    /** Global bit-reversal gather producing natural-order output. */
-    BitRevGather,
 };
 
 /** Hierarchy level a step executes at. */
@@ -120,11 +118,6 @@ struct ScheduleStep
     /** True for the Scale step that applies the inverse n^-1 factor. */
     bool applyInverseScale = false;
 
-    /** Twiddle slice: the butterflies read tw[j * twiddleStride]. */
-    uint64_t twiddleStride = 0;
-    /** Distinct twiddles the slice spans (0 = none). */
-    uint64_t twiddleCount = 0;
-
     /**
      * ABFT annotation: per-GPU elements folded into the post-step
      * random-linear-combination checksum comparison (0 = the step has
@@ -135,15 +128,10 @@ struct ScheduleStep
      * localization it enables.
      */
     uint64_t abftCheckElems = 0;
-    /**
-     * True on the first ABFT-checked step: it also pays the initial
-     * checksum accumulation over the input shards (priced in stats).
-     */
-    bool abftInit = false;
 
     /** Unpriced per-GPU event counters of the step's kernel. */
     KernelStats stats;
-    /** Unpriced communication counters (Exchange/BitRevGather). */
+    /** Unpriced communication counters (Exchange). */
     CommStats comm;
 };
 

@@ -329,8 +329,8 @@ TEST(Differential, FusedMatchesPerStageAcrossTilesAndThreads)
     // 2^14, where only BN254-Fr on one GPU splits, so fixed draws
     // split a Goldilocks and a BN254-Fr phase on one and two GPUs.
     // A single head super-block runs column slices at 4 and 16
-    // threads: the two-stage heads reach r4Inv there, and the
-    // four-stage head of 2^19 on one GPU reaches r8Inv plus the
+    // threads: the two-stage heads reach r4Fwd/r4Inv there, and the
+    // four-stage head of 2^19 on one GPU reaches r8Fwd/r8Inv plus the
     // radix-2 remainder.
     //
     // A tail group hands its stages below the sub-lane width W to
@@ -787,7 +787,7 @@ TEST(Differential, IsaPathsMatchScalarAcrossExecutionMatrix)
  * around and below the lane width, misaligned heads (pointers offset
  * off the allocation), and non-unit twiddle strides must match the
  * scalar reference element-for-element. This is the layer the engine
- * matrix above cannot isolate: a masked-tail or bounce-buffer bug
+ * matrix above cannot isolate: a masked-tail or stride bug
  * shows up here with a one-line repro.
  */
 template <NttField F>
@@ -883,64 +883,12 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
         }
     }
 
-    // Radix-4 rows across the branchy twiddle split (j0 straddling
-    // (hs+2)/3) and the radix-8 first rank.
-    for (size_t hs : {size_t{16}, size_t{48}}) {
-        const std::vector<F> tw0 = draw(3 * hs, 0);
-        const std::vector<F> tw1 = draw(hs, 0);
-        const F im = F::fromU64(rng.next());
-        for (size_t j0 : {size_t{0}, size_t{1}, (hs + 2) / 3 - 1,
-                          (hs + 2) / 3, hs / 2}) {
-            for (size_t cnt : {size_t{1}, size_t{3}, size_t{7}}) {
-                if (j0 + cnt > hs)
-                    continue;
-                SCOPED_TRACE("hs=" + std::to_string(hs) + " j0=" +
-                             std::to_string(j0) + " cnt=" +
-                             std::to_string(cnt));
-                std::vector<std::vector<F>> rows_a, rows_b;
-                for (int r = 0; r < 4; ++r) {
-                    rows_a.push_back(draw(cnt, 0));
-                    rows_b.push_back(rows_a.back());
-                }
-                fk.r4Fwd(rows_a[0].data(), rows_a[1].data(),
-                         rows_a[2].data(), rows_a[3].data(),
-                         tw0.data(), tw1.data(), im, j0, hs, cnt);
-                scalar.r4Fwd(rows_b[0].data(), rows_b[1].data(),
-                             rows_b[2].data(), rows_b[3].data(),
-                             tw0.data(), tw1.data(), im, j0, hs, cnt);
-                for (int r = 0; r < 4; ++r)
-                    ASSERT_EQ(rows_a[r], rows_b[r]) << "row " << r;
-            }
-        }
-    }
-    for (size_t q8 : {size_t{1}, size_t{3}, size_t{8}, size_t{13}}) {
-        SCOPED_TRACE("q8=" + std::to_string(q8));
-        const std::vector<F> twa = draw(4 * q8, 0);
-        const std::vector<F> twb = draw(2 * q8, 0);
-        const std::vector<F> twc = draw(q8, 0);
-        std::vector<std::vector<F>> rows_a, rows_b;
-        for (int r = 0; r < 8; ++r) {
-            rows_a.push_back(draw(q8, 0));
-            rows_b.push_back(rows_a.back());
-        }
-        fk.r8Fwd(rows_a[0].data(), rows_a[1].data(), rows_a[2].data(),
-                 rows_a[3].data(), rows_a[4].data(), rows_a[5].data(),
-                 rows_a[6].data(), rows_a[7].data(), twa.data(),
-                 twb.data(), twc.data(), q8);
-        scalar.r8Fwd(rows_b[0].data(), rows_b[1].data(),
-                     rows_b[2].data(), rows_b[3].data(),
-                     rows_b[4].data(), rows_b[5].data(),
-                     rows_b[6].data(), rows_b[7].data(), twa.data(),
-                     twb.data(), twc.data(), q8);
-        for (int r = 0; r < 8; ++r)
-            ASSERT_EQ(rows_a[r], rows_b[r]) << "row " << r;
-    }
-
-    // Inverse radix-4/radix-8 blocks of 4h/8h elements: the flat
-    // sweep's n == h and the column sweep's n < h (widths around the
-    // lane count), with misaligned twiddle heads. The scalar table is
-    // also held to the slot's definition: two (three) bflyInv stages
-    // of halves h, 2h (, 4h) over the same block, on columns i < n.
+    // Radix-4/radix-8 blocks of 4h/8h elements in both directions: the
+    // flat sweep's n == h and the column sweep's n < h (widths around
+    // the lane count), with misaligned twiddle heads. The scalar table
+    // is also held to the slot's definition over the same block, on
+    // columns i < n: two (three) bflyFwd stages of halves 2h, h (4h,
+    // 2h, h), or bflyInv stages of halves h, 2h (, 4h).
     for (size_t h : {size_t{1}, size_t{3}, size_t{8}, size_t{13},
                      2 * size_t{fk.lanes} + 3}) {
         std::vector<size_t> widths{h};
@@ -950,43 +898,55 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
                 std::find(widths.begin(), widths.end(), n) ==
                     widths.end())
                 widths.push_back(n);
-        const std::vector<F> twa = draw(h, 1);
-        const std::vector<F> twb = draw(2 * h, 1);
-        const std::vector<F> twc = draw(4 * h, 1);
-        for (size_t radix : {size_t{4}, size_t{8}}) {
-            for (size_t n : widths) {
-                SCOPED_TRACE("r" + std::to_string(radix) + "Inv h=" +
-                             std::to_string(h) + " n=" +
-                             std::to_string(n));
-                const std::vector<F> block0 = draw(radix * h, 0);
-                auto run = [&](const FieldKernels<F> &k) {
-                    std::vector<F> b = block0;
-                    F *p = b.data();
-                    if (radix == 4)
-                        k.r4Inv(p, p + h, p + 2 * h, p + 3 * h,
-                                twa.data() + 1, twb.data() + 1, h, n);
-                    else
-                        k.r8Inv(p, p + h, p + 2 * h, p + 3 * h,
+        // slab[k]: the twiddles of the stage of half h << k.
+        const std::vector<F> slab[3] = {draw(h, 1), draw(2 * h, 1),
+                                        draw(4 * h, 1)};
+        for (bool inv : {false, true}) {
+            for (size_t stages : {size_t{2}, size_t{3}}) {
+                const size_t radix = size_t{1} << stages;
+                // The slot's stage order: halves grow (DIT) or shrink.
+                size_t ks[3];
+                const F *tw[3];
+                for (size_t j = 0; j < stages; ++j) {
+                    ks[j] = inv ? j : stages - 1 - j;
+                    tw[j] = slab[ks[j]].data() + 1;
+                }
+                for (size_t n : widths) {
+                    SCOPED_TRACE("r" + std::to_string(radix) +
+                                 (inv ? "Inv" : "Fwd") +
+                                 " h=" + std::to_string(h) +
+                                 " n=" + std::to_string(n));
+                    const std::vector<F> block0 = draw(radix * h, 0);
+                    auto run = [&](const FieldKernels<F> &k) {
+                        std::vector<F> b = block0;
+                        F *p = b.data();
+                        if (radix == 4)
+                            (inv ? k.r4Inv : k.r4Fwd)(
+                                p, p + h, p + 2 * h, p + 3 * h, tw[0],
+                                tw[1], h, n);
+                        else
+                            (inv ? k.r8Inv : k.r8Fwd)(
+                                p, p + h, p + 2 * h, p + 3 * h,
                                 p + 4 * h, p + 5 * h, p + 6 * h,
-                                p + 7 * h, twa.data() + 1,
-                                twb.data() + 1, twc.data() + 1, h, n);
-                    return b;
-                };
-                const std::vector<F> want = run(scalar);
-                ASSERT_EQ(run(fk), want);
+                                p + 7 * h, tw[0], tw[1], tw[2], h, n);
+                        return b;
+                    };
+                    const std::vector<F> want = run(scalar);
+                    ASSERT_EQ(run(fk), want);
 
-                std::vector<F> def = block0;
-                const F *tws[] = {twa.data() + 1, twb.data() + 1,
-                                  twc.data() + 1};
-                for (size_t half = h, k = 0; half < radix * h;
-                     half *= 2, ++k)
-                    for (size_t b = 0; b < radix * h; b += 2 * half)
-                        scalar.bflyInv(def.data() + b,
-                                       def.data() + b + half, tws[k],
-                                       1, half);
-                for (size_t e = 0; e < radix * h; ++e)
-                    ASSERT_EQ(want[e], e % h < n ? def[e] : block0[e])
-                        << "element " << e;
+                    std::vector<F> def = block0;
+                    for (size_t j = 0; j < stages; ++j) {
+                        const size_t half = h << ks[j];
+                        for (size_t b = 0; b < radix * h; b += 2 * half)
+                            (inv ? scalar.bflyInv : scalar.bflyFwd)(
+                                def.data() + b, def.data() + b + half,
+                                tw[j], 1, half);
+                    }
+                    for (size_t e = 0; e < radix * h; ++e)
+                        ASSERT_EQ(want[e],
+                                  e % h < n ? def[e] : block0[e])
+                            << "element " << e;
+                }
             }
         }
     }

@@ -629,6 +629,68 @@ TEST(AbftRecovery, ComputeFlipCampaignIsCorrectOrCleanAcrossKinds)
     (void)escalated; // may be zero at this rate — covered below
 }
 
+/**
+ * Compute-flip campaigns on per-stage schedules (fuseLocalPasses off):
+ * the local phase runs as LocalPass steps, and a flip caught in one is
+ * recomputed tile by tile through the fused sweeps' stage walk.
+ */
+template <NttField G>
+void
+perStageAbftCampaigns()
+{
+    std::vector<G> x(1 << 12);
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = G::fromU64(i * 2654435761u + 17);
+    for (unsigned gpus : {1u, 2u, 4u}) {
+        UniNttConfig cfg = UniNttConfig::allOn();
+        cfg.fuseLocalPasses = false;
+        UniNttEngine<G> engine(makeDgxA100(gpus), cfg);
+        for (bool inverse : {false, true}) {
+            SCOPED_TRACE(std::string(G::kName) + " gpus " +
+                         std::to_string(gpus) + " inverse " +
+                         std::to_string(inverse));
+            auto plain = DistributedVector<G>::fromGlobal(x, gpus);
+            if (inverse)
+                engine.inverse(plain);
+            else
+                engine.forward(plain);
+            const std::vector<G> want = plain.toGlobal();
+            // Completed runs that recomputed tiles and escalated
+            // nothing: the recomputed tiles passed their re-check.
+            uint64_t recovered = 0;
+            for (uint64_t seed = 0; seed < 20; ++seed) {
+                FaultModel m;
+                m.seed = mix64(seed + 303);
+                m.computeBitFlipRate = 0.1;
+                FaultInjector inj(m);
+                auto dist = DistributedVector<G>::fromGlobal(x, gpus);
+                Result<SimReport> r =
+                    inverse ? engine.inverseResilient(dist, inj)
+                            : engine.forwardResilient(dist, inj);
+                if (!r.ok()) {
+                    EXPECT_EQ(r.status().code(),
+                              StatusCode::DataCorruption);
+                    continue;
+                }
+                EXPECT_EQ(dist.toGlobal(), want) << "seed " << seed;
+                const FaultStats &fs = r.value().faultStats();
+                EXPECT_EQ(inj.injected().computeCorruptions,
+                          fs.abftCatches + fs.abftEscalations)
+                    << "seed " << seed;
+                if (fs.tilesRecomputed > 0 && fs.abftEscalations == 0)
+                    recovered++;
+            }
+            EXPECT_GT(recovered, 0u);
+        }
+    }
+}
+
+TEST(AbftRecovery, PerStageSchedulesRecomputeTilesExactly)
+{
+    perStageAbftCampaigns<Goldilocks>();
+    perStageAbftCampaigns<BabyBear>();
+}
+
 TEST(AbftRecovery, ExhaustedTileRetriesEscalateToDegradeOrCleanError)
 {
     // With a zero tile-retry budget every detected flip escalates

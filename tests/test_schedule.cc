@@ -11,7 +11,6 @@
 #include "field/babybear.hh"
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
-#include "ntt/fourstep.hh"
 #include "unintt/backend.hh"
 #include "unintt/cache.hh"
 #include "unintt/engine.hh"
@@ -519,33 +518,6 @@ TEST(ScheduleCacheTest, OverlapConfigIsPartOfTheKey)
                                      &plan_hit, &sched_hit);
     EXPECT_TRUE(sched_hit);
     EXPECT_EQ(warm_off.get(), s_off.get());
-}
-
-TEST(NaturalOrderOutput, GatherProducesTheNaturalOrderSpectrum)
-{
-    const unsigned logN = 12;
-    const size_t n = size_t{1} << logN;
-    Rng rng(77);
-    std::vector<Goldilocks> input(n);
-    for (auto &v : input)
-        v = Goldilocks::fromU64(rng.next());
-
-    UniNttConfig cfg = UniNttConfig::allOn();
-    cfg.naturalOrderOutput = true;
-    UniNttEngine<Goldilocks> engine(makeDgxA100(4), cfg);
-
-    // The compiled schedule ends in the gather step.
-    auto sched = engine.schedule(logN, NttDirection::Forward);
-    ASSERT_FALSE(sched->steps.empty());
-    EXPECT_EQ(sched->steps.back().kind, StepKind::BitRevGather);
-
-    auto dist = DistributedVector<Goldilocks>::fromGlobal(input, 4);
-    engine.forward(dist);
-    // Four-step emits the natural-order spectrum directly.
-    const auto want =
-        fourStepNtt(input, size_t{1} << (logN / 2),
-                    NttDirection::Forward);
-    EXPECT_EQ(dist.toGlobal(), want);
 }
 
 TEST(BatchApi, ForwardBatchThenInverseBatchRestoresEveryEntry)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the util substrate: bit operations, statistics, table
- * rendering, RNG determinism and the CLI parser.
+ * rendering, RNG determinism, the CLI parser and payload checksums.
  */
 
 #include <gtest/gtest.h>
 
 #include "util/bitops.hh"
+#include "util/checksum.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -267,6 +268,37 @@ TEST(Cli, DefaultsSurviveWhenUnset)
     const char *argv[] = {"prog"};
     cli.parse(1, const_cast<char **>(argv));
     EXPECT_EQ(cli.getInt("size"), 10);
+}
+
+TEST(Checksum, ShardsHashInPlaceLikeTheGatheredPayload)
+{
+    // A payload split into 1, 2 and 4 contiguous shards, the way a
+    // DistributedVector shards it over GPUs: hashing the shards in
+    // place must equal hashing the gathered payload.
+    Rng rng(2718);
+    std::vector<uint64_t> payload(1000);
+    for (auto &w : payload)
+        w = rng.next();
+    const uint64_t want =
+        checksumBytes(payload.data(), payload.size() * sizeof(uint64_t));
+    for (size_t count : {1, 2, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(count));
+        std::vector<std::vector<uint64_t>> shards(count);
+        const size_t per = payload.size() / count;
+        for (size_t k = 0; k < count; ++k)
+            shards[k].assign(payload.begin() + k * per,
+                             payload.begin() + (k + 1) * per);
+        EXPECT_EQ(checksumShards(shards), want);
+        shards.back().back() ^= 1; // any flipped bit shows
+        EXPECT_NE(checksumShards(shards), want);
+    }
+    // Only the last shard may end inside a word.
+    const auto *bytes = reinterpret_cast<const unsigned char *>(
+        payload.data());
+    const std::vector<std::vector<unsigned char>> ragged{
+        {bytes, bytes + 16}, {bytes + 16, bytes + 24},
+        {bytes + 24, bytes + 29}};
+    EXPECT_EQ(checksumShards(ragged), checksumBytes(bytes, 29));
 }
 
 } // namespace
