@@ -9,10 +9,11 @@
 #include <cstdio>
 
 #include "baselines/icicle_like.hh"
+#include "baselines/naive_gpu.hh"
 #include "bench/bench_util.hh"
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
-#include "unintt/backend.hh"
+#include "unintt/engine.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -24,12 +25,8 @@ void
 sweepField(const char *field_name)
 {
     auto sys = makeDgxA100(1);
-    // UniNTT and the naive baseline come from the backend registry;
-    // the Icicle-class tile baseline has no multi-GPU form and stays a
-    // concrete type.
-    auto &reg = NttBackendRegistry<F>::global();
-    auto unintt = reg.make("unintt", sys);
-    auto naive = reg.make("naive", sys);
+    UniNttEngine<F> unintt(sys);
+    NaiveGpuNtt<F> naive(sys.gpu);
     IcicleLikeNtt<F> icicle(sys.gpu);
 
     Table t({"field", "log2(N)", "naive", "icicle-like", "UniNTT",
@@ -37,13 +34,11 @@ sweepField(const char *field_name)
     for (unsigned logN = 12; logN <= 26; logN += 2) {
         double n = static_cast<double>(1ULL << logN);
         double t_naive =
-            naive->analyticRun(logN, NttDirection::Forward)
-                .totalSeconds();
+            naive.analyticRun(logN, NttDirection::Forward).totalSeconds();
         double t_icicle =
             icicle.analyticRun(logN, NttDirection::Forward).totalSeconds();
         double t_uni =
-            unintt->analyticRun(logN, NttDirection::Forward)
-                .totalSeconds();
+            unintt.analyticRun(logN, NttDirection::Forward).totalSeconds();
         t.addRow({field_name, std::to_string(logN),
                   formatRate(n / t_naive), formatRate(n / t_icicle),
                   formatRate(n / t_uni), fmtX(t_naive / t_uni),

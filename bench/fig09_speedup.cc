@@ -10,10 +10,11 @@
 #include <cstdio>
 #include <vector>
 
+#include "baselines/fourstep_multigpu.hh"
 #include "bench/bench_util.hh"
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
-#include "unintt/backend.hh"
+#include "unintt/engine.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -41,20 +42,18 @@ sweepField(const char *field_name, std::vector<double> &vs_tuned,
         for (unsigned gpus : {4u, 8u}) {
             for (unsigned logN : {22u, 24u, 26u, 28u}) {
                 MultiGpuSystem sys{makeA100(), fc.fabric, gpus};
-                // All three implementations come from the backend
-                // registry; the bench no longer names concrete types.
-                auto &reg = NttBackendRegistry<F>::global();
-                auto unintt = reg.make("unintt", sys);
-                auto tuned = reg.make("fourstep", sys);
-                auto prior = reg.make("fourstep-prior", sys);
+                UniNttEngine<F> unintt(sys);
+                FourStepMultiGpuNtt<F> tuned(sys, FourStepOptions::tuned());
+                FourStepMultiGpuNtt<F> prior(sys,
+                                             FourStepOptions::priorArt());
                 double t_prior =
-                    prior->analyticRun(logN, NttDirection::Forward)
+                    prior.analyticRun(logN, NttDirection::Forward)
                         .totalSeconds();
                 double t_tuned =
-                    tuned->analyticRun(logN, NttDirection::Forward)
+                    tuned.analyticRun(logN, NttDirection::Forward)
                         .totalSeconds();
                 double t_uni =
-                    unintt->analyticRun(logN, NttDirection::Forward)
+                    unintt.analyticRun(logN, NttDirection::Forward)
                         .totalSeconds();
                 vs_tuned.push_back(t_tuned / t_uni);
                 vs_prior.push_back(t_prior / t_uni);

@@ -7,7 +7,8 @@
  * UniNTT's single-GPU configuration is the uniform warp-level shuffle
  * sub-NTT and on-the-fly twiddle generation, and it has no multi-GPU
  * story at all (Icicle distributes independent transforms, it does not
- * split one transform).
+ * split one transform). The model is analytic: it counts each pass's
+ * work and traffic and runs nothing on the host.
  */
 
 #ifndef UNINTT_BASELINES_ICICLE_LIKE_HH
@@ -17,11 +18,9 @@
 
 #include "field/field_traits.hh"
 #include "ntt/ntt.hh"
-#include "ntt/radix2.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
-#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace unintt {
@@ -35,28 +34,8 @@ class IcicleLikeNtt
     static constexpr unsigned kLogTile = 8;
 
     explicit IcicleLikeNtt(GpuModel gpu)
-        : gpu_(std::move(gpu)), perf_(gpu_, fieldCostOf<F>())
+        : perf_(std::move(gpu), fieldCostOf<F>())
     {
-    }
-
-    /** Forward NTT in place, natural in, bit-reversed out. */
-    SimReport
-    forward(std::vector<F> &data) const
-    {
-        SimReport report = analyticRun(log2Exact(data.size()),
-                                       NttDirection::Forward);
-        nttNoPermute(data, NttDirection::Forward);
-        return report;
-    }
-
-    /** Inverse NTT in place, bit-reversed in, natural out, scaled. */
-    SimReport
-    inverse(std::vector<F> &data) const
-    {
-        SimReport report = analyticRun(log2Exact(data.size()),
-                                       NttDirection::Inverse);
-        nttNoPermute(data, NttDirection::Inverse);
-        return report;
     }
 
     /** Simulated timeline without functional execution. */
@@ -101,11 +80,7 @@ class IcicleLikeNtt
         return report;
     }
 
-    /** The device being modeled. */
-    const GpuModel &gpu() const { return gpu_; }
-
   private:
-    GpuModel gpu_;
     PerfModel perf_;
 };
 

@@ -4,7 +4,9 @@
  * stage, every stage streaming the whole dataset through global memory,
  * twiddles loaded from a device table. This is the structure of early
  * GPU NTT libraries (cuHE-era) and of textbook ports; it is the lower
- * anchor of the single-GPU comparison (bench/fig07).
+ * anchor of the single-GPU comparison (bench/fig07). The model is
+ * analytic: it counts each stage's work and traffic and runs nothing
+ * on the host.
  */
 
 #ifndef UNINTT_BASELINES_NAIVE_GPU_HH
@@ -12,11 +14,9 @@
 
 #include "field/field_traits.hh"
 #include "ntt/ntt.hh"
-#include "ntt/radix2.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
-#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace unintt {
@@ -28,31 +28,8 @@ class NaiveGpuNtt
   public:
     /** @param gpu the device model to simulate on. */
     explicit NaiveGpuNtt(GpuModel gpu)
-        : gpu_(std::move(gpu)), perf_(gpu_, fieldCostOf<F>())
+        : perf_(std::move(gpu), fieldCostOf<F>())
     {
-    }
-
-    /**
-     * Forward NTT in place, natural in, bit-reversed out (same
-     * convention as the UniNTT engine).
-     */
-    SimReport
-    forward(std::vector<F> &data) const
-    {
-        SimReport report = analyticRun(log2Exact(data.size()),
-                                       NttDirection::Forward);
-        nttNoPermute(data, NttDirection::Forward);
-        return report;
-    }
-
-    /** Inverse NTT in place, bit-reversed in, natural out, scaled. */
-    SimReport
-    inverse(std::vector<F> &data) const
-    {
-        SimReport report = analyticRun(log2Exact(data.size()),
-                                       NttDirection::Inverse);
-        nttNoPermute(data, NttDirection::Inverse);
-        return report;
     }
 
     /** Simulated timeline without functional execution. */
@@ -86,11 +63,7 @@ class NaiveGpuNtt
         return report;
     }
 
-    /** The device being modeled. */
-    const GpuModel &gpu() const { return gpu_; }
-
   private:
-    GpuModel gpu_;
     PerfModel perf_;
 };
 

@@ -3,20 +3,6 @@
 namespace unintt {
 
 const char *
-toString(JobKind kind)
-{
-    switch (kind) {
-      case JobKind::NttForward:
-        return "forward-ntt";
-      case JobKind::NttInverse:
-        return "inverse-ntt";
-      case JobKind::Proof:
-        return "proof";
-    }
-    return "?";
-}
-
-const char *
 toString(SlaClass sla)
 {
     switch (sla) {

@@ -29,9 +29,6 @@ enum class JobKind {
     Proof,
 };
 
-/** Printable name of a job kind ("forward-ntt" style). */
-const char *toString(JobKind kind);
-
 /**
  * Service class of a tenant's jobs. Higher classes are scheduled
  * first and shed last; the numeric values index per-class arrays and

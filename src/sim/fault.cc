@@ -19,14 +19,6 @@ RetryPolicy::backoffSeconds(unsigned attempt, uint64_t salt) const
     return capped * (1.0 - jitterFraction / 2.0 + jitterFraction * u);
 }
 
-bool
-FaultModel::anyEnabled() const
-{
-    return transientExchangeRate > 0 || bitFlipRate > 0 ||
-           computeBitFlipRate > 0 || stragglerRate > 0 ||
-           !dropouts.empty();
-}
-
 FaultInjector::FaultInjector(FaultModel model)
     : model_(std::move(model)),
       rng_(model_.seed),

@@ -131,9 +131,6 @@ struct FaultModel
     /** Scheduled permanent dropouts, matched by exchange index. */
     std::vector<DeviceDropout> dropouts;
 
-    /** True iff this model can inject anything at all. */
-    bool anyEnabled() const;
-
     /** A perfectly reliable machine. */
     static FaultModel none() { return FaultModel{}; }
 };

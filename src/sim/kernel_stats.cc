@@ -18,13 +18,6 @@ KernelStats::operator+=(const KernelStats &o)
     return *this;
 }
 
-KernelStats
-operator+(KernelStats a, const KernelStats &b)
-{
-    a += b;
-    return a;
-}
-
 bool
 FaultStats::any() const
 {
@@ -54,55 +47,6 @@ FaultStats::operator+=(const FaultStats &o)
     tilesRecomputed += o.tilesRecomputed;
     abftEscalations += o.abftEscalations;
     return *this;
-}
-
-void
-FaultStats::exportTo(StatSet &out, const std::string &prefix) const
-{
-    out.add(prefix + ".exchanges", static_cast<double>(exchanges));
-    out.add(prefix + ".transientRetries",
-            static_cast<double>(transientRetries));
-    out.add(prefix + ".corruptionsDetected",
-            static_cast<double>(corruptionsDetected));
-    out.add(prefix + ".stragglerEvents",
-            static_cast<double>(stragglerEvents));
-    out.add(prefix + ".devicesLost", static_cast<double>(devicesLost));
-    out.add(prefix + ".degradedReplans",
-            static_cast<double>(degradedReplans));
-    out.add(prefix + ".spotChecks", static_cast<double>(spotChecks));
-    out.add(prefix + ".spotCheckFailures",
-            static_cast<double>(spotCheckFailures));
-    out.add(prefix + ".checksummedBytes",
-            static_cast<double>(checksummedBytes));
-    out.add(prefix + ".watchdogTimeouts",
-            static_cast<double>(watchdogTimeouts));
-    out.add(prefix + ".devicesExcluded",
-            static_cast<double>(devicesExcluded));
-    out.add(prefix + ".abftChecks", static_cast<double>(abftChecks));
-    out.add(prefix + ".abftCatches", static_cast<double>(abftCatches));
-    out.add(prefix + ".tilesRecomputed",
-            static_cast<double>(tilesRecomputed));
-    out.add(prefix + ".abftEscalations",
-            static_cast<double>(abftEscalations));
-}
-
-void
-KernelStats::exportTo(StatSet &out, const std::string &prefix) const
-{
-    out.add(prefix + ".fieldMuls", static_cast<double>(fieldMuls));
-    out.add(prefix + ".fieldAdds", static_cast<double>(fieldAdds));
-    out.add(prefix + ".butterflies", static_cast<double>(butterflies));
-    out.add(prefix + ".globalReadBytes",
-            static_cast<double>(globalReadBytes));
-    out.add(prefix + ".globalWriteBytes",
-            static_cast<double>(globalWriteBytes));
-    out.add(prefix + ".smemBytes", static_cast<double>(smemBytes));
-    out.add(prefix + ".smemBankConflicts",
-            static_cast<double>(smemBankConflicts));
-    out.add(prefix + ".shuffles", static_cast<double>(shuffles));
-    out.add(prefix + ".syncs", static_cast<double>(syncs));
-    out.add(prefix + ".kernelLaunches",
-            static_cast<double>(kernelLaunches));
 }
 
 } // namespace unintt

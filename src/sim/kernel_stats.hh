@@ -11,9 +11,6 @@
 #define UNINTT_SIM_KERNEL_STATS_HH
 
 #include <cstdint>
-#include <string>
-
-#include "util/stats.hh"
 
 namespace unintt {
 
@@ -48,12 +45,7 @@ struct KernelStats
 
     /** Accumulate another phase's counters. */
     KernelStats &operator+=(const KernelStats &o);
-
-    /** Export to a named StatSet with the given prefix. */
-    void exportTo(StatSet &out, const std::string &prefix) const;
 };
-
-KernelStats operator+(KernelStats a, const KernelStats &b);
 
 /** Counters for one inter-GPU communication phase. */
 struct CommStats
@@ -118,9 +110,6 @@ struct FaultStats
 
     /** Accumulate another phase's counters. */
     FaultStats &operator+=(const FaultStats &o);
-
-    /** Export to a named StatSet with the given prefix. */
-    void exportTo(StatSet &out, const std::string &prefix) const;
 };
 
 } // namespace unintt

@@ -297,39 +297,6 @@ class UniNttEngine
         return report;
     }
 
-    /**
-     * Cyclic convolution of two equal-size distributed vectors:
-     * a <- IFFT(FFT(a) . FFT(b)) without any reordering passes (the
-     * pointwise product runs in bit-reversed order). The pointwise
-     * multiply fuses into the inverse transform's first pass when
-     * fusion is on.
-     */
-    SimReport
-    convolve(DistributedVector<F> &a, DistributedVector<F> &b) const
-    {
-        UNINTT_ASSERT(a.size() == b.size(), "operand size mismatch");
-        SimReport report = forward(a);
-        report.append(forward(b));
-
-        const uint64_t C = a.chunkSize();
-        for (unsigned g = 0; g < a.numGpus(); ++g)
-            for (uint64_t i = 0; i < C; ++i)
-                a.chunk(g)[i] *= b.chunk(g)[i];
-        KernelStats k;
-        k.fieldMuls = C;
-        if (!cfg_.fuseTwiddles) {
-            k.globalReadBytes = 2 * C * sizeof(F);
-            k.globalWriteBytes = C * sizeof(F);
-            k.kernelLaunches = 1;
-        }
-        report.addKernelPhase(cfg_.fuseTwiddles ? "pointwise-fused"
-                                                : "pointwise-pass",
-                              k, perf_);
-
-        report.append(inverse(a));
-        return report;
-    }
-
   private:
     /**
      * Shared implementation: compile (or fetch) the schedule and

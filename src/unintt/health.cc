@@ -1,26 +1,8 @@
 #include "unintt/health.hh"
 
-#include <sstream>
-
 #include "util/logging.hh"
 
 namespace unintt {
-
-const char *
-toString(DeviceHealth state)
-{
-    switch (state) {
-      case DeviceHealth::Healthy:
-        return "HEALTHY";
-      case DeviceHealth::Suspect:
-        return "SUSPECT";
-      case DeviceHealth::Quarantined:
-        return "QUARANTINED";
-      case DeviceHealth::Probation:
-        return "PROBATION";
-    }
-    return "?";
-}
 
 DeviceHealthTracker::DeviceHealthTracker(unsigned num_devices,
                                          HealthPolicy policy)
@@ -182,18 +164,6 @@ DeviceHealthTracker::usablePowerOfTwo() const
     while ((2u << p) <= n && p + 1 < 32)
         ++p;
     return n == 0 ? 0 : 1u << p;
-}
-
-std::string
-DeviceHealthTracker::toString() const
-{
-    std::ostringstream os;
-    for (unsigned d = 0; d < devices_.size(); ++d) {
-        if (d)
-            os << ' ';
-        os << d << ':' << unintt::toString(devices_[d].state);
-    }
-    return os.str();
 }
 
 } // namespace unintt

@@ -32,7 +32,6 @@
 #define UNINTT_UNINTT_HEALTH_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace unintt {
@@ -48,9 +47,6 @@ enum class DeviceHealth {
     /** Re-admitted on trial; one fault re-quarantines. */
     Probation,
 };
-
-/** Printable name of a health state ("QUARANTINED" style). */
-const char *toString(DeviceHealth state);
 
 /** Thresholds of the health state machine. */
 struct HealthPolicy
@@ -141,9 +137,6 @@ class DeviceHealthTracker
 
     /** Completed runs (the decay clock). */
     uint64_t runsObserved() const { return runsObserved_; }
-
-    /** One-line state summary for logs: "0:HEALTHY 1:QUARANTINED ...". */
-    std::string toString() const;
 
   private:
     struct Device

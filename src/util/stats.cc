@@ -3,71 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "util/logging.hh"
 
 namespace unintt {
-
-void
-StatSet::add(const std::string &name, double delta)
-{
-    auto it = values_.find(name);
-    if (it == values_.end()) {
-        values_.emplace(name, delta);
-        order_.push_back(name);
-    } else {
-        it->second += delta;
-    }
-}
-
-void
-StatSet::set(const std::string &name, double value)
-{
-    auto it = values_.find(name);
-    if (it == values_.end()) {
-        values_.emplace(name, value);
-        order_.push_back(name);
-    } else {
-        it->second = value;
-    }
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = values_.find(name);
-    return it == values_.end() ? 0.0 : it->second;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return values_.count(name) != 0;
-}
-
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &name : other.order_)
-        add(name, other.get(name));
-}
-
-void
-StatSet::clear()
-{
-    for (auto &kv : values_)
-        kv.second = 0.0;
-}
-
-std::string
-StatSet::toString() const
-{
-    std::ostringstream os;
-    for (const auto &name : order_)
-        os << name << " = " << get(name) << "\n";
-    return os.str();
-}
 
 double
 mean(const std::vector<double> &xs)

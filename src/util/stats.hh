@@ -1,54 +1,16 @@
 /**
  * @file
- * Lightweight named-counter statistics and summary helpers (mean,
- * geometric mean) used by the simulator and the benchmark harness.
+ * Summary helpers (mean, percentile, geometric mean) and human-readable
+ * formatting used by the simulator and the benchmark harness.
  */
 
 #ifndef UNINTT_UTIL_STATS_HH
 #define UNINTT_UTIL_STATS_HH
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace unintt {
-
-/**
- * A set of named scalar statistics. Insertion order is preserved for
- * deterministic dumps.
- */
-class StatSet
-{
-  public:
-    /** Add @p delta to the counter called @p name (created at zero). */
-    void add(const std::string &name, double delta);
-
-    /** Overwrite the counter called @p name. */
-    void set(const std::string &name, double value);
-
-    /** Read a counter; returns 0 for unknown names. */
-    double get(const std::string &name) const;
-
-    /** True iff the counter exists. */
-    bool has(const std::string &name) const;
-
-    /** Merge all counters of @p other into this set (summing). */
-    void merge(const StatSet &other);
-
-    /** Reset all counters to zero (names are kept). */
-    void clear();
-
-    /** Names in insertion order. */
-    const std::vector<std::string> &names() const { return order_; }
-
-    /** Render as "name = value" lines. */
-    std::string toString() const;
-
-  private:
-    std::map<std::string, double> values_;
-    std::vector<std::string> order_;
-};
 
 /** Arithmetic mean of @p xs; 0 for an empty vector. */
 double mean(const std::vector<double> &xs);

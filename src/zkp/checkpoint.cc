@@ -63,12 +63,6 @@ CheckpointStore::has(const std::string &key) const
 }
 
 void
-CheckpointStore::erase(const std::string &key)
-{
-    entries_.erase(key);
-}
-
-void
 CheckpointStore::erasePrefix(const std::string &prefix)
 {
     for (auto it = entries_.lower_bound(prefix);
@@ -76,12 +70,6 @@ CheckpointStore::erasePrefix(const std::string &prefix)
          it->first.compare(0, prefix.size(), prefix) == 0;) {
         it = entries_.erase(it);
     }
-}
-
-void
-CheckpointStore::clear()
-{
-    entries_.clear();
 }
 
 uint64_t

@@ -76,14 +76,8 @@ class CheckpointStore
     /** True iff an entry exists under @p key (validity not checked). */
     bool has(const std::string &key) const;
 
-    /** Drop the entry under @p key (no-op when absent). */
-    void erase(const std::string &key);
-
     /** Drop every entry whose key starts with @p prefix. */
     void erasePrefix(const std::string &prefix);
-
-    /** Drop everything (stats are kept). */
-    void clear();
 
     /** Number of live entries. */
     size_t entries() const { return entries_.size(); }

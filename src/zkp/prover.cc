@@ -2,15 +2,48 @@
 
 #include <algorithm>
 
+#include "baselines/fourstep_multigpu.hh"
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
 #include "msm/pippenger.hh"
 #include "ntt/ntt.hh"
 #include "sim/perf_model.hh"
-#include "unintt/backend.hh"
+#include "unintt/engine.hh"
 #include "util/logging.hh"
 
 namespace unintt {
+
+namespace {
+
+/**
+ * Simulated seconds of one forward 2^log_size NTT on the engine that
+ * @p backend names, built for @p sys.
+ */
+template <NttField F>
+double
+analyticNttSeconds(NttBackend backend, const MultiGpuSystem &sys,
+                   unsigned log_size)
+{
+    const auto dir = NttDirection::Forward;
+    switch (backend) {
+      case NttBackend::UniNtt:
+        return UniNttEngine<F>(sys).analyticRun(log_size, dir)
+            .totalSeconds();
+      case NttBackend::FourStep:
+        return FourStepMultiGpuNtt<F>(sys).analyticRun(log_size, dir)
+            .totalSeconds();
+      case NttBackend::SingleGpu: {
+        // The other GPUs idle: UniNTT on a one-device copy of the node.
+        MultiGpuSystem solo = sys;
+        solo.numGpus = 1;
+        return UniNttEngine<F>(solo).analyticRun(log_size, dir)
+            .totalSeconds();
+      }
+    }
+    return 0;
+}
+
+} // namespace
 
 const char *
 toString(NttBackend backend)
@@ -187,12 +220,7 @@ ZkpPipeline::hashBasedStageSeconds(const ProverStage &stage) const
 double
 ZkpPipeline::nttSecondsGoldilocks(unsigned log_size) const
 {
-    // The backend registry replaces the old per-field switch ladder:
-    // the enum's printable name doubles as the registry key.
-    auto be = NttBackendRegistry<Goldilocks>::global().make(
-        toString(backend_), sys_);
-    return be->analyticRun(log_size, NttDirection::Forward)
-        .totalSeconds();
+    return analyticNttSeconds<Goldilocks>(backend_, sys_, log_size);
 }
 
 double
@@ -216,10 +244,7 @@ ZkpPipeline::hashSeconds(unsigned log_size) const
 double
 ZkpPipeline::nttSeconds(unsigned log_size) const
 {
-    auto be = NttBackendRegistry<Bn254Fr>::global().make(
-        toString(backend_), sys_);
-    return be->analyticRun(log_size, NttDirection::Forward)
-        .totalSeconds();
+    return analyticNttSeconds<Bn254Fr>(backend_, sys_, log_size);
 }
 
 double

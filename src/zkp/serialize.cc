@@ -17,13 +17,6 @@ ByteWriter::writeU64(uint64_t v)
 }
 
 void
-ByteWriter::writeU256(const U256 &v)
-{
-    for (int i = 0; i < 4; ++i)
-        writeU64(v.limb[i]);
-}
-
-void
 ByteWriter::writeDigest(const Digest &d)
 {
     for (const auto &g : d)
@@ -49,19 +42,6 @@ ByteReader::readGoldilocks()
     if (!v || *v >= Goldilocks::kModulus)
         return std::nullopt; // non-canonical encodings are rejected
     return Goldilocks::fromU64(*v);
-}
-
-std::optional<U256>
-ByteReader::readU256()
-{
-    U256 out;
-    for (int i = 0; i < 4; ++i) {
-        auto v = readU64();
-        if (!v)
-            return std::nullopt;
-        out.limb[i] = *v;
-    }
-    return out;
 }
 
 std::optional<Digest>
@@ -106,8 +86,10 @@ readMerklePath(ByteReader &r)
     return path;
 }
 
+} // namespace
+
 void
-writeFriInto(ByteWriter &w, const FriProof &proof)
+writeFriProof(ByteWriter &w, const FriProof &proof)
 {
     w.writeU64(proof.logDegreeBound);
     w.writeU64(proof.roots.size());
@@ -129,7 +111,7 @@ writeFriInto(ByteWriter &w, const FriProof &proof)
 }
 
 std::optional<FriProof>
-readFriFrom(ByteReader &r)
+readFriProof(ByteReader &r)
 {
     FriProof proof;
     auto bound = r.readU64();
@@ -186,25 +168,11 @@ readFriFrom(ByteReader &r)
     return proof;
 }
 
-} // namespace
-
-void
-writeFriProof(ByteWriter &w, const FriProof &proof)
-{
-    writeFriInto(w, proof);
-}
-
-std::optional<FriProof>
-readFriProof(ByteReader &r)
-{
-    return readFriFrom(r);
-}
-
 std::vector<uint8_t>
 serializeFriProof(const FriProof &proof)
 {
     ByteWriter w;
-    writeFriInto(w, proof);
+    writeFriProof(w, proof);
     return w.bytes();
 }
 
@@ -212,7 +180,7 @@ std::optional<FriProof>
 deserializeFriProof(const std::vector<uint8_t> &bytes)
 {
     ByteReader r(bytes);
-    auto proof = readFriFrom(r);
+    auto proof = readFriProof(r);
     if (!proof || !r.exhausted())
         return std::nullopt;
     return proof;
@@ -224,9 +192,9 @@ serializeStarkProof(const StarkProof &proof)
     ByteWriter w;
     w.writeU64(proof.logTrace);
     w.writeGoldilocks(proof.publicStart);
-    writeFriInto(w, proof.traceFri);
-    writeFriInto(w, proof.quotientFri);
-    writeFriInto(w, proof.boundaryFri);
+    writeFriProof(w, proof.traceFri);
+    writeFriProof(w, proof.quotientFri);
+    writeFriProof(w, proof.boundaryFri);
     w.writeU64(proof.queries.size());
     for (const auto &q : proof.queries) {
         w.writeGoldilocks(q.traceCur);
@@ -253,9 +221,9 @@ deserializeStarkProof(const std::vector<uint8_t> &bytes)
     proof.logTrace = static_cast<unsigned>(*log_trace);
     proof.publicStart = *start;
 
-    auto trace = readFriFrom(r);
-    auto quotient = readFriFrom(r);
-    auto boundary = readFriFrom(r);
+    auto trace = readFriProof(r);
+    auto quotient = readFriProof(r);
+    auto boundary = readFriProof(r);
     if (!trace || !quotient || !boundary)
         return std::nullopt;
     proof.traceFri = std::move(*trace);
@@ -288,200 +256,6 @@ deserializeStarkProof(const std::vector<uint8_t> &bytes)
         q.quotientPath = *p3;
         q.boundaryPath = *p4;
         proof.queries.push_back(std::move(q));
-    }
-    if (!r.exhausted())
-        return std::nullopt;
-    return proof;
-}
-
-} // namespace unintt
-
-namespace unintt {
-
-namespace {
-
-/** Affine G1 point: x, y as canonical U256 (0,0 = infinity). */
-void
-writeG1(ByteWriter &w, const G1Jacobian &p)
-{
-    auto a = p.toAffine();
-    w.writeU256(a.x.value());
-    w.writeU256(a.y.value());
-}
-
-std::optional<G1Jacobian>
-readG1(ByteReader &r)
-{
-    auto x = r.readU256();
-    auto y = r.readU256();
-    if (!x || !y)
-        return std::nullopt;
-    if (geq(*x, Bn254FqParams::kModulus) ||
-        geq(*y, Bn254FqParams::kModulus))
-        return std::nullopt; // non-canonical coordinates
-    G1Affine affine{Bn254Fq::fromU256(*x), Bn254Fq::fromU256(*y)};
-    if (!affine.isOnCurve())
-        return std::nullopt; // off-curve points are rejected outright
-    return G1Jacobian::fromAffine(affine);
-}
-
-std::optional<Bn254Fr>
-readFr(ByteReader &r)
-{
-    auto v = r.readU256();
-    if (!v || geq(*v, Bn254FrParams::kModulus))
-        return std::nullopt;
-    return Bn254Fr::fromU256(*v);
-}
-
-} // namespace
-
-std::vector<uint8_t>
-serializeAirProof(const AirProof &proof)
-{
-    ByteWriter w;
-    w.writeU64(proof.logTrace);
-    w.writeU64(proof.boundaries.size());
-    for (const auto &b : proof.boundaries) {
-        w.writeU64(b.column);
-        w.writeGoldilocks(b.value);
-    }
-    w.writeU64(proof.columnFris.size());
-    for (const auto &f : proof.columnFris)
-        writeFriInto(w, f);
-    writeFriInto(w, proof.quotientFri);
-    writeFriInto(w, proof.boundaryFri);
-    w.writeU64(proof.queries.size());
-    for (const auto &q : proof.queries) {
-        w.writeU64(q.cur.size());
-        for (size_t c = 0; c < q.cur.size(); ++c) {
-            w.writeGoldilocks(q.cur[c]);
-            w.writeGoldilocks(q.next[c]);
-            writeMerklePath(w, q.curPaths[c]);
-            writeMerklePath(w, q.nextPaths[c]);
-        }
-        w.writeGoldilocks(q.quotient);
-        w.writeGoldilocks(q.boundary);
-        writeMerklePath(w, q.quotientPath);
-        writeMerklePath(w, q.boundaryPath);
-    }
-    return w.bytes();
-}
-
-std::optional<AirProof>
-deserializeAirProof(const std::vector<uint8_t> &bytes)
-{
-    ByteReader r(bytes);
-    AirProof proof;
-    auto log_trace = r.readU64();
-    if (!log_trace || *log_trace > 40)
-        return std::nullopt;
-    proof.logTrace = static_cast<unsigned>(*log_trace);
-
-    auto nbound = r.readU64();
-    if (!nbound || *nbound > 1024)
-        return std::nullopt;
-    for (uint64_t i = 0; i < *nbound; ++i) {
-        auto col = r.readU64();
-        auto val = r.readGoldilocks();
-        if (!col || *col > 1024 || !val)
-            return std::nullopt;
-        proof.boundaries.push_back(
-            Air::Boundary{static_cast<unsigned>(*col), *val});
-    }
-
-    auto ncols = r.readU64();
-    if (!ncols || *ncols == 0 || *ncols > 1024)
-        return std::nullopt;
-    for (uint64_t c = 0; c < *ncols; ++c) {
-        auto f = readFriFrom(r);
-        if (!f)
-            return std::nullopt;
-        proof.columnFris.push_back(std::move(*f));
-    }
-    auto quotient = readFriFrom(r);
-    auto boundary = readFriFrom(r);
-    if (!quotient || !boundary)
-        return std::nullopt;
-    proof.quotientFri = std::move(*quotient);
-    proof.boundaryFri = std::move(*boundary);
-
-    auto nqueries = r.readU64();
-    if (!nqueries || *nqueries > 4096)
-        return std::nullopt;
-    for (uint64_t i = 0; i < *nqueries; ++i) {
-        AirProof::Query q;
-        auto width = r.readU64();
-        if (!width || *width != *ncols)
-            return std::nullopt;
-        for (uint64_t c = 0; c < *width; ++c) {
-            auto cur = r.readGoldilocks();
-            auto next = r.readGoldilocks();
-            if (!cur || !next)
-                return std::nullopt;
-            q.cur.push_back(*cur);
-            q.next.push_back(*next);
-            auto p1 = readMerklePath(r);
-            auto p2 = readMerklePath(r);
-            if (!p1 || !p2)
-                return std::nullopt;
-            q.curPaths.push_back(std::move(*p1));
-            q.nextPaths.push_back(std::move(*p2));
-        }
-        auto quot = r.readGoldilocks();
-        auto bound = r.readGoldilocks();
-        if (!quot || !bound)
-            return std::nullopt;
-        q.quotient = *quot;
-        q.boundary = *bound;
-        auto p3 = readMerklePath(r);
-        auto p4 = readMerklePath(r);
-        if (!p3 || !p4)
-            return std::nullopt;
-        q.quotientPath = std::move(*p3);
-        q.boundaryPath = std::move(*p4);
-        proof.queries.push_back(std::move(q));
-    }
-    if (!r.exhausted())
-        return std::nullopt;
-    return proof;
-}
-
-std::vector<uint8_t>
-serializeQapProof(const QapProof &proof)
-{
-    ByteWriter w;
-    for (const auto *commit : {&proof.commitA, &proof.commitB,
-                               &proof.commitC, &proof.commitH})
-        writeG1(w, *commit);
-    for (const auto *open : {&proof.openA, &proof.openB, &proof.openC,
-                             &proof.openH}) {
-        w.writeU256(open->value.value());
-        writeG1(w, open->witness);
-    }
-    return w.bytes();
-}
-
-std::optional<QapProof>
-deserializeQapProof(const std::vector<uint8_t> &bytes)
-{
-    ByteReader r(bytes);
-    QapProof proof;
-    for (auto *commit : {&proof.commitA, &proof.commitB, &proof.commitC,
-                         &proof.commitH}) {
-        auto p = readG1(r);
-        if (!p)
-            return std::nullopt;
-        *commit = *p;
-    }
-    for (auto *open : {&proof.openA, &proof.openB, &proof.openC,
-                       &proof.openH}) {
-        auto v = readFr(r);
-        auto p = readG1(r);
-        if (!v || !p)
-            return std::nullopt;
-        open->value = *v;
-        open->witness = *p;
     }
     if (!r.exhausted())
         return std::nullopt;

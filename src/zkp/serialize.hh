@@ -3,9 +3,10 @@
  * Wire format for proofs. Proof systems are only useful if proofs
  * survive a network hop; this module provides a small length-checked
  * little-endian binary codec (ByteWriter/ByteReader) and encoders/
- * decoders for the proof types shipped in this repo (FRI, STARK, QAP
- * openings). Decoding is defensive: malformed or truncated buffers
- * yield decode failure, never undefined behavior.
+ * decoders for the FRI and square-machine STARK proofs that the CLI
+ * writes and the checkpoint store persists. Decoding is defensive:
+ * malformed or truncated buffers yield decode failure, never undefined
+ * behavior.
  */
 
 #ifndef UNINTT_ZKP_SERIALIZE_HH
@@ -15,9 +16,7 @@
 #include <optional>
 #include <vector>
 
-#include "zkp/air.hh"
 #include "zkp/fri.hh"
-#include "zkp/qap_argument.hh"
 #include "zkp/stark.hh"
 
 namespace unintt {
@@ -31,9 +30,6 @@ class ByteWriter
 
     /** Append a field element (canonical form). */
     void writeGoldilocks(Goldilocks v) { writeU64(v.value()); }
-
-    /** Append a 256-bit value. */
-    void writeU256(const U256 &v);
 
     /** Append a digest. */
     void writeDigest(const Digest &d);
@@ -59,9 +55,6 @@ class ByteReader
 
     /** Read a canonical field element; nullopt if out of range. */
     std::optional<Goldilocks> readGoldilocks();
-
-    /** Read a 256-bit value. */
-    std::optional<U256> readU256();
 
     /** Read a digest. */
     std::optional<Digest> readDigest();
@@ -97,20 +90,6 @@ std::optional<FriProof> deserializeFriProof(
 
 /** Serialize a STARK proof. */
 std::vector<uint8_t> serializeStarkProof(const StarkProof &proof);
-
-/** Serialize a generic-AIR proof. */
-std::vector<uint8_t> serializeAirProof(const AirProof &proof);
-
-/** Deserialize a generic-AIR proof; nullopt on any malformation. */
-std::optional<AirProof> deserializeAirProof(
-    const std::vector<uint8_t> &bytes);
-
-/** Serialize a QAP-argument proof (BN254 group elements in affine). */
-std::vector<uint8_t> serializeQapProof(const QapProof &proof);
-
-/** Deserialize a QAP-argument proof; nullopt on any malformation. */
-std::optional<QapProof> deserializeQapProof(
-    const std::vector<uint8_t> &bytes);
 
 /** Deserialize a STARK proof; nullopt on any malformation. */
 std::optional<StarkProof> deserializeStarkProof(

@@ -1,7 +1,5 @@
 #include "zkp/stark.hh"
 
-#include <thread>
-
 #include "field/field_traits.hh"
 #include "ntt/radix2.hh"
 #include "util/bitops.hh"
@@ -152,126 +150,12 @@ SquareStark::runMachine(F t0, size_t steps)
 StarkProof
 SquareStark::prove(F t0, unsigned log_trace) const
 {
-    const size_t n = 1ULL << log_trace;
-    UNINTT_ASSERT(n > 2 * params_.friFinalTerms,
-                  "trace too short for the FRI parameters");
-    const size_t d = n << params_.logBlowup; // LDE domain size
-    const size_t step = d / n;               // index shift for g*x
-    const F shift = ldeShift();
-
-    FriParams fri;
-    fri.logBlowup = params_.logBlowup;
-    fri.finalPolyTerms = params_.friFinalTerms;
-    fri.numQueries = params_.numQueries;
-    fri.cosetShift = shift;
-
-    StarkProof proof;
-    proof.logTrace = log_trace;
-    proof.publicStart = t0;
-
-    Transcript transcript("unintt-stark-v1");
-    transcript.absorb(t0);
-    transcript.absorbU64(log_trace);
-
-    // Trace polynomial from the honest execution.
-    auto trace = runMachine(t0, n - 1);
-    std::vector<F> t_coeffs(trace);
-    nttInverseInPlace(t_coeffs);
-
-    FriProverArtifacts t_art;
-    proof.traceFri = friProve(t_coeffs, fri, transcript, &t_art);
-    const auto &t_code = t_art.codeword; // T on the coset LDE domain
-
-    // Domain points x_i = shift * w_d^i, plus the constants the
-    // quotients need.
-    const F w_d = F::rootOfUnity(log2Exact(d));
-    const F last_row = F::rootOfUnity(log_trace).inverse(); // g^(n-1)
-    std::vector<F> xs(d);
-    {
-        F x = shift;
-        for (size_t i = 0; i < d; ++i) {
-            xs[i] = x;
-            x *= w_d;
-        }
-    }
-
-    // Transition quotient on the LDE domain:
-    // Q = (T(gx) - T(x)^2 - 1)(x - last) / (x^n - 1).
-    // x^n cycles with period `step`, so batch-invert one period.
-    std::vector<F> zh(step);
-    {
-        F gamma_n = shift.pow(n);
-        F w_step = w_d.pow(n); // order `step`
-        F cur = gamma_n;
-        for (size_t i = 0; i < step; ++i) {
-            zh[i] = cur - F::one();
-            UNINTT_ASSERT(!zh[i].isZero(), "Z_H vanished on the coset");
-            cur *= w_step;
-        }
-    }
-    auto zh_inv = batchInverse(zh);
-
-    std::vector<F> q_code(d);
-    for (size_t i = 0; i < d; ++i) {
-        F c = t_code[(i + step) % d] - t_code[i] * t_code[i] - F::one();
-        q_code[i] = c * (xs[i] - last_row) * zh_inv[i % step];
-    }
-    auto q_coeffs = cosetInterpolate(q_code, shift);
-    for (size_t i = n; i < q_coeffs.size(); ++i)
-        UNINTT_ASSERT(q_coeffs[i].isZero(),
-                      "transition quotient exceeds the degree bound");
-    q_coeffs.resize(n);
-
-    // Boundary quotient B = (T - t0) / (x - 1). It reads only the
-    // committed trace codeword — never the transcript — so its inverse
-    // NTT runs concurrently with the quotient Merkle commit below: the
-    // prover-level analogue of the engine's exchange/butterfly overlap
-    // (commit of round i hides the NTT of round i+1). The thread joins
-    // before the boundary commit touches the transcript, so the
-    // Fiat-Shamir sequence and the proof bytes are identical to the
-    // sequential order.
-    std::vector<F> b_code(d);
-    std::vector<F> b_coeffs;
-    std::thread boundary_ntt([&] {
-        std::vector<F> denom(d);
-        for (size_t i = 0; i < d; ++i)
-            denom[i] = xs[i] - F::one();
-        auto denom_inv = batchInverse(denom);
-        for (size_t i = 0; i < d; ++i)
-            b_code[i] = (t_code[i] - t0) * denom_inv[i];
-        b_coeffs = cosetInterpolate(b_code, shift);
-    });
-
-    FriProverArtifacts q_art;
-    proof.quotientFri = friProve(q_coeffs, fri, transcript, &q_art);
-    UNINTT_ASSERT(q_art.codeword == q_code,
-                  "quotient codeword mismatch (internal)");
-
-    boundary_ntt.join();
-    for (size_t i = n; i < b_coeffs.size(); ++i)
-        UNINTT_ASSERT(b_coeffs[i].isZero(),
-                      "boundary quotient exceeds the degree bound");
-    b_coeffs.resize(n);
-
-    FriProverArtifacts b_art;
-    proof.boundaryFri = friProve(b_coeffs, fri, transcript, &b_art);
-
-    // Spot checks tying the three commitments together.
-    for (unsigned q = 0; q < params_.numQueries; ++q) {
-        size_t idx = transcript.challengeU64() % d;
-        size_t next_idx = (idx + step) % d;
-        StarkQuery query;
-        query.traceCur = t_code[idx];
-        query.traceNext = t_code[next_idx];
-        query.quotient = q_art.codeword[idx];
-        query.boundary = b_art.codeword[idx];
-        query.traceCurPath = t_art.tree->open(idx);
-        query.traceNextPath = t_art.tree->open(next_idx);
-        query.quotientPath = q_art.tree->open(idx);
-        query.boundaryPath = b_art.tree->open(idx);
-        proof.queries.push_back(std::move(query));
-    }
-    return proof;
+    CheckpointStore store;
+    Result<StarkProof> r = proveCheckpointed(t0, log_trace, store);
+    if (!r.ok() && r.status().code() == StatusCode::InvalidArgument)
+        fatal("%s", r.status().message().c_str());
+    UNINTT_ASSERT(r.ok(), r.status().toString().c_str());
+    return std::move(r.value());
 }
 
 Result<StarkProof>

@@ -81,8 +81,11 @@ class SquareStark
 
     /**
      * Prove that the machine started at @p t0 and ran 2^log_trace - 1
-     * steps of t <- t^2 + 1. log_trace must exceed
-     * log2(friFinalTerms) + 1 so FRI has at least one round.
+     * steps of t <- t^2 + 1: proveCheckpointed() on a private store,
+     * so every proof comes from the same stage walk. log_trace must
+     * exceed log2(friFinalTerms) + 1 so FRI has at least one round; a
+     * shorter trace is a user error (fatal(), exit status 1), and any
+     * other failure is an internal one (panic).
      */
     StarkProof prove(Goldilocks t0, unsigned log_trace) const;
 
@@ -108,14 +111,14 @@ class SquareStark
     };
 
     /**
-     * prove() with per-stage (and per-FRI-round) checkpointing into
-     * @p store. Each stage's output is persisted as it completes,
-     * sealed with a position-salted checksum; a rerun after an
-     * interruption restores every valid checkpoint and recomputes
+     * The prover's stage walk, checkpointing each stage (and each FRI
+     * round) into @p store. Each stage's output is persisted as it
+     * completes, sealed with a position-salted checksum; a rerun after
+     * an interruption restores every valid checkpoint and recomputes
      * only from the first missing (or corrupted — a failed seal reads
-     * as missing) stage onward. The produced proof is byte-identical
-     * to prove()'s on the same inputs regardless of how many times
-     * the pipeline was interrupted and resumed.
+     * as missing) stage onward. The produced proof is the same bytes
+     * however many times the pipeline was interrupted and resumed. A
+     * trace too short for FRI returns InvalidArgument.
      *
      * Checkpoint keys are namespaced by (t0, log_trace), so one store
      * can serve many proof instances without cross-talk.

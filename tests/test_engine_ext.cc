@@ -1,15 +1,15 @@
 /**
  * @file
- * Tests for the engine extensions: coset transforms (LDE), the fused
- * convolution path, randomized output verification (including failure
- * injection), multi-node execution, and memory-footprint reporting.
+ * Tests for the engine extensions: coset transforms (LDE), randomized
+ * output verification (including failure injection), multi-node
+ * execution, and memory-footprint reporting.
  */
 
 #include <gtest/gtest.h>
 
 #include "baselines/fourstep_multigpu.hh"
 #include "field/goldilocks.hh"
-#include "ntt/reference.hh"
+#include "ntt/radix2.hh"
 #include "unintt/engine.hh"
 #include "unintt/verify.hh"
 #include "util/random.hh"
@@ -65,23 +65,6 @@ TEST(CosetNtt, UnfusedConfigStillCorrectAndSlower)
     auto r2 = unfused.forwardCoset(d2, shift);
     EXPECT_EQ(d1.toGlobal(), d2.toGlobal());
     EXPECT_LT(r1.totalSeconds(), r2.totalSeconds());
-}
-
-TEST(Convolve, MatchesNaiveCyclicConvolution)
-{
-    size_t n = 1 << 8;
-    auto a = randomVector(n, 3);
-    auto b = randomVector(n, 4);
-    auto expect = naiveCyclicConvolution(a, b);
-
-    UniNttEngine<F> engine(makeDgxA100(4));
-    auto da = DistributedVector<F>::fromGlobal(a, 4);
-    auto db = DistributedVector<F>::fromGlobal(b, 4);
-    auto report = engine.convolve(da, db);
-    EXPECT_EQ(da.toGlobal(), expect);
-    EXPECT_GT(report.totalSeconds(), 0.0);
-    // Three transforms' worth of cross-GPU stages.
-    EXPECT_EQ(report.totalCommStats().messages, 3 * 2u);
 }
 
 TEST(SpotCheck, AcceptsCorrectTransform)

@@ -2,8 +2,8 @@
  * @file
  * Stage-schedule IR tests: structural invariants of compiled schedules
  * across hardware models, schedule-cache behavior, a golden snapshot
- * of one canonical configuration, the natural-order output gather, and
- * the batched inverse round trip (engine and backend API).
+ * of one canonical configuration, fused-group and DAG-overlay
+ * invariants, and the engine's batched round trip.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "field/babybear.hh"
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
-#include "unintt/backend.hh"
 #include "unintt/cache.hh"
 #include "unintt/engine.hh"
 #include "unintt/schedule.hh"
@@ -546,49 +545,6 @@ TEST(BatchApi, ForwardBatchThenInverseBatchRestoresEveryEntry)
         if (p.name == "inverse-scale-fused")
             ++scales;
     EXPECT_EQ(scales, 1u);
-}
-
-TEST(BackendApi, RegistryExposesTheBuiltinsAndBatchRoundTrips)
-{
-    auto &reg = NttBackendRegistry<Goldilocks>::global();
-    const auto names = reg.names();
-    for (const char *want :
-         {"unintt", "fourstep", "fourstep-prior", "single-gpu",
-          "naive"})
-        EXPECT_NE(std::find(names.begin(), names.end(), want),
-                  names.end())
-            << want;
-    EXPECT_EQ(reg.tryMake("no-such-backend", makeDgxA100(4)), nullptr);
-
-    auto sys = makeDgxA100(4);
-    auto be = reg.make("unintt", sys);
-    EXPECT_STREQ(be->name(), "unintt");
-
-    // The backend prices exactly like the concrete engine.
-    UniNttEngine<Goldilocks> engine(sys);
-    EXPECT_EQ(be->analyticRun(20, NttDirection::Forward).totalSeconds(),
-              engine.analyticRun(20, NttDirection::Forward)
-                  .totalSeconds());
-
-    // Batched round trip through the polymorphic interface.
-    const size_t n = size_t{1} << 10;
-    Rng rng(55);
-    std::vector<std::vector<Goldilocks>> inputs(2);
-    std::vector<DistributedVector<Goldilocks>> batch;
-    for (auto &in : inputs) {
-        in.resize(n);
-        for (auto &v : in)
-            v = Goldilocks::fromU64(rng.next());
-        batch.push_back(
-            DistributedVector<Goldilocks>::fromGlobal(in, 4));
-    }
-    be->forwardBatch(batch);
-    be->inverseBatch(batch);
-    for (size_t b = 0; b < batch.size(); ++b)
-        EXPECT_EQ(batch[b].toGlobal(), inputs[b]) << "entry " << b;
-
-    // The single-GPU backend really is pinned to one device.
-    EXPECT_EQ(reg.make("single-gpu", sys)->system().numGpus, 1u);
 }
 
 } // namespace

@@ -8,9 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "util/checksum.hh"
 #include "util/random.hh"
 #include "zkp/serialize.hh"
-#include "zkp/r1cs.hh"
 
 namespace unintt {
 namespace {
@@ -35,7 +35,6 @@ TEST(ByteCodec, PrimitivesRoundTrip)
     w.writeU64(0);
     w.writeU64(~0ULL);
     w.writeGoldilocks(F::fromU64(12345));
-    w.writeU256(U256(1, 2, 3, 4));
     Digest d{F::fromU64(9), F::fromU64(8), F::fromU64(7), F::fromU64(6)};
     w.writeDigest(d);
 
@@ -43,7 +42,6 @@ TEST(ByteCodec, PrimitivesRoundTrip)
     EXPECT_EQ(r.readU64(), 0ULL);
     EXPECT_EQ(r.readU64(), ~0ULL);
     EXPECT_EQ(r.readGoldilocks(), F::fromU64(12345));
-    EXPECT_EQ(r.readU256(), U256(1, 2, 3, 4));
     EXPECT_EQ(r.readDigest(), d);
     EXPECT_TRUE(r.exhausted());
     EXPECT_FALSE(r.readU64().has_value()); // past the end
@@ -151,72 +149,33 @@ TEST(SerializeStark, EmptyBufferRejected)
     EXPECT_FALSE(deserializeFriProof({}).has_value());
 }
 
-TEST(SerializeAir, RoundTripVerifies)
+TEST(SerializeStark, ProofBytesArePinned)
 {
-    AirStark stark(fibonacciAir(F::one(), F::one()));
-    auto proof = stark.prove(fibonacciTrace(F::one(), F::one(), 6));
-    auto bytes = serializeAirProof(proof);
-    auto back = deserializeAirProof(bytes);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_TRUE(stark.verify(*back));
-    EXPECT_EQ(serializeAirProof(*back), bytes);
-}
-
-TEST(SerializeAir, TruncationAndPaddingRejected)
-{
-    AirStark stark(fibonacciAir(F::one(), F::one()));
-    auto bytes = serializeAirProof(
-        stark.prove(fibonacciTrace(F::one(), F::one(), 6)));
-    auto shorter = bytes;
-    shorter.resize(bytes.size() - 8);
-    EXPECT_FALSE(deserializeAirProof(shorter).has_value());
-    auto longer = bytes;
-    longer.push_back(1);
-    EXPECT_FALSE(deserializeAirProof(longer).has_value());
-}
-
-TEST(SerializeQap, RoundTripVerifies)
-{
-    size_t x_var = 0, out_var = 0;
-    auto cs = cubicDemoCircuit<Bn254Fr>(x_var, out_var);
-    auto witness = cubicDemoWitness(Bn254Fr::fromU64(3));
-    QapArgument argument(16);
-    auto proof = argument.prove(cs, witness);
-
-    auto bytes = serializeQapProof(proof);
-    // Fixed-size format: 4 commitments + 4 openings, affine points.
-    EXPECT_EQ(bytes.size(), 4 * 64 + 4 * (32 + 64));
-    auto back = deserializeQapProof(bytes);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_TRUE(argument.verify(cs, *back));
-    EXPECT_EQ(serializeQapProof(*back), bytes);
-}
-
-TEST(SerializeQap, OffCurvePointRejected)
-{
-    size_t x_var = 0, out_var = 0;
-    auto cs = cubicDemoCircuit<Bn254Fr>(x_var, out_var);
-    auto witness = cubicDemoWitness(Bn254Fr::fromU64(3));
-    QapArgument argument(16);
-    auto bytes = serializeQapProof(argument.prove(cs, witness));
-    // Corrupt the first commitment's x coordinate: the point leaves
-    // the curve and the decoder must refuse it.
-    bytes[0] ^= 1;
-    EXPECT_FALSE(deserializeQapProof(bytes).has_value());
-}
-
-TEST(SerializeQap, NonCanonicalCoordinateRejected)
-{
-    // An x coordinate >= q must be rejected even if it would alias a
-    // valid point mod q.
-    size_t x_var = 0, out_var = 0;
-    auto cs = cubicDemoCircuit<Bn254Fr>(x_var, out_var);
-    auto witness = cubicDemoWitness(Bn254Fr::fromU64(3));
-    QapArgument argument(16);
-    auto bytes = serializeQapProof(argument.prove(cs, witness));
-    for (int i = 0; i < 32; ++i)
-        bytes[i] = 0xff; // x = 2^256 - 1 > q
-    EXPECT_FALSE(deserializeQapProof(bytes).has_value());
+    // The size and checksum of whole serialized proofs. Every other
+    // prover test compares one path against another; this one fails on
+    // any change to the stage walk, FRI, the sponge or the wire format
+    // that moves a proof byte.
+    struct Pin
+    {
+        uint64_t start;
+        unsigned logTrace;
+        size_t bytes;
+        uint64_t checksum;
+    };
+    const Pin pins[] = {
+        {3, 5, 91704, 0xd3d249ac4307ad3cULL},
+        {3, 8, 235992, 0x0eb5ffb3042f026bULL},
+        {77, 10, 355224, 0xb3f7886dd6b30d58ULL},
+    };
+    SquareStark stark;
+    for (const auto &pin : pins) {
+        SCOPED_TRACE(testing::Message() << "start " << pin.start
+                                        << ", log_trace " << pin.logTrace);
+        auto bytes = serializeStarkProof(
+            stark.prove(F::fromU64(pin.start), pin.logTrace));
+        EXPECT_EQ(bytes.size(), pin.bytes);
+        EXPECT_EQ(checksumBytes(bytes.data(), bytes.size()), pin.checksum);
+    }
 }
 
 TEST(SerializeStark, ProofSizeIsReasonable)

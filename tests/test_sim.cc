@@ -147,7 +147,7 @@ TEST(Interconnect, LookupByName)
     EXPECT_EQ(fabricByName("pcie").kind, FabricKind::Pcie);
 }
 
-TEST(KernelStatsTest, AccumulateAndExport)
+TEST(KernelStatsTest, Accumulates)
 {
     KernelStats a, b;
     a.fieldMuls = 10;
@@ -158,11 +158,6 @@ TEST(KernelStatsTest, AccumulateAndExport)
     EXPECT_EQ(a.fieldMuls, 15u);
     EXPECT_EQ(a.smemBytes, 7u);
     EXPECT_EQ(a.globalBytes(), 100u);
-
-    StatSet s;
-    a.exportTo(s, "k");
-    EXPECT_DOUBLE_EQ(s.get("k.fieldMuls"), 15.0);
-    EXPECT_DOUBLE_EQ(s.get("k.globalReadBytes"), 100.0);
 }
 
 TEST(Report, AccumulatesPhases)

@@ -134,6 +134,13 @@ TEST_F(StarkTest, WrongTraceLengthClaimRejected)
     EXPECT_FALSE(stark_.verify(proof));
 }
 
+TEST_F(StarkTest, TooShortTraceIsAUserError)
+{
+    // The default parameters need more than 2 * friFinalTerms = 16 rows.
+    EXPECT_EXIT(stark_.prove(F::fromU64(3), 4),
+                ::testing::ExitedWithCode(1), "trace too short");
+}
+
 TEST_F(StarkTest, ParameterMismatchRejected)
 {
     auto proof = stark_.prove(F::fromU64(42), 7);

@@ -71,37 +71,6 @@ TEST(Bitops, BitReversePermuteRoundTrips)
     EXPECT_EQ(v, orig);
 }
 
-TEST(Stats, AddAndGet)
-{
-    StatSet s;
-    s.add("bytes", 10);
-    s.add("bytes", 5);
-    EXPECT_DOUBLE_EQ(s.get("bytes"), 15.0);
-    EXPECT_DOUBLE_EQ(s.get("missing"), 0.0);
-    EXPECT_TRUE(s.has("bytes"));
-    EXPECT_FALSE(s.has("missing"));
-}
-
-TEST(Stats, MergeSums)
-{
-    StatSet a, b;
-    a.add("x", 1);
-    b.add("x", 2);
-    b.add("y", 3);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
-}
-
-TEST(Stats, ClearKeepsNames)
-{
-    StatSet s;
-    s.add("x", 7);
-    s.clear();
-    EXPECT_TRUE(s.has("x"));
-    EXPECT_DOUBLE_EQ(s.get("x"), 0.0);
-}
-
 TEST(Stats, MeanAndGeomean)
 {
     EXPECT_DOUBLE_EQ(mean({2, 4, 6}), 4.0);

@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the ZKP layer: the polynomial module against naive
- * evaluation, and the prover pipeline models (stage structure, the
- * motivation property that NTT share grows with GPU count under the
- * conventional backend, and UniNTT's end-to-end win).
+ * evaluation, and the prover pipeline models (stage structure, NTT
+ * pricing per backend against the concrete engines, the motivation
+ * property that NTT share grows with GPU count under the conventional
+ * backend, and UniNTT's end-to-end win).
  */
 
 #include <gtest/gtest.h>
 
+#include "baselines/fourstep_multigpu.hh"
+#include "field/bn254.hh"
 #include "field/goldilocks.hh"
+#include "unintt/engine.hh"
 #include "zkp/polynomial.hh"
 #include "zkp/prover.hh"
 
@@ -17,6 +21,47 @@ namespace {
 
 using Poly = Polynomial<Goldilocks>;
 using F = Goldilocks;
+
+/**
+ * Forward-NTT seconds of the concrete engine @p backend names on a
+ * DGX-A100 with @p gpus GPUs.
+ */
+template <NttField Fld>
+double
+engineNttSeconds(NttBackend backend, unsigned gpus, unsigned log_size)
+{
+    const auto fwd = NttDirection::Forward;
+    switch (backend) {
+      case NttBackend::UniNtt:
+        return UniNttEngine<Fld>(makeDgxA100(gpus))
+            .analyticRun(log_size, fwd)
+            .totalSeconds();
+      case NttBackend::FourStep:
+        return FourStepMultiGpuNtt<Fld>(makeDgxA100(gpus),
+                                        FourStepOptions::tuned())
+            .analyticRun(log_size, fwd)
+            .totalSeconds();
+      case NttBackend::SingleGpu:
+        return UniNttEngine<Fld>(makeDgxA100(1))
+            .analyticRun(log_size, fwd)
+            .totalSeconds();
+    }
+    return 0;
+}
+
+/** count x engineNttSeconds over the NTT stages, in stage order. */
+template <NttField Fld>
+double
+expectedNttSeconds(const std::vector<ProverStage> &stages,
+                   NttBackend backend, unsigned gpus)
+{
+    double sum = 0;
+    for (const auto &stage : stages)
+        if (stage.kind == ProverStage::Kind::Ntt)
+            sum += engineNttSeconds<Fld>(backend, gpus, stage.logSize) *
+                   stage.count;
+    return sum;
+}
 
 TEST(PolynomialTest, EvaluateMatchesDirectSum)
 {
@@ -169,6 +214,27 @@ TEST(ProverPipeline, UniNttBeatsAlternativesEndToEnd)
         double uni = total(NttBackend::UniNtt);
         EXPECT_LT(uni, total(NttBackend::FourStep)) << gpus;
         EXPECT_LT(uni, total(NttBackend::SingleGpu)) << gpus;
+    }
+}
+
+TEST(ProverPipeline, EveryBackendPricesLikeItsConcreteEngine)
+{
+    const auto groth16 = ZkpPipeline::groth16Stages(20);
+    const auto stark = ZkpPipeline::starkStages(16);
+    for (unsigned gpus : {4u, 8u}) {
+        for (auto backend : {NttBackend::UniNtt, NttBackend::FourStep,
+                             NttBackend::SingleGpu}) {
+            SCOPED_TRACE(testing::Message()
+                         << toString(backend) << " on " << gpus
+                         << " GPUs");
+            ZkpPipeline pipe(makeDgxA100(gpus), backend);
+            EXPECT_DOUBLE_EQ(
+                pipe.estimate(groth16).nttSeconds,
+                expectedNttSeconds<Bn254Fr>(groth16, backend, gpus));
+            EXPECT_DOUBLE_EQ(
+                pipe.estimateHashBased(stark).nttSeconds,
+                expectedNttSeconds<Goldilocks>(stark, backend, gpus));
+        }
     }
 }
 
