@@ -15,8 +15,8 @@
  *    different span indices are independent, so lane-parallel
  *    execution reorders nothing an element can observe: outputs are
  *    byte-identical to the scalar table for every span length,
- *    alignment, and stride. The two reductions (dotSpan, hornerSpan)
- *    choose their own order; they return the same canonical value.
+ *    alignment, and stride. The reductions (dotSpan, hornerSpan,
+ *    wordHash) choose their own order; they return the same value.
  *  - No alignment requirements; spans may start anywhere.
  *  - Any span length, including lengths below the vector width (the
  *    vector kernels peel scalar tails / fall back wholesale).
@@ -56,6 +56,7 @@
 
 #include "field/goldilocks.hh"
 #include "field/isa.hh"
+#include "util/checksum.hh"
 
 namespace unintt {
 
@@ -171,6 +172,25 @@ struct FieldKernels
      */
     void (*hornerSpan)(const F *coef, size_t n, const F *x, F *out,
                        size_t k) = nullptr;
+
+    /**
+     * Seeded fill (job and soak inputs):
+     *   out[i] = F::fromU64(mix64(seed ^ (i0 + i)))   for i < n,
+     * elements i0 .. i0 + n of the vector one seed generates, so a
+     * shard, or a slice of one, fills on its own.
+     */
+    void (*seededFill)(F *out, size_t n, uint64_t seed,
+                       uint64_t i0) = nullptr;
+
+    /**
+     * Position-salted word hash (payload checksums): the XOR over
+     * i < words of mix64(w[i] + kChecksumSalt * (first + i)), w the
+     * 64-bit words at @p data, i.e. checksumWords (util/checksum.hh)
+     * over whole words. XOR is order-free, so slices of one payload
+     * hash apart and combine in any order.
+     */
+    uint64_t (*wordHash)(const void *data, size_t words,
+                         uint64_t first) = nullptr;
 
     /** Block width W of the sub-lane slots: max(8, lanes). */
     size_t subLaneWidth() const { return lanes > 8 ? lanes : 8; }
@@ -502,6 +522,21 @@ hornerSpanScalar(const F *coef, size_t n, const F *x, F *out, size_t k)
         hornerChains<F, 1>(coef, n, x + c, out + c);
 }
 
+template <typename F>
+void
+seededFillScalar(F *out, size_t n, uint64_t seed, uint64_t i0)
+{
+    for (size_t i = 0; i < n; ++i)
+        out[i] = F::fromU64(mix64(seed ^ (i0 + i)));
+}
+
+/** The definition itself: checksumWords over whole words. */
+inline uint64_t
+wordHashScalar(const void *data, size_t words, uint64_t first)
+{
+    return checksumWords(data, 8 * words, first);
+}
+
 // ----- multi-word ILP implementations (wide fields) --------------------
 //
 // Two independent element chains per iteration: the multi-limb
@@ -583,6 +618,8 @@ scalarKernelTable()
     t.scaleSpan = &spankernels::scaleSpanScalar<F>;
     t.dotSpan = &spankernels::dotSpanScalar<F>;
     t.hornerSpan = &spankernels::hornerSpanScalar<F>;
+    t.seededFill = &spankernels::seededFillScalar<F>;
+    t.wordHash = &spankernels::wordHashScalar;
     return t;
 }
 

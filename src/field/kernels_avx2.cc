@@ -34,11 +34,14 @@ namespace unintt {
 namespace spankernels {
 namespace {
 
+struct WordsAvx2;
+
 // ----- Goldilocks: 4 lanes of u64 --------------------------------------
 
 struct GlAvx2
 {
     using Field = Goldilocks;
+    using Words = WordsAvx2;
     static constexpr size_t kLanes = 4;
 
     static __m256i
@@ -177,6 +180,67 @@ struct GlAvx2
     }
 };
 
+// ----- 64-bit words: 4 lanes (the word slots of both tables) ----------
+
+struct WordsAvx2
+{
+    static constexpr size_t kLanes = 4;
+
+    static __m256i
+    load(const void *p)
+    {
+        return _mm256_loadu_si256(static_cast<const __m256i *>(p));
+    }
+
+    static void
+    store(void *p, __m256i v)
+    {
+        _mm256_storeu_si256(static_cast<__m256i *>(p), v);
+    }
+
+    static __m256i
+    set1(uint64_t x)
+    {
+        return _mm256_set1_epi64x(static_cast<long long>(x));
+    }
+
+    static __m256i
+    ramp(uint64_t x)
+    {
+        return _mm256_add_epi64(set1(x), _mm256_setr_epi64x(0, 1, 2, 3));
+    }
+
+    static __m256i bxor(__m256i a, __m256i b) { return _mm256_xor_si256(a, b); }
+    static __m256i add(__m256i a, __m256i b) { return _mm256_add_epi64(a, b); }
+
+    template <int K>
+    static __m256i
+    srl(__m256i a)
+    {
+        return _mm256_srli_epi64(a, K);
+    }
+
+    /** Low 64 bits of a * b: lo*lo plus the cross products << 32. */
+    static __m256i
+    mul(__m256i a, __m256i b)
+    {
+        const __m256i cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+            _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+        return _mm256_add_epi64(_mm256_mul_epu32(a, b),
+                                _mm256_slli_epi64(cross, 32));
+    }
+
+    /** Goldilocks::fromU64: subtract p where x >= p. */
+    static __m256i
+    canon(__m256i x)
+    {
+        const __m256i p = GlAvx2::modulus();
+        return _mm256_sub_epi64(
+            x, _mm256_and_si256(p, GlAvx2::cmpgeU64(x, p)));
+    }
+};
+
 // ----- BabyBear: 8 lanes of u32 Montgomery residues --------------------
 
 /** -p^-1 mod 2^32 (same Newton iteration as babybear.hh). */
@@ -192,6 +256,7 @@ bbNegInv()
 struct BbAvx2
 {
     using Field = BabyBear;
+    using Words = WordsAvx2;
     static constexpr size_t kLanes = 8;
 
     static __m256i

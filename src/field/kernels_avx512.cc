@@ -20,11 +20,73 @@ namespace unintt {
 namespace spankernels {
 namespace {
 
+// ----- 64-bit words: 8 lanes (the word slots of both tables) ----------
+
+// GCC 12 reports the unused pass-through operand of the shift and
+// multiply intrinsics (_mm512_undefined_epi32) as uninitialized once
+// they inline into the word loops (GCC PR 105593, fixed in GCC 13).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+struct WordsAvx512
+{
+    static constexpr size_t kLanes = 8;
+
+    static __m512i load(const void *p) { return _mm512_loadu_si512(p); }
+    static void store(void *p, __m512i v) { _mm512_storeu_si512(p, v); }
+
+    static __m512i
+    set1(uint64_t x)
+    {
+        return _mm512_set1_epi64(static_cast<long long>(x));
+    }
+
+    static __m512i
+    ramp(uint64_t x)
+    {
+        return _mm512_add_epi64(set1(x),
+                                _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+
+    static __m512i bxor(__m512i a, __m512i b) { return _mm512_xor_si512(a, b); }
+    static __m512i add(__m512i a, __m512i b) { return _mm512_add_epi64(a, b); }
+
+    template <int K>
+    static __m512i
+    srl(__m512i a)
+    {
+        return _mm512_srli_epi64(a, K);
+    }
+
+    /** Low 64 bits of a * b: lo*lo plus the cross products << 32. */
+    static __m512i
+    mul(__m512i a, __m512i b)
+    {
+        const __m512i cross = _mm512_add_epi64(
+            _mm512_mul_epu32(_mm512_srli_epi64(a, 32), b),
+            _mm512_mul_epu32(a, _mm512_srli_epi64(b, 32)));
+        return _mm512_add_epi64(_mm512_mul_epu32(a, b),
+                                _mm512_slli_epi64(cross, 32));
+    }
+
+    /**
+     * Goldilocks::fromU64: x + (2^64 - p) wraps exactly when x >= p,
+     * and then to x - p, the smaller of the two.
+     */
+    static __m512i
+    canon(__m512i x)
+    {
+        return _mm512_min_epu64(
+            x, _mm512_add_epi64(x, set1(Goldilocks::kEpsilon)));
+    }
+};
+#pragma GCC diagnostic pop
+
 // ----- Goldilocks: 8 lanes of u64 --------------------------------------
 
 struct GlAvx512
 {
     using Field = Goldilocks;
+    using Words = WordsAvx512;
     static constexpr size_t kLanes = 8;
 
     static __m512i
@@ -172,6 +234,7 @@ bbNegInv()
 struct BbAvx512
 {
     using Field = BabyBear;
+    using Words = WordsAvx512;
     static constexpr size_t kLanes = 16;
 
     static __m512i

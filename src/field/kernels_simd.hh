@@ -2,10 +2,11 @@
  * @file
  * Vector kernel shapes shared by every SIMD backend. A backend
  * supplies an "ops policy" — vector load/store/broadcast, exact
- * lane-wise field add/sub/mul, and an in-place L x L lane transpose
- * of L vectors — and VecKernels<Ops> instantiates every FieldKernels
- * slot from it, peeling scalar tails through the field's own
- * operators so any span length and alignment is legal.
+ * lane-wise field add/sub/mul, an in-place L x L lane transpose of L
+ * vectors, and the ISA's 64-bit word lanes (Ops::Words) — and
+ * VecKernels<Ops> instantiates every FieldKernels slot from it,
+ * peeling scalar tails through the field's own operators so any span
+ * length and alignment is legal.
  *
  * Internal header: include only from translation units compiled with
  * the backend's ISA flags (kernels_avx2.cc, kernels_avx512.cc). The
@@ -19,12 +20,75 @@
 
 #include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "field/kernels.hh"
 
 namespace unintt {
 namespace spankernels {
+
+/**
+ * The word slots over one ISA's 64-bit lanes, which every table of
+ * that ISA binds: wordHash, and seededFill for Goldilocks, whose
+ * elements are canonical words. @p Wd supplies load/store of raw
+ * words, set1, ramp(x) = (x, x + 1, ...), bxor, add, srl<k>, the low
+ * 64 bits of a lane product (mul; AVX-512F has no vpmullq, so both
+ * ISAs build it from vpmuludq) and Goldilocks::fromU64 (canon).
+ */
+template <typename Wd>
+struct VecWordKernels
+{
+    using V = decltype(Wd::set1(0));
+    static constexpr size_t L = Wd::kLanes;
+
+    /** mix64 (util/checksum.hh), lane-wise. */
+    static V
+    mix(V z)
+    {
+        z = Wd::mul(Wd::bxor(z, Wd::template srl<30>(z)),
+                    Wd::set1(0xbf58476d1ce4e5b9ULL));
+        z = Wd::mul(Wd::bxor(z, Wd::template srl<27>(z)),
+                    Wd::set1(0x94d049bb133111ebULL));
+        return Wd::bxor(z, Wd::template srl<31>(z));
+    }
+
+    static uint64_t
+    wordHash(const void *data, size_t words, uint64_t first)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        // Lane k salts word i + k: kChecksumSalt * (first + i + k).
+        V salt = Wd::mul(Wd::ramp(first), Wd::set1(kChecksumSalt));
+        const V step = Wd::set1(kChecksumSalt * L);
+        V acc = Wd::set1(0);
+        size_t i = 0;
+        for (; i + L <= words; i += L) {
+            acc = Wd::bxor(acc, mix(Wd::add(Wd::load(p + 8 * i), salt)));
+            salt = Wd::add(salt, step);
+        }
+        uint64_t lane[L];
+        Wd::store(lane, acc);
+        uint64_t h = 0;
+        for (uint64_t x : lane)
+            h ^= x;
+        return h ^ wordHashScalar(p + 8 * i, words - i, first + i);
+    }
+
+    static void
+    seededFill(Goldilocks *out, size_t n, uint64_t seed, uint64_t i0)
+    {
+        V idx = Wd::ramp(i0);
+        const V s = Wd::set1(seed);
+        const V step = Wd::set1(L);
+        size_t i = 0;
+        for (; i + L <= n; i += L) {
+            Wd::store(out + i, Wd::canon(mix(Wd::bxor(s, idx))));
+            idx = Wd::add(idx, step);
+        }
+        seededFillScalar(out + i, n - i, seed, i0 + i);
+    }
+};
 
 template <typename Ops>
 struct VecKernels
@@ -409,6 +473,12 @@ struct VecKernels
         t.scaleSpan = &scaleSpan;
         t.dotSpan = &dotSpanScalar<F>; // ABFT-only; scalar is exact
         t.hornerSpan = &hornerSpan;
+        using Words = VecWordKernels<typename Ops::Words>;
+        if constexpr (std::is_same_v<F, Goldilocks>)
+            t.seededFill = &Words::seededFill;
+        else
+            t.seededFill = &seededFillScalar<F>;
+        t.wordHash = &Words::wordHash;
         return t;
     }
 };

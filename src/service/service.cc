@@ -35,15 +35,31 @@ cacheKey(JobKind kind, unsigned logN, uint64_t extra)
                  (static_cast<uint64_t>(logN) << 48) ^ mix64(extra));
 }
 
+/** serviceJobInput on @p engine's GPUs, lanes and kernels. */
+DistributedVector<F>
+jobInput(const UniNttEngine<F> &engine, unsigned logN, uint64_t seed)
+{
+    return serviceJobInput(logN, seed, engine.system().numGpus,
+                           engine.hostLanes(), engine.kernels());
+}
+
+/** checksumShards of @p data on @p engine's lanes and kernels. */
+uint64_t
+outputChecksum(const UniNttEngine<F> &engine,
+               const DistributedVector<F> &data)
+{
+    return checksumShardsPooled<F>(data.chunks(), engine.hostLanes(),
+                                   engine.kernels());
+}
+
 } // namespace
 
-std::vector<Goldilocks>
-serviceJobInput(unsigned logN, uint64_t seed)
+DistributedVector<Goldilocks>
+serviceJobInput(unsigned logN, uint64_t seed, unsigned gpus,
+                unsigned lanes, const FieldKernels<Goldilocks> &fk)
 {
-    std::vector<F> x(size_t{1} << logN);
-    for (size_t i = 0; i < x.size(); ++i)
-        x[i] = F::fromU64(mix64(seed ^ i));
-    return x;
+    return DistributedVector<F>::seeded(size_t{1} << logN, gpus, seed,
+                                        lanes, fk);
 }
 
 ProvingService::ProvingService(MultiGpuSystem fleet, ServiceConfig cfg,
@@ -541,8 +557,7 @@ ProvingService::executePlainBatch(std::vector<Job *> &jobs,
     std::vector<DistributedVector<F>> data;
     data.reserve(jobs.size());
     for (Job *job : jobs)
-        data.push_back(DistributedVector<F>::fromGlobal(
-            serviceJobInput(job->spec.logN, job->spec.seed), g));
+        data.push_back(jobInput(engine, job->spec.logN, job->spec.seed));
 
     const JobKind kind = jobs[0]->spec.kind;
     SimReport rep = kind == JobKind::NttForward
@@ -556,7 +571,7 @@ ProvingService::executePlainBatch(std::vector<Job *> &jobs,
     for (size_t i = 0; i < jobs.size(); ++i) {
         bool ok = true;
         if (cfg_.verifyOutputs) {
-            ok = checksumShards(data[i].chunks()) ==
+            ok = outputChecksum(engine, data[i]) ==
                  referenceChecksum(kind, jobs[i]->spec.logN,
                                    jobs[i]->spec.seed);
         }
@@ -575,8 +590,8 @@ ProvingService::executeResilient(Job &job,
     ec.hostThreads = cfg_.hostThreads;
     UniNttEngine<F> engine(subMachine(g), ec);
 
-    DistributedVector<F> data = DistributedVector<F>::fromGlobal(
-        serviceJobInput(job.spec.logN, job.spec.seed), g);
+    DistributedVector<F> data =
+        jobInput(engine, job.spec.logN, job.spec.seed);
 
     FaultModel model;
     model.seed = mix64(cfg_.seed ^
@@ -625,7 +640,7 @@ ProvingService::executeResilient(Job &job,
         result.seconds = rep.totalSeconds();
         bool ok = true;
         if (cfg_.verifyOutputs) {
-            ok = checksumShards(data.chunks()) ==
+            ok = outputChecksum(engine, data) ==
                  referenceChecksum(job.spec.kind, job.spec.logN,
                                    job.spec.seed);
         }
@@ -791,13 +806,12 @@ ProvingService::referenceChecksum(JobKind kind, unsigned logN,
         UniNttConfig ec = UniNttConfig::allOn();
         ec.hostThreads = cfg_.hostThreads;
         UniNttEngine<F> engine(subMachine(1), ec);
-        DistributedVector<F> data = DistributedVector<F>::fromGlobal(
-            serviceJobInput(logN, seed), 1);
+        DistributedVector<F> data = jobInput(engine, logN, seed);
         if (kind == JobKind::NttForward)
             engine.forward(data);
         else
             engine.inverse(data);
-        checksum = checksumShards(data.chunks());
+        checksum = outputChecksum(engine, data);
     }
     referenceCache_.emplace(key, checksum);
     return checksum;

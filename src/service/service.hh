@@ -52,6 +52,7 @@
 #include "service/types.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/report.hh"
+#include "unintt/distributed.hh"
 #include "unintt/health.hh"
 #include "util/status.hh"
 #include "zkp/checkpoint.hh"
@@ -297,8 +298,15 @@ class ProvingService
     mutable std::map<uint64_t, uint64_t> referenceCache_;
 };
 
-/** Input vector of a (kind, logN, seed) transform job. */
-std::vector<Goldilocks> serviceJobInput(unsigned logN, uint64_t seed);
+/**
+ * The input of a (kind, logN, seed) transform job over @p gpus
+ * devices: global element i is Goldilocks::fromU64(mix64(seed ^ i)),
+ * generated shard by shard through @p fk's seededFill on @p lanes
+ * pool lanes.
+ */
+DistributedVector<Goldilocks>
+serviceJobInput(unsigned logN, uint64_t seed, unsigned gpus,
+                unsigned lanes, const FieldKernels<Goldilocks> &fk);
 
 } // namespace unintt
 

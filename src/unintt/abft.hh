@@ -18,16 +18,18 @@
  * Transposes per step kind (butterfly pairs are disjoint, so the
  * transpose is in-place over each pair):
  *  - forward DIF butterfly (a,b) -> (a+b, (a-b)w):
- *      r_a' = r_a + w r_b,  r_b' = r_a - w r_b
+ *      r_a' = r_a + w r_b,  r_b' = r_a - w r_b, the DIT butterfly
  *  - inverse DIT butterfly (a,b) -> (a+wb, a-wb):
- *      r_a' = r_a + r_b,    r_b' = w (r_a - r_b)
+ *      r_a' = r_a + r_b,    r_b' = w (r_a - r_b), the DIF butterfly
  *  - inverse n^-1 scaling (x -> sx): r' = s r  (baked into the
  *    generation, so every runtime comparison is plain equality)
  *  - explicit twiddle passes (fusion off) are functional no-ops:
  *    identity transition.
- * Fused local groups transpose stage by stage in reverse execution
- * order — the fused kernels are bit-identical to the per-stage walk,
- * so the per-stage transposes compose to the group's exact transpose.
+ * A transposed product runs its factors in reverse order, and so does
+ * the opposite direction's stage walk. So each boundary vector comes
+ * from the step's own compute function (compute.hh) run in the
+ * opposite direction on the same twiddle slabs: the SIMD sweeps, fused
+ * groups included, build the exact transpose.
  *
  * Chunk-local steps (local passes, scaling) preserve per-shard
  * checksums individually; a cross-GPU butterfly mixes exactly the two
@@ -47,6 +49,7 @@
 #ifndef UNINTT_UNINTT_ABFT_HH
 #define UNINTT_UNINTT_ABFT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -56,6 +59,7 @@
 #include "field/goldilocks.hh"
 #include "ntt/twiddle.hh"
 #include "ntt/twiddle_cache.hh"
+#include "unintt/compute.hh"
 #include "unintt/distributed.hh"
 #include "unintt/schedule.hh"
 #include "util/checksum.hh"
@@ -128,24 +132,20 @@ abftSpanDot(const F *coef, const F *x, uint64_t count)
 }
 
 /**
- * Per-shard RLC checksums of @p data under @p coef (flat global
- * layout: chunk g owns [g*C, (g+1)*C)). Partial sums are reduced in a
- * fixed order, and field addition is exact, so the result is
- * bit-identical for every lane count.
+ * Per-shard RLC checksums of @p data under @p coef (sharded like the
+ * data). Partial sums are reduced in a fixed order, and field addition
+ * is exact, so the result is bit-identical for every lane count.
  */
 template <NttField F>
 std::vector<F>
-abftChunkChecksums(const std::vector<F> &coef,
+abftChunkChecksums(const DistributedVector<F> &coef,
                    const DistributedVector<F> &data, unsigned lanes)
 {
     const unsigned G = data.numGpus();
     const uint64_t C = data.chunkSize();
-    UNINTT_ASSERT(coef.size() == static_cast<uint64_t>(G) * C,
+    UNINTT_ASSERT(coef.numGpus() == G && coef.chunkSize() == C,
                   "coefficient vector does not match the data shape");
-    uint64_t slices = 1;
-    if (lanes > 1 && G < lanes)
-        slices =
-            std::min<uint64_t>(C, (2ULL * lanes + G - 1) / G);
+    const uint64_t slices = laneSlices(G, C, lanes);
     std::vector<F> partial(static_cast<size_t>(G) * slices,
                            F::fromU64(0));
     hostParallelFor(
@@ -155,9 +155,8 @@ abftChunkChecksums(const std::vector<F> &coef,
             const uint64_t sl = u % slices;
             const uint64_t c0 = C * sl / slices;
             const uint64_t c1 = C * (sl + 1) / slices;
-            partial[u] = abftSpanDot(
-                coef.data() + static_cast<uint64_t>(g) * C + c0,
-                data.chunk(g).data() + c0, c1 - c0);
+            partial[u] = abftSpanDot(coef.chunk(g).data() + c0,
+                                     data.chunk(g).data() + c0, c1 - c0);
         });
     std::vector<F> out(G, F::fromU64(0));
     for (unsigned g = 0; g < G; ++g)
@@ -168,9 +167,9 @@ abftChunkChecksums(const std::vector<F> &coef,
 
 /**
  * The coefficient vector at every checked-step boundary of one
- * schedule: boundary(k) weighs the data *before* the k-th checked step
- * and boundary(k+1) the data after it. Immutable once built; share via
- * AbftCoefficientCache.
+ * schedule, sharded like the data: boundary(k) weighs the data
+ * *before* the k-th checked step and boundary(k+1) the data after it.
+ * Immutable once built; share via AbftCoefficientCache.
  */
 template <NttField F>
 class AbftCoefficients
@@ -185,32 +184,32 @@ class AbftCoefficients
         for (const ScheduleStep &st : sched.steps)
             if (abftChecked(st))
                 checked.push_back(&st);
-        boundaries_.resize(checked.size() + 1);
 
         // Final boundary: seeded entropy, zeros nudged to one so every
         // output element carries weight in the last comparison.
-        std::vector<F> &last = boundaries_.back();
-        last.resize(n_);
-        hostParallelFor(std::max<uint64_t>(n_ / 4096, 1), 4096, lanes,
-                        [&](size_t u) {
-                            const uint64_t units =
-                                std::max<uint64_t>(n_ / 4096, 1);
-                            const uint64_t i0 = n_ * u / units;
-                            const uint64_t i1 = n_ * (u + 1) / units;
-                            for (uint64_t i = i0; i < i1; ++i) {
-                                F e = fieldFromEntropy<F>(
-                                    mix64(seed ^ mix64(i + 1)));
-                                last[i] = e.isZero() ? F::fromU64(1)
-                                                     : e;
-                            }
-                        });
-
         const uint64_t C = sched.plan.chunkElems();
+        DistributedVector<F> last(static_cast<unsigned>(n_ / C));
+        for (unsigned g = 0; g < last.numGpus(); ++g)
+            last.chunk(g).resize(C);
+        forShardSlices(last.numGpus(), C, lanes,
+                       [&](size_t g, uint64_t b, uint64_t e) {
+                           F *p = last.chunk(g).data();
+                           for (uint64_t c = b; c < e; ++c) {
+                               const F v = fieldFromEntropy<F>(
+                                   mix64(seed ^ mix64(g * C + c + 1)));
+                               p[c] = v.isZero() ? F::fromU64(1) : v;
+                           }
+                       });
+
+        // Backward through the step transposes, last boundary first.
+        boundaries_.reserve(checked.size() + 1);
+        boundaries_.push_back(std::move(last));
         for (size_t k = checked.size(); k-- > 0;) {
-            boundaries_[k] = boundaries_[k + 1];
-            transposeStep(*checked[k], boundaries_[k], C, slabs,
-                          sched.dir, lanes);
+            boundaries_.push_back(boundaries_.back());
+            transposeStep(*checked[k], boundaries_.back(), sched.logN,
+                          slabs, sched.dir, lanes);
         }
+        std::reverse(boundaries_.begin(), boundaries_.end());
     }
 
     /** Transform size the vectors were built for. */
@@ -220,7 +219,7 @@ class AbftCoefficients
     size_t checkedSteps() const { return boundaries_.size() - 1; }
 
     /** Coefficients weighing the data at boundary @p b. */
-    const std::vector<F> &
+    const DistributedVector<F> &
     boundary(size_t b) const
     {
         UNINTT_ASSERT(b < boundaries_.size(),
@@ -236,71 +235,36 @@ class AbftCoefficients
     }
 
   private:
-    /** In-place transpose of one checked step: r <- A^T r. */
+    /**
+     * In-place transpose of one checked step, r <- A^T r: the step's
+     * own compute function in the opposite direction on its slabs.
+     */
     static void
-    transposeStep(const ScheduleStep &st, std::vector<F> &r, uint64_t C,
-                  const TwiddleSlabs<F> &slabs, NttDirection dir,
-                  unsigned lanes)
+    transposeStep(const ScheduleStep &st, DistributedVector<F> &r,
+                  unsigned logN, const TwiddleSlabs<F> &slabs,
+                  NttDirection dir, unsigned lanes)
     {
-        const uint64_t n = r.size();
+        const NttDirection t = dir == NttDirection::Forward
+                                   ? NttDirection::Inverse
+                                   : NttDirection::Forward;
         switch (st.kind) {
-          case StepKind::CrossStage: {
-            const unsigned G = static_cast<unsigned>(n / C);
-            const unsigned gap = st.distance;
-            const F *tws = slabs.slab(st.sBegin);
-            std::vector<unsigned> lows;
-            lows.reserve(G / 2);
-            for (unsigned g = 0; g < G; ++g)
-                if ((g / gap) % 2 == 0)
-                    lows.push_back(g);
-            hostParallelFor(
-                lows.size(), 3 * C, lanes, [&](size_t u) {
-                    const unsigned g = lows[u];
-                    F *lo = r.data() + static_cast<uint64_t>(g) * C;
-                    F *hi = lo + static_cast<uint64_t>(gap) * C;
-                    const uint64_t j0 =
-                        static_cast<uint64_t>(g % gap) * C;
-                    for (uint64_t c = 0; c < C; ++c)
-                        transposePair(lo[c], hi[c], tws[j0 + c], dir);
-                });
+          case StepKind::CrossStage:
+            crossStageCompute(r, st.sBegin, logN, slabs, t, lanes, 0,
+                              r.chunkSize());
             return;
-          }
           case StepKind::LocalPass:
-          case StepKind::FusedLocalPass: {
-            // Reverse of the execution order (localStagesCompute runs
-            // forward stages ascending, inverse stages descending).
-            std::vector<unsigned> stages;
-            for (unsigned s = st.sBegin; s < st.sEnd; ++s)
-                stages.push_back(s);
-            if (dir == NttDirection::Forward)
-                std::reverse(stages.begin(), stages.end());
-            for (unsigned s : stages) {
-                const uint64_t half = n >> (s + 1);
-                const uint64_t block = 2 * half;
-                const F *tws = slabs.slab(s);
-                hostParallelFor(
-                    n / block, 3 * half, lanes, [&](size_t b) {
-                        F *p0 = r.data() + b * block;
-                        F *p1 = p0 + half;
-                        for (uint64_t j = 0; j < half; ++j)
-                            transposePair(p0[j], p1[j], tws[j], dir);
-                    });
-            }
+            localStagesCompute(r, st.sBegin, st.sEnd, logN, slabs, t,
+                               lanes);
             return;
-          }
+          case StepKind::FusedLocalPass:
+            fusedLocalStagesCompute(r, st.sBegin, st.sEnd, logN, slabs,
+                                    t, lanes);
+            return;
           case StepKind::Scale: {
             if (!st.applyInverseScale)
                 return; // explicit twiddle pass: functional no-op
-            const F s = inverseScale<F>(n);
-            hostParallelFor(std::max<uint64_t>(n / 4096, 1), 4096,
-                            lanes, [&](size_t u) {
-                                const uint64_t units =
-                                    std::max<uint64_t>(n / 4096, 1);
-                                const uint64_t i0 = n * u / units;
-                                const uint64_t i1 = n * (u + 1) / units;
-                                for (uint64_t i = i0; i < i1; ++i)
-                                    r[i] *= s;
-                            });
+            std::vector<DistributedVector<F> *> one{&r};
+            inverseScaleCompute(one, 1ULL << logN, lanes);
             return;
           }
           default:
@@ -308,24 +272,8 @@ class AbftCoefficients
         }
     }
 
-    /** Transpose of one butterfly acting on coefficients (a, b). */
-    static void
-    transposePair(F &a, F &b, F w, NttDirection dir)
-    {
-        if (dir == NttDirection::Forward) {
-            const F t = w * b;
-            const F na = a + t;
-            b = a - t;
-            a = na;
-        } else {
-            const F na = a + b;
-            b = w * (a - b);
-            a = na;
-        }
-    }
-
     uint64_t n_;
-    std::vector<std::vector<F>> boundaries_;
+    std::vector<DistributedVector<F>> boundaries_;
 };
 
 /**

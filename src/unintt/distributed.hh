@@ -11,15 +11,50 @@
 #define UNINTT_UNINTT_DISTRIBUTED_HH
 
 #include <algorithm>
+#include <atomic>
+#include <span>
+#include <type_traits>
 #include <vector>
 
+#include "field/dispatch.hh"
 #include "field/field_traits.hh"
 #include "util/bitops.hh"
+#include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
 #include "util/thread_pool.hh"
 
 namespace unintt {
+
+/**
+ * Elements from which forShardSlices runs on the pool. Measured at the
+ * proving service's shapes (Goldilocks 2^10-2^16 on 1-2 shards, two
+ * lanes, AVX-512 slots): below 2^16 a fill or hash slice is done
+ * before a woken worker joins, and the fork/join only adds to it.
+ */
+inline constexpr uint64_t kMinPooledSliceElems = 1ULL << 16;
+
+/**
+ * Run @p fn(g, b, e) over element slices [b, e) of @p shards shards
+ * @p width elements wide, laneSlices of them per shard; on the pool
+ * once the shards hold kMinPooledSliceElems elements together.
+ */
+template <typename Fn>
+void
+forShardSlices(size_t shards, uint64_t width, unsigned lanes, Fn &&fn)
+{
+    if (shards == 0)
+        return;
+    const uint64_t slices =
+        std::max<uint64_t>(1, laneSlices(shards, width, lanes));
+    const bool pooled = shards * width >= kMinPooledSliceElems;
+    hostParallelFor(shards * slices, width / slices, pooled ? lanes : 1,
+                    [&](size_t u) {
+                        const uint64_t s = u % slices;
+                        fn(u / slices, width * s / slices,
+                           width * (s + 1) / slices);
+                    });
+}
 
 /** Field elements sharded in contiguous chunks across GPUs. */
 template <NttField F>
@@ -68,6 +103,30 @@ class DistributedVector
             out.chunks_[g].assign(global.begin() + g * chunk,
                                   global.begin() + (g + 1) * chunk);
         });
+        return out;
+    }
+
+    /**
+     * @p n seeded elements over @p num_gpus devices: global element i
+     * is F::fromU64(mix64(seed ^ i)), which @p fk's seededFill writes
+     * straight into its shard, in slices (forShardSlices). No global
+     * vector is built or copied.
+     */
+    static DistributedVector
+    seeded(uint64_t n, unsigned num_gpus, uint64_t seed, unsigned lanes,
+           const FieldKernels<F> &fk = fieldKernels<F>())
+    {
+        UNINTT_ASSERT(n % num_gpus == 0,
+                      "size must divide evenly across GPUs");
+        DistributedVector out(num_gpus);
+        const uint64_t C = n / num_gpus;
+        for (auto &chunk : out.chunks_)
+            chunk.resize(C);
+        forShardSlices(num_gpus, C, lanes,
+                       [&](size_t g, uint64_t b, uint64_t e) {
+                           fk.seededFill(out.chunks_[g].data() + b, e - b,
+                                         seed, g * C + b);
+                       });
         return out;
     }
 
@@ -174,6 +233,40 @@ class DistributedVector
   private:
     std::vector<std::vector<F>> chunks_;
 };
+
+/**
+ * checksumShards(@p shards) (util/checksum.hh) through @p fk's
+ * wordHash: the shards' whole words hash in slices (forShardSlices)
+ * whose partial XORs combine in any order. The shards are of one
+ * length; a short last word, which only a lone shard of an odd number
+ * of 4-byte elements has, goes through checksumWords.
+ */
+template <NttField F>
+uint64_t
+checksumShardsPooled(
+    std::type_identity_t<std::span<const std::vector<F>>> shards,
+    unsigned lanes, const FieldKernels<F> &fk)
+{
+    const size_t G = shards.size();
+    const uint64_t bytes = G == 0 ? 0 : shards[0].size() * sizeof(F);
+    for (const std::vector<F> &s : shards)
+        UNINTT_ASSERT(s.size() * sizeof(F) == bytes,
+                      "checksum shards differ in length");
+    UNINTT_ASSERT(G <= 1 || bytes % 8 == 0,
+                  "checksum shard splits a word");
+    const uint64_t words = bytes / 8;
+    auto raw = [&](size_t g) {
+        return reinterpret_cast<const unsigned char *>(shards[g].data());
+    };
+    std::atomic<uint64_t> h{kChecksumSalt ^ (G * bytes)};
+    forShardSlices(G, words, lanes, [&](size_t g, uint64_t b, uint64_t e) {
+        h.fetch_xor(fk.wordHash(raw(g) + 8 * b, e - b, 1 + g * words + b),
+                    std::memory_order_relaxed);
+    });
+    if (bytes % 8 != 0)
+        h ^= checksumWords(raw(0) + 8 * words, bytes % 8, 1 + words);
+    return h;
+}
 
 } // namespace unintt
 

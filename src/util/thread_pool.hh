@@ -17,6 +17,7 @@
 #ifndef UNINTT_UTIL_THREAD_POOL_HH
 #define UNINTT_UTIL_THREAD_POOL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -89,6 +90,20 @@ class ThreadPool
     std::atomic<uint64_t> nextQueue_{0};
     std::atomic<bool> stop_{false};
 };
+
+/**
+ * Slices to cut each of @p units independent work units into, each
+ * unit @p width independent elements wide: enough to give every one of
+ * @p lanes host lanes about two slices when the units are fewer than
+ * the lanes, never more than @p width; otherwise 1.
+ */
+constexpr uint64_t
+laneSlices(uint64_t units, uint64_t width, unsigned lanes)
+{
+    if (lanes <= 1 || units >= lanes)
+        return 1;
+    return std::min<uint64_t>(width, (2ULL * lanes + units - 1) / units);
+}
 
 /**
  * Convenience wrapper used by the engines: run @p fn(i) for i in

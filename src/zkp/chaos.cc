@@ -106,17 +106,19 @@ runTransformCampaign(const ChaosConfig &cfg, const ChaosIntensity &in,
                      uint64_t seed, Rng &rng,
                      ChaosCampaignStats &stats)
 {
-    const size_t n = 1ULL << cfg.logN;
-    std::vector<F> x(n);
-    for (size_t i = 0; i < n; ++i)
-        x[i] = F::fromU64(mix64(seed ^ i));
-
     auto sys = makeDgxA100(cfg.gpus);
     UniNttConfig ecfg = UniNttConfig::allOn();
     ecfg.overlapComm = cfg.overlapComm;
     UniNttEngine<F> engine(sys, ecfg);
+    // Element i is F::fromU64(mix64(seed ^ i)), filled shard by shard.
+    auto input = [&] {
+        return DistributedVector<F>::seeded(size_t{1} << cfg.logN,
+                                            cfg.gpus, seed,
+                                            engine.hostLanes(),
+                                            engine.kernels());
+    };
 
-    auto ref = DistributedVector<F>::fromGlobal(x, cfg.gpus);
+    auto ref = input();
     engine.forward(ref);
     const std::vector<F> ref_global = ref.toGlobal();
 
@@ -137,7 +139,7 @@ runTransformCampaign(const ChaosConfig &cfg, const ChaosIntensity &in,
             m.dropouts.push_back(drop);
         }
         FaultInjector inj(m);
-        auto data = DistributedVector<F>::fromGlobal(x, cfg.gpus);
+        auto data = input();
         Result<SimReport> r =
             engine.forwardResilient(data, inj, rc, &health);
 

@@ -33,6 +33,7 @@
 #include "sim/fault.hh"
 #include "unintt/engine.hh"
 #include "util/bitops.hh"
+#include "util/checksum.hh"
 #include "util/random.hh"
 
 namespace unintt {
@@ -790,6 +791,35 @@ TEST(Differential, IsaPathsMatchScalarAcrossExecutionMatrix)
  * matrix above cannot isolate: a masked-tail or stride bug
  * shows up here with a one-line repro.
  */
+/** x ^ (x >> s), undone: each step recovers s more high bits. */
+uint64_t
+unxorShift(uint64_t y, int s)
+{
+    uint64_t x = y;
+    for (int k = 0; k < 64; k += s)
+        x = y ^ (x >> s);
+    return x;
+}
+
+/** The inverse of an odd multiplier mod 2^64 (Newton's iteration). */
+constexpr uint64_t
+oddInverse(uint64_t c)
+{
+    uint64_t x = c;
+    for (int i = 0; i < 6; ++i)
+        x *= 2 - c * x;
+    return x;
+}
+
+/** The preimage of @p z under mix64 (util/checksum.hh). */
+uint64_t
+unmix64(uint64_t z)
+{
+    z = unxorShift(z, 31) * oddInverse(0x94d049bb133111ebULL);
+    z = unxorShift(z, 27) * oddInverse(0xbf58476d1ce4e5b9ULL);
+    return unxorShift(z, 30);
+}
+
 template <NttField F>
 void
 checkSpanEdgeCases(const FieldKernels<F> &fk)
@@ -1003,6 +1033,52 @@ checkSpanEdgeCases(const FieldKernels<F> &fk)
             }
             ASSERT_EQ(got, def);
         }
+    }
+
+    // The word slots over lengths around both word-lane counts (4, 8)
+    // and odd tails, from non-zero start indices and words, at
+    // misaligned addresses. Each is also held to its definition.
+    const std::vector<size_t> word_lens{0, 1, 2, 3, 4, 5, 7, 8,
+                                        9, 15, 16, 17, 33, 100};
+    for (size_t len : word_lens) {
+        for (uint64_t i0 : {uint64_t{0}, uint64_t{123456789}}) {
+            // For Goldilocks, seeds that put mix64 at or above p in the
+            // first, middle and last position.
+            std::vector<uint64_t> seeds{0x5eed, rng.next()};
+            if (std::is_same_v<F, Goldilocks> && len > 0)
+                for (size_t j : {size_t{0}, len / 2, len - 1}) {
+                    seeds.push_back(
+                        unmix64(Goldilocks::kModulus + j * 0x1234567) ^
+                        (i0 + j));
+                    ASSERT_GE(mix64(seeds.back() ^ (i0 + j)),
+                              Goldilocks::kModulus);
+                }
+            for (uint64_t seed : seeds) {
+                SCOPED_TRACE("seededFill len=" + std::to_string(len) +
+                             " i0=" + std::to_string(i0) +
+                             " seed=" + std::to_string(seed));
+                std::vector<F> got(len + 1), want(len + 1), def(len + 1);
+                fk.seededFill(got.data() + 1, len, seed, i0);
+                scalar.seededFill(want.data() + 1, len, seed, i0);
+                for (size_t i = 0; i < len; ++i)
+                    def[i + 1] = F::fromU64(mix64(seed ^ (i0 + i)));
+                ASSERT_EQ(got, want);
+                ASSERT_EQ(got, def);
+            }
+        }
+        std::vector<unsigned char> bytes(8 * len + 3);
+        for (auto &b : bytes)
+            b = static_cast<unsigned char>(rng.next());
+        for (size_t off : {size_t{0}, size_t{3}})
+            for (uint64_t first : {uint64_t{1}, uint64_t{987654321}}) {
+                SCOPED_TRACE("wordHash len=" + std::to_string(len) +
+                             " off=" + std::to_string(off) +
+                             " first=" + std::to_string(first));
+                const unsigned char *p = bytes.data() + off;
+                const uint64_t got = fk.wordHash(p, len, first);
+                ASSERT_EQ(got, scalar.wordHash(p, len, first));
+                ASSERT_EQ(got, checksumWords(p, 8 * len, first));
+            }
     }
 }
 

@@ -329,6 +329,56 @@ TEST(AbftChecksum, BitFlipChangesDotBn254)
 // Resilient engine: clean runs.
 // ---------------------------------------------------------------------
 
+/**
+ * Hash of every boundary vector of the ABFT coefficients of one
+ * resilient schedule shape.
+ */
+template <NttField Fld>
+uint64_t
+abftBoundaryHash(unsigned logN, unsigned gpus, NttDirection dir,
+                 bool fuse, uint64_t seed, unsigned lanes)
+{
+    const MultiGpuSystem sys = makeDgxA100(gpus);
+    ScheduleOptions opts;
+    opts.resilient = true;
+    opts.abft = true;
+    UniNttConfig cfg = UniNttConfig::allOn();
+    cfg.fuseLocalPasses = fuse;
+    const StageSchedule sched = compileSchedule(
+        planNttWithTile(logN, sys, sizeof(Fld), 0), sys, dir,
+        sizeof(Fld), cfg, CostConstants{}, opts);
+    const auto slabs = cachedTwiddleSlabs<Fld>(size_t{1} << logN, dir);
+    const AbftCoefficients<Fld> coef(sched, *slabs, seed, lanes);
+    uint64_t h = coef.checkedSteps();
+    for (size_t b = 0; b <= coef.checkedSteps(); ++b)
+        h = mix64(h ^ checksumShards(coef.boundary(b).chunks()));
+    return h;
+}
+
+TEST(AbftCoefficients, BoundaryVectorsArePinned)
+{
+    // Two shapes in both directions: fused groups, a cross stage and
+    // the n^-1 step on Goldilocks; per-stage local passes on BabyBear.
+    // The values were taken from the scalar one-stage-at-a-time
+    // transposes that the compute functions replace.
+    const NttDirection fwd = NttDirection::Forward;
+    const NttDirection inv = NttDirection::Inverse;
+    for (unsigned lanes : {1u, 2u}) {
+        EXPECT_EQ(abftBoundaryHash<Goldilocks>(12, 4, fwd, true, 0xabf7,
+                                               lanes),
+                  0x5def2aaae87fa80fULL);
+        EXPECT_EQ(abftBoundaryHash<Goldilocks>(12, 4, inv, true, 0xabf7,
+                                               lanes),
+                  0xd58485c8464fbb8eULL);
+        EXPECT_EQ(abftBoundaryHash<BabyBear>(16, 8, fwd, false, 0xabf8,
+                                             lanes),
+                  0xc39673021b558f07ULL);
+        EXPECT_EQ(abftBoundaryHash<BabyBear>(16, 8, inv, false, 0xabf8,
+                                             lanes),
+                  0x88bed718ad8d5551ULL);
+    }
+}
+
 TEST(ResilientEngine, CleanRunMatchesPlainTransform)
 {
     auto sys = makeDgxA100(8);

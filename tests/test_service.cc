@@ -12,11 +12,15 @@
 #include <algorithm>
 #include <set>
 
+#include "field/babybear.hh"
 #include "service/loadgen.hh"
 #include "service/placement.hh"
 #include "service/queue.hh"
 #include "service/service.hh"
 #include "sim/multi_gpu.hh"
+#include "unintt/engine.hh"
+#include "util/checksum.hh"
+#include "util/random.hh"
 
 using namespace unintt;
 
@@ -329,8 +333,9 @@ TEST(ProvingService, DeviceKillSurfacesAsStatusNeverSilently)
     EXPECT_EQ(c.completed + c.failed + c.deadlineMissed, 8u);
     EXPECT_EQ(svc.corruptResults(), 0u);
     for (const JobOutcome &out : svc.outcomes()) {
-        if (out.status.ok())
+        if (out.status.ok()) {
             EXPECT_TRUE(out.verified);
+        }
     }
     EXPECT_EQ(c.completed, 8u) << "a single kill is recoverable";
 }
@@ -370,8 +375,9 @@ TEST(ProvingService, ProofJobsResumeFromCheckpointsUnderChaos)
     EXPECT_EQ(c.completed + c.failed, 4u);
     EXPECT_EQ(svc.corruptResults(), 0u);
     for (const JobOutcome &out : svc.outcomes()) {
-        if (out.status.ok())
+        if (out.status.ok()) {
             EXPECT_TRUE(out.verified);
+        }
     }
 }
 
@@ -418,6 +424,98 @@ TEST(ProvingService, ReportCarriesPerTenantCounters)
 // ---------------------------------------------------------------------
 // Load generators.
 // ---------------------------------------------------------------------
+
+TEST(ServiceJobIo, OutputChecksumsArePinned)
+{
+    // Output checksums of forward and inverse jobs, generated and
+    // hashed the way the service does it, on every shard count. The
+    // values were taken from the serial generator and hash that the
+    // slot kernels replace, so a change to either formula fails here
+    // even when the job and its reference change together.
+    struct Pin
+    {
+        JobKind kind;
+        unsigned logN;
+        uint64_t checksum;
+    };
+    const Pin pins[] = {
+        {JobKind::NttForward, 10, 0x5250044b60e786c9ULL},
+        {JobKind::NttForward, 16, 0xc3c0d643e5806bbcULL},
+        {JobKind::NttInverse, 10, 0x2ddabfda65577b8fULL},
+        {JobKind::NttInverse, 16, 0xf76d9178261869e0ULL},
+    };
+    for (const Pin &pin : pins)
+        for (unsigned gpus : {1u, 2u, 4u}) {
+            SCOPED_TRACE("logN " + std::to_string(pin.logN) + " on " +
+                         std::to_string(gpus) + " GPUs");
+            UniNttConfig ec = UniNttConfig::allOn();
+            ec.hostThreads = 2;
+            UniNttEngine<Goldilocks> engine(makeDgxA100(gpus), ec);
+            DistributedVector<Goldilocks> data = serviceJobInput(
+                pin.logN, 0x5e41ce00ULL + pin.logN, gpus, 2,
+                engine.kernels());
+            if (pin.kind == JobKind::NttForward)
+                engine.forward(data);
+            else
+                engine.inverse(data);
+            EXPECT_EQ(checksumShardsPooled(data.chunks(), 2,
+                                           engine.kernels()),
+                      pin.checksum);
+        }
+}
+
+template <typename F>
+void
+checkPooledChecksum(size_t shards, size_t len, unsigned lanes)
+{
+    SCOPED_TRACE(std::string(F::kName) + " " + std::to_string(shards) +
+                 " x " + std::to_string(len) + " at " +
+                 std::to_string(lanes) + " lanes");
+    Rng rng(shards * 1000 + len);
+    std::vector<std::vector<F>> v(shards, std::vector<F>(len));
+    for (auto &shard : v)
+        for (F &x : shard)
+            x = F::fromU64(rng.next());
+    for (IsaPath isa : availableIsaPaths())
+        EXPECT_EQ(checksumShardsPooled(v, lanes, fieldKernels<F>(isa)),
+                  checksumShards(v))
+            << isaPathName(isa);
+}
+
+TEST(ServiceJobIo, PooledChecksumMatchesChecksumShards)
+{
+    // Shards below and (on their own) above kMinPooledSliceElems;
+    // 4-byte BabyBear shards hold whole words, except a lone
+    // odd-length one.
+    for (unsigned lanes : {1u, 2u, 4u})
+        for (size_t shards = 1; shards <= 8; ++shards) {
+            for (size_t len : {size_t{1}, size_t{37}, size_t{70001}})
+                checkPooledChecksum<Goldilocks>(shards, len, lanes);
+            for (size_t len : {size_t{2}, size_t{38}, size_t{140002}})
+                checkPooledChecksum<BabyBear>(shards, len, lanes);
+        }
+    for (size_t len : {size_t{1}, size_t{37}, size_t{140001}})
+        checkPooledChecksum<BabyBear>(1, len, 2);
+    checkPooledChecksum<Goldilocks>(0, 0, 2);
+}
+
+TEST(ServiceJobIo, SeededInputMatchesTheSerialFormula)
+{
+    for (unsigned gpus : {1u, 2u, 4u, 8u})
+        for (unsigned lanes : {1u, 2u, 4u})
+            for (IsaPath isa : availableIsaPaths()) {
+                const uint64_t n = 1ULL << 17, seed = 0x5eedULL + gpus;
+                const auto data = DistributedVector<Goldilocks>::seeded(
+                    n, gpus, seed, lanes, fieldKernels<Goldilocks>(isa));
+                std::vector<Goldilocks> want(n);
+                for (uint64_t i = 0; i < n; ++i)
+                    want[i] = Goldilocks::fromU64(mix64(seed ^ i));
+                ASSERT_EQ(data.numGpus(), gpus);
+                ASSERT_EQ(data.toGlobal(), want)
+                    << gpus << " GPUs, " << lanes << " lanes, "
+                    << isaPathName(isa);
+            }
+}
 
 TEST(LoadGen, OpenLoopAccountingConserves)
 {
