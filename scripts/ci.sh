@@ -35,15 +35,17 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # Where the router binds AVX-512, the pass above never runs the AVX2
 # table inside the engine, only in the span-level test. Run the
 # engine-level byte-identity matrices, the resilient tile recovery
-# that shares the fused sweeps' stage walk, and the proving service,
-# whose job inputs and output checksums run the word slots, once more
-# on the AVX2 kernels.
+# that shares the fused sweeps' stage walk, the proving service,
+# whose job inputs and output checksums run the word slots, and the
+# STARK tests, whose FRI LDEs run the radix-2 span kernels (so the
+# pinned and resumed proofs are also produced on the AVX2 table), once
+# more on the AVX2 kernels.
 if env -u UNINTT_FORCE_ISA "$BUILD_DIR"/src/tools/unintt-cli list-kernels |
     grep -q "^router: avx512 "; then
     echo "==> engine-level tests, forced AVX2 kernels (UNINTT_FORCE_ISA=avx2)"
     UNINTT_FORCE_ISA=avx2 ctest --test-dir "$BUILD_DIR" \
         --output-on-failure -j"$JOBS" \
-        -R '^(test_differential|test_determinism|test_fault|test_service)$'
+        -R '^(test_differential|test_determinism|test_fault|test_service|test_air|test_stark|test_checkpoint|test_serialize)$'
 fi
 # The shared caches' single-flight contract must hold on every run, not
 # most: repeat the concurrency stress binary until it fails (it must not).

@@ -24,7 +24,6 @@
 #include "field/field_traits.hh"
 #include "ntt/fourstep.hh"
 #include "ntt/ntt.hh"
-#include "sim/memory.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
@@ -118,14 +117,11 @@ class FourStepMultiGpuNtt
         // Footprint: data, the all-to-all receive buffer, the pack
         // staging buffer, and the twiddle table (four-step always uses
         // tables).
-        {
-            DeviceMemoryModel mem(sys_.gpu, G);
-            mem.allocAll(chunk * b * batch, "data");
-            mem.allocAll(chunk * b * batch, "alltoall-recv");
-            mem.allocAll(chunk * b * batch, "pack-staging");
-            mem.allocAll(n / 2 * b, "twiddle-table");
-            report.setPeakDeviceBytes(mem.maxPeakBytes());
-        }
+        report.setPeakDeviceBytes(deviceFootprintBytes(
+            sys_.gpu, {{"data", chunk * b * batch},
+                       {"alltoall-recv", chunk * b * batch},
+                       {"pack-staging", chunk * b * batch},
+                       {"twiddle-table", n / 2 * b}}));
 
         auto add_transpose = [&](const std::string &name) {
             if (G == 1) {

@@ -77,6 +77,23 @@ batchInverse(const std::vector<F> &xs)
     return out;
 }
 
+/**
+ * Multiply entry i of @p p[0..n) by start * ratio^i, as p[i] *= power
+ * with power running start, start * ratio, ...: a coset shift
+ * (ratio = shift), its undoing (ratio = shift^-1), or one shard's
+ * slice of either (start = shift^offset).
+ */
+template <NttField F>
+void
+scaleByPowers(F *p, size_t n, F start, F ratio)
+{
+    F power = start;
+    for (size_t i = 0; i < n; ++i) {
+        p[i] *= power;
+        power *= ratio;
+    }
+}
+
 /** Random nonzero-ish field element from raw 64-bit entropy. */
 template <NttField F>
 F

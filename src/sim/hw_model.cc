@@ -44,6 +44,24 @@ fieldCostOf<Bn254Fq>()
     return FieldCost{"BN254-Fq", 40.0, 4.0, 32};
 }
 
+uint64_t
+deviceFootprintBytes(
+    const GpuModel &gpu,
+    std::initializer_list<std::pair<const char *, uint64_t>> buffers)
+{
+    uint64_t used = 0;
+    for (const auto &[tag, bytes] : buffers) {
+        if (used + bytes > gpu.dramCapacityBytes)
+            fatal("device 0 out of memory allocating %llu bytes for '%s' "
+                  "(%llu of %llu in use)",
+                  static_cast<unsigned long long>(bytes), tag,
+                  static_cast<unsigned long long>(used),
+                  static_cast<unsigned long long>(gpu.dramCapacityBytes));
+        used += bytes;
+    }
+    return used;
+}
+
 GpuModel
 makeA100()
 {

@@ -19,7 +19,9 @@
 #define UNINTT_SIM_HW_MODEL_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace unintt {
@@ -92,6 +94,16 @@ struct LevelModel
     /** Fixed latency per exchange operation in seconds. */
     double exchangeLatency;
 };
+
+/**
+ * Device-memory footprint when every GPU holds one of each of
+ * @p buffers (a tag and a byte count) at once: their sum. Passing
+ * @p gpu's capacity is a fatal configuration error, as cudaMalloc
+ * failing would be; the message names the buffer that did not fit.
+ */
+uint64_t deviceFootprintBytes(
+    const GpuModel &gpu,
+    std::initializer_list<std::pair<const char *, uint64_t>> buffers);
 
 /** Pre-parameterized GPU models (public spec sheets). */
 GpuModel makeA100();

@@ -275,13 +275,9 @@ class UniNttEngine
         SimReport report;
 
         // Functional scaling by shift^i, i the global index.
-        for (unsigned g = 0; g < data.numGpus(); ++g) {
-            F power = shift.pow(static_cast<uint64_t>(g) * C);
-            for (auto &v : data.chunk(g)) {
-                v *= power;
-                power *= shift;
-            }
-        }
+        for (unsigned g = 0; g < data.numGpus(); ++g)
+            scaleByPowers(data.chunk(g).data(), data.chunk(g).size(),
+                          shift.pow(static_cast<uint64_t>(g) * C), shift);
         KernelStats k;
         k.fieldMuls = 2 * C; // scale + running shift power
         if (!cfg_.fuseTwiddles) {

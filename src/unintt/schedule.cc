@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "sim/memory.hh"
+#include "sim/hw_model.hh"
 #include "util/logging.hh"
 
 namespace unintt {
@@ -526,17 +526,14 @@ compileSchedule(const NttPlan &pl, const MultiGpuSystem &sys,
     // Device-memory footprint: the data chunk, one exchange buffer for
     // the cross-GPU phase, and the twiddle table when it is not
     // generated on the fly.
-    {
-        const uint64_t n = 1ULL << pl.logN;
-        DeviceMemoryModel mem(sys.gpu, sys.numGpus);
-        mem.allocAll(pl.chunkElems() * element_bytes * opts.batch, "data");
-        if (pl.logMg > 0)
-            mem.allocAll(pl.chunkElems() * element_bytes * opts.batch,
-                         "exchange-buffer");
-        if (!cfg.onTheFlyTwiddles)
-            mem.allocAll(n / 2 * element_bytes, "twiddle-table");
-        sched.peakDeviceBytes = mem.maxPeakBytes();
-    }
+    const uint64_t chunk_bytes = pl.chunkElems() * element_bytes * opts.batch;
+    sched.peakDeviceBytes = deviceFootprintBytes(
+        sys.gpu,
+        {{"data", chunk_bytes},
+         {"exchange-buffer", pl.logMg > 0 ? chunk_bytes : 0},
+         {"twiddle-table", cfg.onTheFlyTwiddles
+                               ? 0
+                               : (1ULL << pl.logN) / 2 * element_bytes}});
     return sched;
 }
 

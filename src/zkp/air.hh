@@ -1,20 +1,32 @@
 /**
  * @file
- * A generic STARK engine over algebraic intermediate representations
- * (AIRs): multi-column traces, arbitrary transition constraints
- * between consecutive rows, and first-row boundary constraints. This
- * generalizes the single-column SquareStark (zkp/stark.hh, kept as the
- * pedagogical special case) with the standard composition trick:
- * after the trace columns are committed, the verifier's random
- * coefficients combine all transition constraints into ONE quotient
- * polynomial and all boundary constraints into one boundary quotient,
- * so the proof size is independent of the constraint count.
+ * The repo's one STARK engine, over algebraic intermediate
+ * representations (AIRs): multi-column traces, transition constraints
+ * between consecutive rows, and first-row boundary constraints. Every
+ * proof comes from AirStark's checkpointed stage walk and is checked by
+ * its one verifier; SquareStark (zkp/stark.hh) is the square-and-
+ * increment machine's front over it, and the Fibonacci machine below
+ * is another AIR.
  *
- *   Q(x) = [sum_i alpha_i C_i(row(x), row(gx))] (x - g^(n-1)) / Z_H(x)
- *   B(x) = [sum_j beta_j (T_cj(x) - v_j)] / (x - 1)
+ * The prover commits every trace column T_c, then the transition
+ * quotient and the boundary quotient, each through FRI on a coset
+ * domain (so Z_H never vanishes there):
  *
- * Same scope caveats as zkp/stark.hh (no ZK blinding, no DEEP, toy
- * sponge).
+ *   Q(x) = C(row(x), row(gx)) (x - g^(n-1)) / Z_H(x)
+ *   B(x) = D(row(x)) / (x - 1)
+ *
+ * C is the AIR's transition constraint, or sum_i alpha_i C_i with
+ * transcript challenges alpha_i drawn after the column commitments
+ * when there are several; D is likewise the boundary numerator
+ * T_c(x) - v, or sum_j beta_j (T_cj(x) - v_j). So the proof size does
+ * not grow with the constraint count. Transcript-sampled spot checks
+ * tie the commitments together. The LDEs are exactly the Goldilocks
+ * NTT workload the paper accelerates.
+ *
+ * Simplifications vs production STARKs, stated honestly: no zero-
+ * knowledge blinding, no DEEP out-of-domain sampling (soundness rests
+ * on the plain FRI + spot-check argument), and the toy sponge of
+ * zkp/transcript.hh.
  */
 
 #ifndef UNINTT_ZKP_AIR_HH
@@ -25,9 +37,22 @@
 #include <vector>
 
 #include "field/goldilocks.hh"
+#include "util/status.hh"
+#include "zkp/checkpoint.hh"
 #include "zkp/fri.hh"
 
 namespace unintt {
+
+/** STARK parameters. */
+struct StarkParams
+{
+    /** log2 LDE blowup; 2^logBlowup must exceed the constraint degree. */
+    unsigned logBlowup = 2;
+    /** Spot checks tying the commitments together. */
+    unsigned numQueries = 24;
+    /** FRI termination size. */
+    unsigned friFinalTerms = 8;
+};
 
 /** An algebraic intermediate representation. */
 struct Air
@@ -44,7 +69,11 @@ struct Air
         Goldilocks value;
     };
 
-    /** Protocol label (domain separation between different AIRs). */
+    /**
+     * Protocol name, for domain separation between AIRs: the
+     * transcript label is "unintt-<name>-v1", and checkpoint keys are
+     * namespaced by it.
+     */
     std::string name;
     /** Trace width. */
     unsigned columns = 1;
@@ -80,29 +109,69 @@ struct AirProof
     std::vector<Query> queries;
 };
 
-/** Prover/verifier engine for a fixed AIR. */
+/** The STARK prover and verifier for a fixed AIR. */
 class AirStark
 {
   public:
-    /** Parameters shared with the simple STARK. */
-    struct Params
-    {
-        unsigned logBlowup = 2;
-        unsigned numQueries = 24;
-        unsigned friFinalTerms = 8;
+    explicit AirStark(Air air, StarkParams params = StarkParams{});
+
+    /**
+     * Gate consulted before a pipeline stage executes; a non-ok
+     * Status aborts the prove there with every earlier stage's
+     * checkpoint already persisted. Used by tests and the chaos soak
+     * to simulate a crash at an exact stage boundary.
+     */
+    using StageGate =
+        std::function<Status(unsigned stage, const std::string &name)>;
+
+    /** Pipeline stage indices of proveCheckpointed, in order. */
+    enum Stage : unsigned {
+        StageTraceLde = 0,
+        StageTraceCommit = 1,
+        StageQuotient = 2,
+        StageQuotientCommit = 3,
+        StageBoundary = 4,
+        StageBoundaryCommit = 5,
+        StageQueries = 6,
+        NumStages = 7,
     };
-
-    /** Engine with default parameters. */
-    explicit AirStark(Air air);
-
-    AirStark(Air air, Params params);
 
     /**
      * Prove that @p trace (columns-major: trace[c][i] is column c,
-     * row i; all columns 2^log_trace rows) satisfies the AIR. Fatal if
-     * it does not.
+     * row i; all columns 2^log_trace rows) satisfies the AIR:
+     * proveCheckpointed() on a private store. A trace that does not
+     * satisfy the AIR, or one proveCheckpointed() rejects as
+     * InvalidArgument (too short for FRI, say), is a user error
+     * (fatal(), exit status 1); any other failure is an internal one
+     * (panic).
      */
     AirProof prove(const std::vector<std::vector<Goldilocks>> &trace) const;
+
+    /**
+     * The prover's stage walk, checkpointing each stage (and each FRI
+     * round) into @p store. Each stage's output is persisted as it
+     * completes, sealed with a position-salted checksum; a rerun after
+     * an interruption restores every valid checkpoint and recomputes
+     * only from the first missing (or corrupted — a failed seal reads
+     * as missing) stage onward. The produced proof is the same bytes
+     * however many times the pipeline was interrupted and resumed.
+     * The trace-commit stage commits every column, each under its own
+     * key. A trace of the wrong shape, or one too short for FRI
+     * (2^log_trace <= 2 * friFinalTerms), returns InvalidArgument.
+     *
+     * Checkpoint keys are namespaced by the AIR's name, its boundary
+     * values and log_trace, so one store can serve many proof
+     * instances without cross-talk.
+     *
+     * @param gate Optional per-stage interruption hook (see
+     *     StageGate); consulted only before stages that actually run.
+     * @param round_gate Optional per-FRI-round interruption hook,
+     *     forwarded to the commit stages' round checkpointer.
+     */
+    Result<AirProof> proveCheckpointed(
+        const std::vector<std::vector<Goldilocks>> &trace,
+        CheckpointStore &store, const StageGate &gate = {},
+        const FriRoundGate &round_gate = {}) const;
 
     /** Verify a proof against this AIR. */
     bool verify(const AirProof &proof) const;
@@ -115,7 +184,7 @@ class AirStark
 
   private:
     Air air_;
-    Params params_;
+    StarkParams params_;
 };
 
 /** The Fibonacci AIR: columns (a, b), step (a,b) -> (b, a+b). */

@@ -1,5 +1,6 @@
 #include "zkp/fri.hh"
 
+#include "field/field_traits.hh"
 #include "ntt/radix2.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -77,11 +78,8 @@ friProveImpl(const std::vector<F> &coeffs, const FriParams &params,
         // shifted) blown-up domain.
         codeword = coeffs;
         codeword.resize(d0, F::zero());
-        F power = F::one();
-        for (size_t i = 0; i < coeffs.size(); ++i) {
-            codeword[i] *= power;
-            power *= params.cosetShift;
-        }
+        scaleByPowers(codeword.data(), coeffs.size(), F::one(),
+                      params.cosetShift);
         nttForwardInPlace(codeword);
     }
     F shift = params.cosetShift;
@@ -136,14 +134,8 @@ friProveImpl(const std::vector<F> &coeffs, const FriParams &params,
     // Final polynomial in the clear (undo the residual coset shift).
     std::vector<F> final_coeffs = codeword;
     nttInverseInPlace(final_coeffs);
-    {
-        F shift_inv = shift.inverse();
-        F power = F::one();
-        for (auto &v : final_coeffs) {
-            v *= power;
-            power *= shift_inv;
-        }
-    }
+    scaleByPowers(final_coeffs.data(), final_coeffs.size(), F::one(),
+                  shift.inverse());
     for (size_t i = params.finalPolyTerms; i < final_coeffs.size(); ++i)
         UNINTT_ASSERT(final_coeffs[i].isZero(),
                       "honest fold left a high coefficient");

@@ -150,11 +150,9 @@ class Polynomial
         size_t n = 1ULL << log_n;
         UNINTT_ASSERT(coeffs_.size() <= n, "domain too small");
         std::vector<F> scaled_coeffs(n, F::zero());
-        F power = F::one();
-        for (size_t i = 0; i < coeffs_.size(); ++i) {
-            scaled_coeffs[i] = coeffs_[i] * power;
-            power *= shift;
-        }
+        std::copy(coeffs_.begin(), coeffs_.end(), scaled_coeffs.begin());
+        scaleByPowers(scaled_coeffs.data(), coeffs_.size(), F::one(),
+                      shift);
         nttForwardInPlace(scaled_coeffs);
         return scaled_coeffs;
     }

@@ -80,12 +80,7 @@ computeQuotient(const std::vector<F> &a_evals,
     //    plain inverse NTT's implicit domain, then strip the coset
     //    shift from coefficient i by g^-i.
     nttInverseInPlace(h_coset);
-    F g_inv = g.inverse();
-    F power = F::one();
-    for (auto &coeff : h_coset) {
-        coeff *= power;
-        power *= g_inv;
-    }
+    scaleByPowers(h_coset.data(), h_coset.size(), F::one(), g.inverse());
     return Polynomial<F>(std::move(h_coset));
 }
 

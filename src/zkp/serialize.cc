@@ -186,26 +186,104 @@ deserializeFriProof(const std::vector<uint8_t> &bytes)
     return proof;
 }
 
-std::vector<uint8_t>
-serializeStarkProof(const StarkProof &proof)
+void
+writeAirProof(ByteWriter &w, const AirProof &proof)
 {
-    ByteWriter w;
     w.writeU64(proof.logTrace);
-    w.writeGoldilocks(proof.publicStart);
-    writeFriProof(w, proof.traceFri);
+    for (const auto &b : proof.boundaries)
+        w.writeGoldilocks(b.value);
+    for (const auto &f : proof.columnFris)
+        writeFriProof(w, f);
     writeFriProof(w, proof.quotientFri);
     writeFriProof(w, proof.boundaryFri);
     w.writeU64(proof.queries.size());
     for (const auto &q : proof.queries) {
-        w.writeGoldilocks(q.traceCur);
-        w.writeGoldilocks(q.traceNext);
+        for (const auto &v : q.cur)
+            w.writeGoldilocks(v);
+        for (const auto &v : q.next)
+            w.writeGoldilocks(v);
         w.writeGoldilocks(q.quotient);
         w.writeGoldilocks(q.boundary);
-        writeMerklePath(w, q.traceCurPath);
-        writeMerklePath(w, q.traceNextPath);
+        for (const auto &p : q.curPaths)
+            writeMerklePath(w, p);
+        for (const auto &p : q.nextPaths)
+            writeMerklePath(w, p);
         writeMerklePath(w, q.quotientPath);
         writeMerklePath(w, q.boundaryPath);
     }
+}
+
+std::optional<AirProof>
+readAirProof(ByteReader &r, const Air &air)
+{
+    AirProof proof;
+    auto log_trace = r.readU64();
+    if (!log_trace || *log_trace > 40)
+        return std::nullopt;
+    proof.logTrace = static_cast<unsigned>(*log_trace);
+    for (const auto &b : air.boundaries) {
+        auto v = r.readGoldilocks();
+        if (!v)
+            return std::nullopt;
+        proof.boundaries.push_back({b.column, *v});
+    }
+    for (unsigned c = 0; c < air.columns; ++c) {
+        auto f = readFriProof(r);
+        if (!f)
+            return std::nullopt;
+        proof.columnFris.push_back(std::move(*f));
+    }
+    auto quotient = readFriProof(r);
+    auto boundary = readFriProof(r);
+    if (!quotient || !boundary)
+        return std::nullopt;
+    proof.quotientFri = std::move(*quotient);
+    proof.boundaryFri = std::move(*boundary);
+
+    auto nqueries = r.readU64();
+    if (!nqueries || *nqueries > 4096)
+        return std::nullopt;
+    auto value = [&](Goldilocks &out) {
+        auto v = r.readGoldilocks();
+        if (v)
+            out = *v;
+        return v.has_value();
+    };
+    auto path = [&](MerklePath &out) {
+        auto p = readMerklePath(r);
+        if (p)
+            out = std::move(*p);
+        return p.has_value();
+    };
+    for (uint64_t i = 0; i < *nqueries; ++i) {
+        AirProof::Query q;
+        q.cur.resize(air.columns);
+        q.next.resize(air.columns);
+        q.curPaths.resize(air.columns);
+        q.nextPaths.resize(air.columns);
+        bool ok = true;
+        for (auto &v : q.cur)
+            ok = ok && value(v);
+        for (auto &v : q.next)
+            ok = ok && value(v);
+        ok = ok && value(q.quotient) && value(q.boundary);
+        for (auto &p : q.curPaths)
+            ok = ok && path(p);
+        for (auto &p : q.nextPaths)
+            ok = ok && path(p);
+        ok = ok && path(q.quotientPath) && path(q.boundaryPath);
+        if (!ok)
+            return std::nullopt;
+        proof.queries.push_back(std::move(q));
+    }
+    return proof;
+}
+
+std::vector<uint8_t>
+serializeStarkProof(const StarkProof &proof)
+{
+    ByteWriter w;
+    writeAirProof(w, toAirProof(proof));
     return w.bytes();
 }
 
@@ -213,53 +291,10 @@ std::optional<StarkProof>
 deserializeStarkProof(const std::vector<uint8_t> &bytes)
 {
     ByteReader r(bytes);
-    StarkProof proof;
-    auto log_trace = r.readU64();
-    auto start = r.readGoldilocks();
-    if (!log_trace || *log_trace > 40 || !start)
+    auto proof = readAirProof(r, squareAir(Goldilocks::zero()));
+    if (!proof || !r.exhausted())
         return std::nullopt;
-    proof.logTrace = static_cast<unsigned>(*log_trace);
-    proof.publicStart = *start;
-
-    auto trace = readFriProof(r);
-    auto quotient = readFriProof(r);
-    auto boundary = readFriProof(r);
-    if (!trace || !quotient || !boundary)
-        return std::nullopt;
-    proof.traceFri = std::move(*trace);
-    proof.quotientFri = std::move(*quotient);
-    proof.boundaryFri = std::move(*boundary);
-
-    auto nqueries = r.readU64();
-    if (!nqueries || *nqueries > 4096)
-        return std::nullopt;
-    for (uint64_t i = 0; i < *nqueries; ++i) {
-        StarkQuery q;
-        auto a = r.readGoldilocks();
-        auto b = r.readGoldilocks();
-        auto c = r.readGoldilocks();
-        auto d = r.readGoldilocks();
-        if (!a || !b || !c || !d)
-            return std::nullopt;
-        q.traceCur = *a;
-        q.traceNext = *b;
-        q.quotient = *c;
-        q.boundary = *d;
-        auto p1 = readMerklePath(r);
-        auto p2 = readMerklePath(r);
-        auto p3 = readMerklePath(r);
-        auto p4 = readMerklePath(r);
-        if (!p1 || !p2 || !p3 || !p4)
-            return std::nullopt;
-        q.traceCurPath = *p1;
-        q.traceNextPath = *p2;
-        q.quotientPath = *p3;
-        q.boundaryPath = *p4;
-        proof.queries.push_back(std::move(q));
-    }
-    if (!r.exhausted())
-        return std::nullopt;
-    return proof;
+    return toStarkProof(std::move(*proof));
 }
 
 } // namespace unintt

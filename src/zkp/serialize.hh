@@ -3,8 +3,8 @@
  * Wire format for proofs. Proof systems are only useful if proofs
  * survive a network hop; this module provides a small length-checked
  * little-endian binary codec (ByteWriter/ByteReader) and encoders/
- * decoders for the FRI and square-machine STARK proofs that the CLI
- * writes and the checkpoint store persists. Decoding is defensive:
+ * decoders for the FRI and STARK proofs that the CLI writes and the
+ * checkpoint store persists. Decoding is defensive:
  * malformed or truncated buffers yield decode failure, never undefined
  * behavior.
  */
@@ -88,7 +88,25 @@ std::vector<uint8_t> serializeFriProof(const FriProof &proof);
 std::optional<FriProof> deserializeFriProof(
     const std::vector<uint8_t> &bytes);
 
-/** Serialize a STARK proof. */
+/**
+ * Append an AIR proof to an open writer: log_trace, the boundary
+ * values, the column, quotient and boundary FRI proofs, then the
+ * queries (column values at x and g*x, Q and B at x, then their
+ * paths). Counts the AIR fixes (columns, boundaries) are not written.
+ */
+void writeAirProof(ByteWriter &w, const AirProof &proof);
+
+/**
+ * Read a proof of @p air written by writeAirProof; nullopt on any
+ * malformation (the reader position is unspecified after a failure).
+ */
+std::optional<AirProof> readAirProof(ByteReader &r, const Air &air);
+
+/**
+ * Serialize a square-machine STARK proof: writeAirProof of its
+ * one-column form, so a checkpointed walk's final payload and this
+ * encoding are the same bytes.
+ */
 std::vector<uint8_t> serializeStarkProof(const StarkProof &proof);
 
 /** Deserialize a STARK proof; nullopt on any malformation. */

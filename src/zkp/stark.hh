@@ -1,51 +1,32 @@
 /**
  * @file
- * A complete (simplified) STARK for one algebraic intermediate
- * representation: the square-and-increment machine
+ * The square-and-increment machine,
  *
- *   t[0] = public start,   t[i+1] = t[i]^2 + 1.
+ *   t[0] = public start,   t[i+1] = t[i]^2 + 1,
  *
- * The prover commits the trace polynomial T, the transition quotient
- *
- *   Q = (T(g x) - T(x)^2 - 1) * (x - g^(n-1)) / Z_H(x)
- *
- * (the transition holds on all of H except the last row) and the
- * boundary quotient B = (T(x) - t0) / (x - 1), each through FRI on a
- * coset domain (so Z_H never vanishes there); transcript-sampled spot
- * checks tie the three commitments together. This is the hash-based
- * proof pipeline (Plonky2/STARK-style) whose LDEs are exactly the
- * Goldilocks NTT workload the paper accelerates.
- *
- * Simplifications vs production STARKs, stated honestly: one column,
- * one transition constraint, no zero-knowledge blinding, no DEEP
- * out-of-domain sampling (soundness rests on the plain FRI + spot-
- * check argument), and the toy sponge of zkp/transcript.hh.
+ * as an AIR (squareAir: one column, one degree-2 transition, one
+ * boundary), and SquareStark, its front over the STARK engine of
+ * zkp/air.hh. The front proves and verifies through AirStark's one
+ * stage walk and verifier and keeps the machine's own proof shape,
+ * StarkProof: one trace column, so scalar openings instead of
+ * per-column vectors. The AIR's name "stark" gives it the transcript
+ * label unintt-stark-v1 and the checkpoint keys "stark-<t0>-<log>/…":
+ * the pinned proof bytes (SerializeStark.ProofBytesArePinned) and the
+ * chaos soak's seeded checkpoint picks depend on both.
  */
 
 #ifndef UNINTT_ZKP_STARK_HH
 #define UNINTT_ZKP_STARK_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "field/goldilocks.hh"
 #include "util/status.hh"
+#include "zkp/air.hh"
 #include "zkp/checkpoint.hh"
-#include "zkp/fri.hh"
 
 namespace unintt {
-
-/** STARK parameters. */
-struct StarkParams
-{
-    /** log2 LDE blowup; >= 2 because the constraint is degree 2. */
-    unsigned logBlowup = 2;
-    /** Spot checks tying trace/quotient/boundary together. */
-    unsigned numQueries = 24;
-    /** FRI termination size. */
-    unsigned friFinalTerms = 8;
-};
 
 /** Openings for one spot check. */
 struct StarkQuery
@@ -73,7 +54,18 @@ struct StarkProof
     std::vector<StarkQuery> queries;
 };
 
-/** Prover/verifier pair for the square-and-increment AIR. */
+/** The square-and-increment machine started at @p t0, as an AIR. */
+Air squareAir(Goldilocks t0);
+
+/** Its honest trace of 2^log_rows rows (one column). */
+std::vector<std::vector<Goldilocks>> squareTrace(Goldilocks t0,
+                                                 unsigned log_rows);
+
+/** A square-machine proof in the engine's shape, and back. */
+AirProof toAirProof(const StarkProof &proof);
+StarkProof toStarkProof(AirProof proof);
+
+/** Prover/verifier front for the square-and-increment AIR. */
 class SquareStark
 {
   public:
@@ -81,59 +73,35 @@ class SquareStark
 
     /**
      * Prove that the machine started at @p t0 and ran 2^log_trace - 1
-     * steps of t <- t^2 + 1: proveCheckpointed() on a private store,
-     * so every proof comes from the same stage walk. log_trace must
+     * steps of t <- t^2 + 1: AirStark::prove on squareAir(t0), so
+     * every proof comes from the same stage walk. log_trace must
      * exceed log2(friFinalTerms) + 1 so FRI has at least one round; a
      * shorter trace is a user error (fatal(), exit status 1), and any
      * other failure is an internal one (panic).
      */
     StarkProof prove(Goldilocks t0, unsigned log_trace) const;
 
-    /**
-     * Gate consulted before a pipeline stage executes; a non-ok
-     * Status aborts the prove there with every earlier stage's
-     * checkpoint already persisted. Used by tests and the chaos soak
-     * to simulate a crash at an exact stage boundary.
-     */
-    using StageGate =
-        std::function<Status(unsigned stage, const std::string &name)>;
+    /** AirStark's stage gate (see AirStark::StageGate). */
+    using StageGate = AirStark::StageGate;
 
     /** Pipeline stage indices of proveCheckpointed, in order. */
-    enum Stage : unsigned {
-        StageTraceLde = 0,
-        StageTraceCommit = 1,
-        StageQuotient = 2,
-        StageQuotientCommit = 3,
-        StageBoundary = 4,
-        StageBoundaryCommit = 5,
-        StageQueries = 6,
-        NumStages = 7,
-    };
+    using Stage = AirStark::Stage;
+    using enum AirStark::Stage;
 
     /**
-     * The prover's stage walk, checkpointing each stage (and each FRI
-     * round) into @p store. Each stage's output is persisted as it
-     * completes, sealed with a position-salted checksum; a rerun after
-     * an interruption restores every valid checkpoint and recomputes
-     * only from the first missing (or corrupted — a failed seal reads
-     * as missing) stage onward. The produced proof is the same bytes
-     * however many times the pipeline was interrupted and resumed. A
-     * trace too short for FRI returns InvalidArgument.
-     *
-     * Checkpoint keys are namespaced by (t0, log_trace), so one store
-     * can serve many proof instances without cross-talk.
-     *
-     * @param gate Optional per-stage interruption hook (see
-     *     StageGate); consulted only before stages that actually run.
-     * @param round_gate Optional per-FRI-round interruption hook,
-     *     forwarded to the commit stages' round checkpointer.
+     * AirStark::proveCheckpointed on squareAir(t0): the stage walk,
+     * checkpointing each stage (and each FRI round) into @p store, so
+     * a rerun after an interruption recomputes only from the first
+     * missing or corrupted stage and yields the same bytes. A trace
+     * too short for FRI returns InvalidArgument. Checkpoint keys are
+     * namespaced by (t0, log_trace).
      */
     Result<StarkProof> proveCheckpointed(
         Goldilocks t0, unsigned log_trace, CheckpointStore &store,
         const StageGate &gate = {},
         const FriRoundGate &round_gate = {}) const;
 
-    /** Verify a proof. */
+    /** Verify a proof: AirStark::verify on squareAir(publicStart). */
     bool verify(const StarkProof &proof) const;
 
     /** The (honest) trace for cross-checking in tests. */

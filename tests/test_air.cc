@@ -1,47 +1,46 @@
 /**
  * @file
- * Tests for the generic AIR STARK engine: the Fibonacci instance, a
- * square-machine instance re-expressed as an AIR, trace satisfiability
- * checking, completeness, and the usual battery of tampering
- * rejections (wrong public inputs, forged openings, spliced
- * commitments, degree lies).
+ * Tests for the AIR STARK engine: the Fibonacci instance, the square
+ * machine as an AIR (byte-for-byte the SquareStark proof), trace
+ * satisfiability checking, completeness, checkpoint/resume of a
+ * two-column AIR, and the usual battery of tampering rejections
+ * (wrong public inputs, forged openings, spliced commitments, degree
+ * lies).
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "util/random.hh"
 #include "zkp/air.hh"
+#include "zkp/serialize.hh"
+#include "zkp/stark.hh"
 
 namespace unintt {
 namespace {
 
 using F = Goldilocks;
 
-Air
-squareAir(F t0)
+std::vector<uint8_t>
+bytesOf(const AirProof &proof)
 {
-    Air air;
-    air.name = "square";
-    air.columns = 1;
-    air.constraintDegree = 2;
-    air.transitions = {
-        [](const std::vector<F> &cur, const std::vector<F> &next) {
-            return next[0] - cur[0] * cur[0] - F::one();
-        },
-    };
-    air.boundaries = {{0, t0}};
-    return air;
+    ByteWriter w;
+    writeAirProof(w, proof);
+    return w.bytes();
 }
 
-std::vector<std::vector<F>>
-squareTrace(F t0, unsigned log_rows)
+std::vector<uint8_t>
+bytesOf(const FriProof &proof)
 {
-    size_t n = 1ULL << log_rows;
-    std::vector<std::vector<F>> trace(1, std::vector<F>(n));
-    trace[0][0] = t0;
-    for (size_t i = 1; i < n; ++i)
-        trace[0][i] = trace[0][i - 1] * trace[0][i - 1] + F::one();
-    return trace;
+    return serializeFriProof(proof);
+}
+
+void
+expectSamePath(const MerklePath &a, const MerklePath &b)
+{
+    EXPECT_EQ(a.index, b.index);
+    EXPECT_EQ(a.siblings, b.siblings);
 }
 
 TEST(FibonacciAir, TraceAndSatisfiability)
@@ -89,9 +88,46 @@ TEST(FibonacciAir, DifferentStartValues)
 
 TEST(SquareAir, MatchesDedicatedStarkSemantics)
 {
-    AirStark stark(squareAir(F::fromU64(42)));
-    auto proof = stark.prove(squareTrace(F::fromU64(42), 7));
-    EXPECT_TRUE(stark.verify(proof));
+    // The square machine through the AIR front is SquareStark's proof,
+    // field for field: one engine, one transcript, one set of bytes.
+    const std::pair<uint64_t, unsigned> cases[] = {{42, 7}, {3, 5}, {77, 9}};
+    for (const auto &[start, log_trace] : cases) {
+        SCOPED_TRACE(testing::Message() << "start " << start
+                                        << ", log_trace " << log_trace);
+        const F t0 = F::fromU64(start);
+        AirStark stark(squareAir(t0));
+        const AirProof air = stark.prove(squareTrace(t0, log_trace));
+        EXPECT_TRUE(stark.verify(air));
+        const StarkProof sq = SquareStark().prove(t0, log_trace);
+
+        EXPECT_EQ(air.logTrace, sq.logTrace);
+        ASSERT_EQ(air.boundaries.size(), 1u);
+        EXPECT_EQ(air.boundaries[0].column, 0u);
+        EXPECT_EQ(air.boundaries[0].value, sq.publicStart);
+        ASSERT_EQ(air.columnFris.size(), 1u);
+        EXPECT_EQ(bytesOf(air.columnFris[0]), bytesOf(sq.traceFri));
+        EXPECT_EQ(bytesOf(air.quotientFri), bytesOf(sq.quotientFri));
+        EXPECT_EQ(bytesOf(air.boundaryFri), bytesOf(sq.boundaryFri));
+        ASSERT_EQ(air.queries.size(), sq.queries.size());
+        for (size_t q = 0; q < sq.queries.size(); ++q) {
+            const auto &a = air.queries[q];
+            const auto &b = sq.queries[q];
+            ASSERT_EQ(a.cur.size(), 1u);
+            ASSERT_EQ(a.next.size(), 1u);
+            EXPECT_EQ(a.cur[0], b.traceCur);
+            EXPECT_EQ(a.next[0], b.traceNext);
+            EXPECT_EQ(a.quotient, b.quotient);
+            EXPECT_EQ(a.boundary, b.boundary);
+            ASSERT_EQ(a.curPaths.size(), 1u);
+            ASSERT_EQ(a.nextPaths.size(), 1u);
+            expectSamePath(a.curPaths[0], b.traceCurPath);
+            expectSamePath(a.nextPaths[0], b.traceNextPath);
+            expectSamePath(a.quotientPath, b.quotientPath);
+            expectSamePath(a.boundaryPath, b.boundaryPath);
+        }
+        // The two wire forms are one encoding.
+        EXPECT_EQ(bytesOf(air), serializeStarkProof(sq));
+    }
 }
 
 TEST(AirTamper, ForgedOpeningsRejected)
@@ -158,13 +194,83 @@ TEST(AirDeath, UnsatisfiedTraceIsFatal)
                 "does not satisfy the AIR");
 }
 
+TEST(AirDeath, TooShortTraceIsAUserError)
+{
+    // The default parameters need more than 2 * friFinalTerms = 16 rows.
+    AirStark stark(fibonacciAir(F::one(), F::one()));
+    EXPECT_EXIT(stark.prove(fibonacciTrace(F::one(), F::one(), 4)),
+                ::testing::ExitedWithCode(1), "trace too short");
+}
+
 TEST(AirDeath, BlowupMustExceedConstraintDegree)
 {
     Air air = squareAir(F::one());
     air.constraintDegree = 4;
-    AirStark::Params p;
+    StarkParams p;
     p.logBlowup = 2; // 4 == degree, not >
     EXPECT_DEATH(AirStark(air, p), "blowup must exceed");
+}
+
+// ---------------------------------------------------------------------
+// Checkpointed walk on a two-column AIR.
+// ---------------------------------------------------------------------
+
+TEST(CheckpointedAir, CrashAtEveryStageResumesByteIdentical)
+{
+    AirStark stark(fibonacciAir(F::fromU64(3), F::fromU64(4)));
+    const auto trace = fibonacciTrace(F::fromU64(3), F::fromU64(4), 6);
+    const auto ref = bytesOf(stark.prove(trace));
+
+    for (unsigned k = 0; k < AirStark::NumStages; ++k) {
+        CheckpointStore store;
+        auto crash_at_k = [&](unsigned stage,
+                              const std::string &) -> Status {
+            if (stage == k)
+                return Status::error(StatusCode::TransientFault,
+                                     "killed at stage " +
+                                         std::to_string(stage));
+            return Status();
+        };
+        auto r1 = stark.proveCheckpointed(trace, store, crash_at_k);
+        ASSERT_FALSE(r1.ok()) << "stage " << k;
+        EXPECT_EQ(r1.status().code(), StatusCode::TransientFault);
+
+        // The resume must execute exactly the stages from k on.
+        std::set<unsigned> executed;
+        auto record = [&](unsigned stage, const std::string &) {
+            executed.insert(stage);
+            return Status();
+        };
+        auto r2 = stark.proveCheckpointed(trace, store, record);
+        ASSERT_TRUE(r2.ok()) << "stage " << k << ": "
+                             << r2.status().toString();
+        EXPECT_EQ(bytesOf(r2.value()), ref)
+            << "resume after a crash at stage " << k
+            << " diverged from the uninterrupted proof";
+        EXPECT_TRUE(stark.verify(r2.value()));
+        std::set<unsigned> expected;
+        for (unsigned s = k; s < AirStark::NumStages; ++s)
+            expected.insert(s);
+        EXPECT_EQ(executed, expected) << "stage " << k;
+    }
+}
+
+TEST(CheckpointedAir, CompletedPipelineShortCircuits)
+{
+    AirStark stark(fibonacciAir(F::one(), F::one()));
+    const auto trace = fibonacciTrace(F::one(), F::one(), 6);
+    CheckpointStore store;
+    auto r1 = stark.proveCheckpointed(trace, store);
+    ASSERT_TRUE(r1.ok()) << r1.status().toString();
+
+    // With the final checkpoint in place not even a gate that kills
+    // everything is consulted.
+    auto kill_all = [](unsigned, const std::string &) {
+        return Status::error(StatusCode::TransientFault, "kill");
+    };
+    auto r2 = stark.proveCheckpointed(trace, store, kill_all);
+    ASSERT_TRUE(r2.ok());
+    EXPECT_EQ(bytesOf(r2.value()), bytesOf(r1.value()));
 }
 
 } // namespace

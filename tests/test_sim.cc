@@ -12,7 +12,6 @@
 #include "field/goldilocks.hh"
 #include "sim/hw_model.hh"
 #include "sim/interconnect.hh"
-#include "sim/memory.hh"
 #include "sim/multi_gpu.hh"
 #include "sim/perf_model.hh"
 #include "sim/report.hh"
@@ -212,34 +211,21 @@ TEST(MultiGpu, DescriptionAndMemory)
     EXPECT_EQ(makeHgxH100(4).gpu.name, makeH100().name);
 }
 
-TEST(MemoryModel, TracksUsageAndPeak)
+TEST(MemoryModel, FootprintIsTheSumOfTheBuffers)
 {
-    DeviceMemoryModel mem(makeA100(), 2);
-    mem.alloc(0, 1000, "a");
-    mem.alloc(0, 500, "b");
-    EXPECT_EQ(mem.usedBytes(0), 1500u);
-    EXPECT_EQ(mem.usedBytes(1), 0u);
-    mem.free(0, 1000);
-    EXPECT_EQ(mem.usedBytes(0), 500u);
-    EXPECT_EQ(mem.peakBytes(0), 1500u);
-    EXPECT_EQ(mem.maxPeakBytes(), 1500u);
-}
-
-TEST(MemoryModel, AllocAllHitsEveryGpu)
-{
-    DeviceMemoryModel mem(makeA100(), 4);
-    mem.allocAll(42, "x");
-    for (unsigned g = 0; g < 4; ++g)
-        EXPECT_EQ(mem.usedBytes(g), 42u);
-    mem.freeAll(42);
-    EXPECT_EQ(mem.maxPeakBytes(), 42u);
+    EXPECT_EQ(deviceFootprintBytes(makeA100(), {{"a", 1000}, {"b", 500}}),
+              1500u);
+    EXPECT_EQ(deviceFootprintBytes(makeA100(), {}), 0u);
 }
 
 TEST(MemoryModelDeath, OutOfMemoryIsFatal)
 {
-    DeviceMemoryModel mem(makeA100(), 1);
-    EXPECT_EXIT(mem.alloc(0, mem.capacityBytes() + 1, "huge"),
-                ::testing::ExitedWithCode(1), "out of memory");
+    const GpuModel gpu = makeA100();
+    EXPECT_EXIT(deviceFootprintBytes(
+                    gpu, {{"data", 1}, {"huge", gpu.dramCapacityBytes}}),
+                ::testing::ExitedWithCode(1),
+                "device 0 out of memory allocating [0-9]+ bytes for "
+                "'huge' \\(1 of [0-9]+ in use\\)");
 }
 
 TEST(MultiNode, TopologyAccessors)
