@@ -16,8 +16,10 @@
  * timings of a point (fused and per-stage, forward and inverse) then
  * run interleaved, rep by rep, so host drift lands on all four alike;
  * each reports the median ns per butterfly and its interquartile
- * range over the reps. The harness also reports elements per second
- * and the fused speedup, and writes the machine-readable
+ * range over the reps. The harness also reports elements per second,
+ * the fused speedup and the fused inverse's cost beside the fused
+ * forward's (fused inverse median / fused forward median), and writes
+ * the machine-readable
  * BENCH_host_ntt.json that scripts/bench.sh (and CI in --smoke mode)
  * diff across commits; EXPERIMENTS.md documents its schema.
  *
@@ -165,7 +167,8 @@ main(int argc, char **argv)
 
     Table t({"logN", "isa", "tile", "fused ns/bfly (iqr)",
              "per-stage ns/bfly (iqr)", "fused elem/s", "speedup",
-             "inv fused ns/bfly (iqr)", "inv per-stage ns/bfly (iqr)"});
+             "inv fused ns/bfly (iqr)", "inv per-stage ns/bfly (iqr)",
+             "fused inv/fwd"});
     bool smoke_ok = true;
     double min_large_speedup = 1e300;
     double best_fused_ns = 1e300;
@@ -233,6 +236,7 @@ main(int argc, char **argv)
             const double uins = ns(ui.median);
             const double elems = static_cast<double>(1ULL << logN);
             const double speedup = uns / fns;
+            const double inv_over_fwd = fi.median / f.median;
             if (smoke && (fns > 1.10 * uns || fins > 1.10 * uins))
                 smoke_ok = false;
             if (logN >= 20)
@@ -244,7 +248,8 @@ main(int argc, char **argv)
             t.addRow({std::to_string(logN), isaPathName(isa),
                       "2^" + std::to_string(tile_log2), cell(f), cell(u),
                       formatRate(elems / f.median),
-                      fmtF(speedup, 2) + "x", cell(fi), cell(ui)});
+                      fmtF(speedup, 2) + "x", cell(fi), cell(ui),
+                      fmtF(inv_over_fwd, 2) + "x"});
 
             jw.beginObject()
                 .field("logN", logN)
@@ -262,6 +267,7 @@ main(int argc, char **argv)
                 .field("fusedElementsPerSec", elems / f.median)
                 .field("unfusedElementsPerSec", elems / u.median)
                 .field("speedup", speedup)
+                .field("fusedInverseOverForward", inv_over_fwd)
                 .endObject();
         }
     }

@@ -164,14 +164,21 @@ ProvingService::submit(const JobSpec &spec, double now)
     if (spec.id == 0 || jobs_.count(spec.id))
         return Status::error(StatusCode::InvalidArgument,
                              "job ids must be unique and nonzero");
-    if (spec.kind == JobKind::Proof && spec.logN < kMinProofLog)
+    const bool proof = spec.kind == JobKind::Proof;
+    if (proof && spec.logN < kMinProofLog)
         return Status::error(StatusCode::InvalidArgument,
                              "proof traces need logN >= " +
                                  std::to_string(kMinProofLog));
-    if (spec.kind != JobKind::Proof &&
-        (size_t{1} << spec.logN) < cfg_.jobGpus)
+    // A job's largest transform (a proof's trace LDE) must fit the
+    // field's two-adicity; a transform needs two elements per shard.
+    const unsigned ntt_log =
+        spec.logN + (proof ? StarkParams{}.logBlowup : 0);
+    if (spec.logN > F::kTwoAdicity || ntt_log > F::kTwoAdicity ||
+        (!proof && spec.logN <= log2Exact(cfg_.jobGpus)))
         return Status::error(StatusCode::InvalidArgument,
-                             "transform smaller than the GPU request");
+                             "a transform of 2^" + std::to_string(ntt_log) +
+                                 " is out of range on " +
+                                 std::to_string(cfg_.jobGpus) + " GPUs");
 
     ServiceCounters &tc = countersOf(spec.tenant);
     tc.submitted++;

@@ -21,8 +21,10 @@
  *      r_a' = r_a + w r_b,  r_b' = r_a - w r_b, the DIT butterfly
  *  - inverse DIT butterfly (a,b) -> (a+wb, a-wb):
  *      r_a' = r_a + r_b,    r_b' = w (r_a - r_b), the DIF butterfly
- *  - inverse n^-1 scaling (x -> sx): r' = s r  (baked into the
- *    generation, so every runtime comparison is plain equality)
+ *  - the inverse's n^-1, which its first step applies with its
+ *    butterflies (x -> sx): r' = s r, applied by the same step's
+ *    transpose (baked into the generation, so every runtime comparison
+ *    is plain equality)
  *  - explicit twiddle passes (fusion off) are functional no-ops:
  *    identity transition.
  * A transposed product runs its factors in reverse order, and so does
@@ -31,7 +33,7 @@
  * opposite direction on the same twiddle slabs: the SIMD sweeps, fused
  * groups included, build the exact transpose.
  *
- * Chunk-local steps (local passes, scaling) preserve per-shard
+ * Chunk-local steps (local passes, twiddle passes) preserve per-shard
  * checksums individually; a cross-GPU butterfly mixes exactly the two
  * chunks of each exchanging pair, so its invariant is the *pairwise
  * sum* of the two shard checksums. A single flipped bit changes the
@@ -247,6 +249,7 @@ class AbftCoefficients
         const NttDirection t = dir == NttDirection::Forward
                                    ? NttDirection::Inverse
                                    : NttDirection::Forward;
+        const FieldKernels<F> &fk = fieldKernels<F>();
         switch (st.kind) {
           case StepKind::CrossStage:
             crossStageCompute(r, st.sBegin, logN, slabs, t, lanes, 0,
@@ -254,19 +257,14 @@ class AbftCoefficients
             return;
           case StepKind::LocalPass:
             localStagesCompute(r, st.sBegin, st.sEnd, logN, slabs, t,
-                               lanes);
+                               lanes, fk, stepScale<F>(st, logN));
             return;
           case StepKind::FusedLocalPass:
             fusedLocalStagesCompute(r, st.sBegin, st.sEnd, logN, slabs,
-                                    t, lanes);
+                                    t, lanes, fk, stepScale<F>(st, logN));
             return;
-          case StepKind::Scale: {
-            if (!st.applyInverseScale)
-                return; // explicit twiddle pass: functional no-op
-            std::vector<DistributedVector<F> *> one{&r};
-            inverseScaleCompute(one, 1ULL << logN, lanes);
-            return;
-          }
+          case StepKind::Scale:
+            return; // explicit twiddle pass: functional no-op
           default:
             panic("step kind has no ABFT transition");
         }

@@ -1,14 +1,17 @@
 /**
  * @file
  * The functional kernels of a schedule's compute steps: the bit-exact
- * host butterflies of a cross-GPU stage (crossStageCompute), of
+ * host butterflies of a cross-GPU stage (crossStageCompute) and of
  * GPU-local stages one at a time (localStagesCompute) or tile-fused
- * (fusedLocalStagesCompute over the fusedStages walk), and the
- * inverse's n^-1 pass (inverseScaleCompute). The functional executor
- * runs them on the data; the ABFT coefficient builder (abft.hh) runs
- * them in the opposite direction on its coefficient vectors, because
- * the transpose of a DIF butterfly is the DIT butterfly with the same
- * twiddle and the other way round.
+ * (fusedLocalStagesCompute over the fusedStages walk). The local
+ * kernels take a factor that multiplies every element they write: the
+ * inverse's n^-1, which the first step of a full inverse schedule
+ * carries (stepScale), so no pass of its own applies it. The
+ * functional executor runs them on the data; the ABFT coefficient
+ * builder (abft.hh) runs them in the opposite direction on its
+ * coefficient vectors, because the transpose of a DIF butterfly is the
+ * DIT butterfly with the same twiddle and the other way round, and a
+ * scalar factor is its own transpose.
  */
 
 #ifndef UNINTT_UNINTT_COMPUTE_HH
@@ -24,6 +27,7 @@
 #include "ntt/twiddle.hh"
 #include "ntt/twiddle_cache.hh"
 #include "unintt/distributed.hh"
+#include "unintt/schedule.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -123,14 +127,28 @@ pairLowGpu(unsigned pair, unsigned gap)
     return (pair / gap) * 2 * gap + (pair % gap);
 }
 
-/** Functional butterflies of local stages [s_begin, s_end). */
+/** The factor @p st's kernel applies: n^-1 if it carries it, else 1. */
+template <NttField F>
+F
+stepScale(const ScheduleStep &st, unsigned logN)
+{
+    return st.applyInverseScale ? inverseScale<F>(size_t{1} << logN)
+                                : F::one();
+}
+
+/**
+ * Functional butterflies of local stages [s_begin, s_end), times
+ * @p scale, which rides in stage s_begin's units (they cover each
+ * element once).
+ */
 template <NttField F>
 void
 localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
                    unsigned s_end, unsigned logN,
                    const TwiddleSlabs<F> &slabs, NttDirection dir,
                    unsigned lanes,
-                   const FieldKernels<F> &fk = fieldKernels<F>())
+                   const FieldKernels<F> &fk = fieldKernels<F>(),
+                   F scale = F::one())
 {
     const uint64_t n = 1ULL << logN;
     const unsigned G = data.numGpus();
@@ -158,6 +176,7 @@ localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
         const uint64_t jslices = laneSlices(units, half, lanes);
 
         const F *tws = slabs.slab(s); // tws[j] == full_table[j << s]
+        const bool scaled = s == s_begin && !(scale == F::one());
         hostParallelFor(
             units * jslices,
             kernelCost(half / jslices, dir, fk.lanes), lanes,
@@ -176,6 +195,10 @@ localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
                     fk.bflyFwd(p0, p0 + half, tws + jb, 1, je - jb);
                 else
                     fk.bflyInv(p0, p0 + half, tws + jb, 1, je - jb);
+                if (scaled) {
+                    fk.scaleSpan(p0, scale, je - jb);
+                    fk.scaleSpan(p0 + half, scale, je - jb);
+                }
             });
     }
 }
@@ -208,13 +231,16 @@ localStagesCompute(DistributedVector<F> &data, unsigned s_begin,
  * stage below the vector width reaches a kernel's scalar tail. Exact
  * field arithmetic on canonical representations makes every form
  * bit-identical to running the stages one at a time.
+ * A @p scale other than one multiplies the slab after the last pass,
+ * while it is in cache; a scalar commutes with every stage.
  */
 template <NttField F>
 void
 fusedStages(F *buf, size_t row_stride, size_t cols, size_t col0,
             size_t h1, unsigned s0, unsigned s1,
             const TwiddleSlabs<F> &slabs, NttDirection dir,
-            const FieldKernels<F> &fk = fieldKernels<F>())
+            const FieldKernels<F> &fk = fieldKernels<F>(),
+            F scale = F::one())
 {
     const bool fwd = dir == NttDirection::Forward;
     const size_t rows = size_t{1} << (s1 - s0);
@@ -276,6 +302,10 @@ fusedStages(F *buf, size_t row_stride, size_t cols, size_t col0,
         for (unsigned hi = su; hi > s0; hi = lo_of(hi))
             pass(lo_of(hi), hi);
     }
+    // A whole super-block is one contiguous call, a slab one per row.
+    const size_t runs = whole ? 1 : rows;
+    for (size_t r = 0; r < runs && !(scale == F::one()); ++r)
+        fk.scaleSpan(buf + r * row_stride, scale, whole ? rows * h1 : cols);
 }
 
 /**
@@ -291,6 +321,7 @@ fusedStages(F *buf, size_t row_stride, size_t cols, size_t col0,
  * couple, so any column subset is independent). Work units write
  * disjoint element ranges, which keeps the output bit-identical to
  * localStagesCompute for every thread count, tile size, and slicing.
+ * Every unit multiplies its elements by @p scale inside its walk.
  */
 template <NttField F>
 void
@@ -298,7 +329,8 @@ fusedLocalStagesCompute(DistributedVector<F> &data, unsigned s_begin,
                         unsigned s_end, unsigned logN,
                         const TwiddleSlabs<F> &slabs, NttDirection dir,
                         unsigned lanes,
-                        const FieldKernels<F> &fk = fieldKernels<F>())
+                        const FieldKernels<F> &fk = fieldKernels<F>(),
+                        F scale = F::one())
 {
     const uint64_t n = 1ULL << logN;
     const unsigned G = data.numGpus();
@@ -323,43 +355,8 @@ fusedLocalStagesCompute(DistributedVector<F> &data, unsigned s_begin,
             const uint64_t c0 = h1 * slice / csl;
             const uint64_t c1 = h1 * (slice + 1) / csl;
             fusedStages(data.chunk(g).data() + sb * SB + c0, h1, c1 - c0,
-                        c0, h1, s_begin, s_end, slabs, dir, fk);
+                        c0, h1, s_begin, s_end, slabs, dir, fk, scale);
         });
-}
-
-/** Chunks below this many elements scale whole, one unit each. */
-inline constexpr uint64_t kMinScaleSliceElems = 1ULL << 16;
-
-/**
- * Functional n^-1 scaling of every chunk of every batch entry. A
- * chunk of at least kMinScaleSliceElems is cut into lane slices
- * when the chunks are fewer than the lanes (a 1-GPU inverse scales
- * its one chunk on every lane); smaller chunks run whole, where a
- * split costs more in fork/join than it spreads.
- */
-template <NttField F>
-void
-inverseScaleCompute(std::vector<DistributedVector<F> *> &batch,
-                    uint64_t n, unsigned lanes,
-                    const FieldKernels<F> &fk = fieldKernels<F>())
-{
-    if (batch.empty())
-        return;
-    const F scale = inverseScale<F>(n);
-    const unsigned G = batch[0]->numGpus();
-    const uint64_t C = batch[0]->chunkSize();
-    const uint64_t units = batch.size() * G;
-    const uint64_t slices =
-        C >= kMinScaleSliceElems ? laneSlices(units, C, lanes) : 1;
-    hostParallelFor(units * slices, C / slices, lanes, [&](size_t u) {
-        const uint64_t unit = u / slices;
-        const uint64_t slice = u % slices;
-        const uint64_t b = C * slice / slices;
-        const uint64_t e = C * (slice + 1) / slices;
-        auto &chunk = batch[unit / G]->chunk(
-            static_cast<unsigned>(unit % G));
-        fk.scaleSpan(chunk.data() + b, scale, e - b);
-    });
 }
 
 } // namespace unintt

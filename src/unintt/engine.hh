@@ -28,7 +28,8 @@
  * execution, or the resilient decorator with the checksum/retry/
  * health/watchdog machinery. Orderings: Forward maps natural input to
  * globally bit-reversed output; Inverse maps bit-reversed input back
- * to natural order, including the n^-1 scaling.
+ * to natural order, including the n^-1 scaling, which rides in the
+ * inverse's first local pass rather than a sweep of its own.
  */
 
 #ifndef UNINTT_UNINTT_ENGINE_HH

@@ -331,6 +331,7 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
     void
     computeNode(const ScheduleStep &st, const ScheduleDagNode &nd)
     {
+        const F scale = stepScale<F>(st, logN_);
         switch (st.kind) {
           case StepKind::CrossStage:
             for (auto *d : batch_)
@@ -341,25 +342,18 @@ class FunctionalStepExecutor : public AnalyticStepExecutor
           case StepKind::LocalPass:
             for (auto *d : batch_)
                 localStagesCompute(*d, st.sBegin, st.sEnd, logN_, slabs_,
-                                   dir_, lanes_, fk_);
+                                   dir_, lanes_, fk_, scale);
             kernelDispatches_++;
             break;
           case StepKind::FusedLocalPass:
             for (auto *d : batch_)
                 fusedLocalStagesCompute(*d, st.sBegin, st.sEnd, logN_,
-                                        slabs_, dir_, lanes_, fk_);
+                                        slabs_, dir_, lanes_, fk_, scale);
             kernelDispatches_++;
             break;
           case StepKind::Scale:
-            // Explicit twiddle passes are functionally no-ops (the
-            // fused execution already applied the factors); only the
-            // inverse n^-1 scaling does real work.
-            if (st.applyInverseScale) {
-                inverseScaleCompute(batch_, 1ULL << logN_, lanes_,
-                                    fk_);
-                kernelDispatches_++;
-            }
-            break;
+            // Explicit twiddle passes are host no-ops: the butterflies
+            // already apply every factor, n^-1 included.
           case StepKind::Exchange:
           case StepKind::SpotCheck:
             break;
@@ -984,6 +978,7 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
                 health_->recordFault(bad.front());
             uint64_t redo_w0 = 0;
             uint64_t redo_len = C;
+            const F scale = stepScale<F>(st, pl_.logN);
             for (unsigned g : bad) {
                 if (cross) {
                     abftRecomputeCrossPair(st, g);
@@ -991,14 +986,10 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
                     continue;
                 }
                 if (st.kind == StepKind::Scale) {
-                    // Localization floor: the scaling pass has no
-                    // sub-chunk structure worth bisecting — the tile
-                    // is the shard.
+                    // An explicit twiddle pass is a host no-op, so
+                    // restoring the shard recomputes it: the tile is
+                    // the shard.
                     data().chunk(g) = abftSnap_[g];
-                    if (st.applyInverseScale)
-                        fk_.scaleSpan(data().chunk(g).data(),
-                                      inverseScale<F>(1ULL << pl_.logN),
-                                      C);
                     fs_.tilesRecomputed++;
                     continue;
                 }
@@ -1022,11 +1013,12 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
                               abftSnap_[g].begin() + o + SB,
                               data().chunk(g).begin() + o);
                     // The same stage walk as the fused sweeps, for
-                    // LocalPass and FusedLocalPass steps alike.
+                    // LocalPass and FusedLocalPass steps alike, n^-1
+                    // included on the step that carries it.
                     const uint64_t h1 = SB >> (st.sEnd - st.sBegin);
                     fusedStages(data().chunk(g).data() + o, h1, h1, 0,
                                 h1, st.sBegin, st.sEnd, slabs_, dir_,
-                                fk_);
+                                fk_, scale);
                     fs_.tilesRecomputed++;
                     redo_w0 = o;
                     redo_len = SB;
@@ -1071,8 +1063,9 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
      * fall back to the degrade-reschedule path (the suspect shard's
      * device is retired, exactly like a permanent loss); everything
      * the resume compiler cannot re-enter — the inverse local phase
-     * (resume schedules skip it by contract) and the scaling pass —
-     * fails with a clean DataCorruption status, as does the last GPU.
+     * (resume schedules skip it by contract) and the explicit twiddle
+     * passes — fails with a clean DataCorruption status, as does the
+     * last GPU.
      */
     StepAction
     abftEscalate(const ScheduleStep &st, unsigned suspect)

@@ -283,6 +283,9 @@ class ScheduleBuilder
      * cfg.fuseLocalPasses is set, one-DRAM-round-trip-per-stage-range
      * grid passes (LocalPass) otherwise; butterfly coverage is
      * identical either way.
+     * The inverse's first step (its innermost pass) carries n^-1; its
+     * multiplies join the step's counters unless the explicit
+     * twiddle-pass-inverse-scale prices them (twiddle fusion off).
      */
     void
     localPhase(unsigned from, NttDirection dir)
@@ -307,28 +310,15 @@ class ScheduleBuilder
             st.tileLog2 = fused ? tile_bits : 0;
             st.stats =
                 gridPassEventStats(C_, pass, opts_.batch, eb_, cfg_, costs_);
+            if (dir == NttDirection::Inverse && i == 0) {
+                st.applyInverseScale = true;
+                if (cfg_.fuseTwiddles)
+                    st.stats.fieldMuls += C_ * opts_.batch;
+            }
             out_.steps.push_back(std::move(st));
             if (!cfg_.fuseTwiddles && i + 1 < ranges.size())
                 twiddlePass("pass" + std::to_string(i));
         }
-    }
-
-    /** The inverse transform's n^-1 scaling step. */
-    void
-    inverseScaleStep()
-    {
-        ScheduleStep st;
-        st.kind = StepKind::Scale;
-        st.level = ExecLevel::Gpu;
-        st.applyInverseScale = true;
-        if (cfg_.fuseTwiddles) {
-            st.name = "inverse-scale-fused";
-            st.stats.fieldMuls = C_ * opts_.batch;
-        } else {
-            st.name = "twiddle-pass-inverse-scale";
-            st.stats = twiddlePassEventStats(C_, opts_.batch, eb_);
-        }
-        out_.steps.push_back(std::move(st));
     }
 
     /** Post-transform spot check (resilient schedules). */
@@ -481,7 +471,8 @@ compileSchedule(const NttPlan &pl, const MultiGpuSystem &sys,
         }
         if (!cfg.fuseTwiddles && orig_log_mg > 0)
             b.twiddlePass("mgpu");
-        b.inverseScaleStep();
+        if (!cfg.fuseTwiddles)
+            b.twiddlePass("inverse-scale");
         if (opts.resilient && opts.spotChecks > 0)
             b.spotCheckStep();
     }

@@ -19,6 +19,9 @@
  * cost constants, which is what makes it cacheable (ScheduleCache,
  * cache.hh).
  *
+ * The inverse's n^-1 is no step of its own: a scalar commutes with
+ * every step, so the first one carries it (applyInverseScale).
+ *
  * Step order is dataflow order: an Exchange step precedes the
  * CrossStage butterflies that consume the received chunk. Executors
  * preserve the report's historical phase order (compute first, then
@@ -71,8 +74,9 @@ enum class StepKind
      */
     FusedLocalPass,
     /**
-     * Elementwise pass: an explicit twiddle pass (fusion off) or the
-     * inverse n^-1 scaling.
+     * Elementwise pass: an explicit twiddle pass (twiddle fusion off),
+     * priced but a no-op on the host, whose butterflies already apply
+     * every factor.
      */
     Scale,
     /** Post-transform verification against a direct evaluation. */
@@ -115,7 +119,10 @@ struct ScheduleStep
     bool crossesNodes = false;
     /** True for a cross stage executed locally after degradation. */
     bool degraded = false;
-    /** True for the Scale step that applies the inverse n^-1 factor. */
+    /**
+     * True for the step whose kernel also multiplies by the inverse's
+     * n^-1: the first step of a full inverse schedule, a local pass.
+     */
     bool applyInverseScale = false;
 
     /**
@@ -210,7 +217,8 @@ struct ScheduleOptions
     /**
      * Resume compilation after a mid-run degradation: emit only the
      * steps from @p resumeStage onward (forward: upward from it;
-     * inverse: downward from it, the local passes already ran).
+     * inverse: downward from it, the local passes, n^-1 included,
+     * already ran).
      */
     bool resume = false;
     unsigned resumeStage = 0;

@@ -357,10 +357,14 @@ abftBoundaryHash(unsigned logN, unsigned gpus, NttDirection dir,
 
 TEST(AbftCoefficients, BoundaryVectorsArePinned)
 {
-    // Two shapes in both directions: fused groups, a cross stage and
-    // the n^-1 step on Goldilocks; per-stage local passes on BabyBear.
-    // The values were taken from the scalar one-stage-at-a-time
-    // transposes that the compute functions replace.
+    // Two shapes in both directions: fused groups and cross stages on
+    // Goldilocks; per-stage local passes on BabyBear. The inverse's
+    // first step carries n^-1 in both. The values were taken from the
+    // scalar one-stage-at-a-time transposes that the compute functions
+    // replace. The inverse rows changed when n^-1 moved from a checked
+    // step of its own into the first step: every later boundary is the
+    // old one divided by n^-1, and multiplying back (plus the seeded
+    // last vector the removed step added) reproduces the old hashes.
     const NttDirection fwd = NttDirection::Forward;
     const NttDirection inv = NttDirection::Inverse;
     for (unsigned lanes : {1u, 2u}) {
@@ -369,13 +373,13 @@ TEST(AbftCoefficients, BoundaryVectorsArePinned)
                   0x5def2aaae87fa80fULL);
         EXPECT_EQ(abftBoundaryHash<Goldilocks>(12, 4, inv, true, 0xabf7,
                                                lanes),
-                  0xd58485c8464fbb8eULL);
+                  0x91fb780083a5ba63ULL);
         EXPECT_EQ(abftBoundaryHash<BabyBear>(16, 8, fwd, false, 0xabf8,
                                              lanes),
                   0xc39673021b558f07ULL);
         EXPECT_EQ(abftBoundaryHash<BabyBear>(16, 8, inv, false, 0xabf8,
                                              lanes),
-                  0x88bed718ad8d5551ULL);
+                  0x717713f914a578d7ULL);
     }
 }
 
@@ -739,6 +743,53 @@ TEST(AbftRecovery, PerStageSchedulesRecomputeTilesExactly)
 {
     perStageAbftCampaigns<Goldilocks>();
     perStageAbftCampaigns<BabyBear>();
+}
+
+TEST(AbftRecovery, FlipInTheScaledFirstStepRecoversExactly)
+{
+    // The inverse's first step multiplies by n^-1 inside its tiles, and
+    // so does its tile recovery. Seeds are chosen so that the first
+    // compute draw, (device 0, step 0, attempt 0), corrupts that step's
+    // output; draws are stateless, so a scratch injector finds them.
+    std::vector<F> x = testVector(1 << 12);
+    for (unsigned gpus : {1u, 4u}) {
+        for (bool fuse : {true, false}) {
+            SCOPED_TRACE("gpus " + std::to_string(gpus) + " fused " +
+                         std::to_string(fuse));
+            UniNttConfig cfg = UniNttConfig::allOn();
+            cfg.fuseLocalPasses = fuse;
+            UniNttEngine<F> engine(makeDgxA100(gpus), cfg);
+            auto plain = DistributedVector<F>::fromGlobal(x, gpus);
+            engine.inverse(plain);
+            const std::vector<F> want = plain.toGlobal();
+            ASSERT_TRUE(engine.schedule(12, NttDirection::Inverse)
+                            ->steps.front()
+                            .applyInverseScale);
+
+            unsigned campaigns = 0;
+            for (uint64_t k = 0; campaigns < 4 && k < 1000; ++k) {
+                FaultModel m;
+                m.seed = mix64(k + 909);
+                m.computeBitFlipRate = 0.02;
+                FaultInjector scratch(m);
+                if (!scratch.computeFault(0, 0, 0).corrupted)
+                    continue;
+                ++campaigns;
+                SCOPED_TRACE("k " + std::to_string(k));
+                FaultInjector inj(m);
+                auto dist = DistributedVector<F>::fromGlobal(x, gpus);
+                Result<SimReport> r = engine.inverseResilient(dist, inj);
+                ASSERT_TRUE(r.ok()) << r.status().toString();
+                EXPECT_EQ(dist.toGlobal(), want);
+                const FaultStats &fs = r.value().faultStats();
+                EXPECT_GE(fs.abftCatches, 1u);
+                EXPECT_GE(fs.tilesRecomputed, 1u);
+                EXPECT_EQ(inj.injected().computeCorruptions,
+                          fs.abftCatches + fs.abftEscalations);
+            }
+            EXPECT_EQ(campaigns, 4u);
+        }
+    }
 }
 
 TEST(AbftRecovery, ExhaustedTileRetriesEscalateToDegradeOrCleanError)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "field/babybear.hh"
 #include "field/bn254.hh"
 #include "field/goldilocks.hh"
@@ -538,13 +540,143 @@ TEST(BatchApi, ForwardBatchThenInverseBatchRestoresEveryEntry)
     SimReport inv = engine.inverseBatch(batch);
     for (size_t b = 0; b < batch.size(); ++b)
         EXPECT_EQ(batch[b].toGlobal(), inputs[b]) << "entry " << b;
-    // One amortized timeline, not one per entry: a single
-    // inverse-scale phase for the whole batch.
-    unsigned scales = 0;
+    // One amortized timeline, not one per entry. n^-1 has no phase of
+    // its own: the first step prices its multiplies for the whole
+    // batch, C x batch on top of its butterflies.
     for (const auto &p : inv.phases())
-        if (p.name == "inverse-scale-fused")
-            ++scales;
-    EXPECT_EQ(scales, 1u);
+        EXPECT_NE(p.name, "inverse-scale-fused");
+    const auto sched =
+        engine.schedule(logN, NttDirection::Inverse, batch.size());
+    const ScheduleStep &first = sched->steps.front();
+    EXPECT_TRUE(first.applyInverseScale);
+    const uint64_t C = n / 4;
+    const KernelStats bfly =
+        gridPassEventStats(C, first.pass, batch.size(), sizeof(BabyBear),
+                           engine.config(), CostConstants{});
+    ASSERT_FALSE(inv.phases().empty());
+    EXPECT_EQ(inv.phases().front().name, first.name);
+    EXPECT_EQ(inv.phases().front().kernel.fieldMuls,
+              bfly.fieldMuls + C * batch.size());
+}
+
+/** The four compiles the n^-1 placement is checked on. */
+enum class CompileMode
+{
+    Plain,
+    ResilientAbft,
+    Resume,
+};
+
+TEST(InverseScalePlacement, FirstStepOfEveryFullInverseCarriesIt)
+{
+    // n^-1 commutes with every step, so the first step of a full
+    // inverse multiplies by it: the innermost local pass, whose tiles
+    // are in cache. No other step, no forward and no resume schedule
+    // carries it, and with twiddle fusion no Scale step is left.
+    const CostConstants costs;
+    const size_t eb = 8;
+    for (const auto &sys : scheduleSystems()) {
+        const unsigned logMg = log2Exact(sys.numGpus);
+        MultiGpuSystem half = sys;
+        half.numGpus = std::max(1u, sys.numGpus / 2);
+        if (half.gpusPerNode != 0 && half.numGpus <= half.gpusPerNode)
+            half.gpusPerNode = 0;
+        for (unsigned logN : {logMg + 1, logMg + 12, 22u})
+        for (bool fuse_tw : {true, false})
+        for (bool fuse_lp : {true, false})
+        for (size_t batch : {size_t{1}, size_t{4}})
+        for (CompileMode mode : {CompileMode::Plain,
+                                 CompileMode::ResilientAbft,
+                                 CompileMode::Resume})
+        for (NttDirection dir :
+             {NttDirection::Forward, NttDirection::Inverse}) {
+            if (mode == CompileMode::Resume && logMg == 0)
+                continue; // one GPU has nothing to degrade to
+            SCOPED_TRACE(sys.gpu.name + " gpus=" +
+                         std::to_string(sys.numGpus) + " logN=" +
+                         std::to_string(logN) + " fuseTw=" +
+                         std::to_string(fuse_tw) + " fuseLp=" +
+                         std::to_string(fuse_lp) + " batch=" +
+                         std::to_string(batch) + " mode=" +
+                         std::to_string(static_cast<int>(mode)) + " " +
+                         toString(dir));
+            UniNttConfig cfg = UniNttConfig::allOn();
+            cfg.fuseTwiddles = fuse_tw;
+            cfg.fuseLocalPasses = fuse_lp;
+            ScheduleOptions opts;
+            opts.batch = batch;
+            opts.resilient = mode != CompileMode::Plain;
+            opts.abft = mode == CompileMode::ResilientAbft;
+            opts.spotChecks = opts.resilient ? 4 : 0;
+            // A resume after losing half the GPUs at the first
+            // exchange the direction runs.
+            const bool resume = mode == CompileMode::Resume;
+            opts.resume = resume;
+            opts.origLogMg = logMg;
+            opts.resumeStage =
+                dir == NttDirection::Inverse ? logMg - 1 : 0;
+            const NttPlan pl = planNtt(logN, resume ? half : sys, eb);
+            const StageSchedule sched = compileSchedule(
+                pl, resume ? half : sys, dir, eb, cfg, costs, opts);
+            const uint64_t C = pl.chunkElems();
+
+            const bool full_inverse =
+                dir == NttDirection::Inverse && !resume;
+            size_t carriers = 0;
+            for (const ScheduleStep &st : sched.steps) {
+                carriers += st.applyInverseScale ? 1 : 0;
+                if (fuse_tw) {
+                    EXPECT_NE(st.kind, StepKind::Scale) << st.name;
+                }
+            }
+            EXPECT_EQ(carriers, full_inverse ? 1u : 0u);
+            ASSERT_FALSE(sched.steps.empty());
+            const ScheduleStep &first = sched.steps.front();
+            if (full_inverse) {
+                EXPECT_TRUE(first.applyInverseScale);
+                EXPECT_EQ(first.kind, fuse_lp ? StepKind::FusedLocalPass
+                                              : StepKind::LocalPass);
+                EXPECT_EQ(first.sEnd, logN);
+            }
+            // The checked-step dot products the ABFT annotation adds to
+            // a step: two passes on the first checked step, else one.
+            auto abft_muls = [&](bool first_checked) {
+                return opts.abft ? (first_checked ? 2 : 1) * C * batch
+                                 : 0;
+            };
+            if (full_inverse && fuse_tw) {
+                const KernelStats bfly = gridPassEventStats(
+                    C, first.pass, batch, eb, cfg, costs);
+                EXPECT_EQ(first.stats.fieldMuls,
+                          bfly.fieldMuls + C * batch + abft_muls(true));
+            }
+            if (dir == NttDirection::Inverse && !fuse_tw) {
+                // The ablation's explicit pass keeps its price.
+                size_t found = 0;
+                const KernelStats want =
+                    twiddlePassEventStats(C, batch, eb);
+                for (const ScheduleStep &st : sched.steps) {
+                    if (st.name != "twiddle-pass-inverse-scale")
+                        continue;
+                    ++found;
+                    EXPECT_EQ(st.kind, StepKind::Scale);
+                    EXPECT_FALSE(st.applyInverseScale);
+                    EXPECT_EQ(st.stats.fieldMuls,
+                              want.fieldMuls + abft_muls(false));
+                    EXPECT_EQ(st.stats.fieldAdds,
+                              want.fieldAdds + abft_muls(false));
+                    EXPECT_EQ(st.stats.globalReadBytes,
+                              want.globalReadBytes +
+                                  2 * abft_muls(false) * eb);
+                    EXPECT_EQ(st.stats.globalWriteBytes,
+                              want.globalWriteBytes);
+                    EXPECT_EQ(st.stats.kernelLaunches,
+                              want.kernelLaunches);
+                }
+                EXPECT_EQ(found, 1u);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "unintt/engine.hh"
 #include "util/checksum.hh"
 #include "util/random.hh"
+#include "zkp/air.hh"
 
 using namespace unintt;
 
@@ -229,6 +230,53 @@ TEST(ProvingService, RejectsMalformedSubmissions)
     EXPECT_EQ(svc.submit(spec(2, JobKind::NttForward, 0), 0).code(),
               StatusCode::InvalidArgument);
     svc.drain();
+}
+
+TEST(ProvingService, RejectsTransformsWithoutALocalStage)
+{
+    // The planner needs logN > log2(GPUs): a shard of one element has
+    // no local stage, and the service must refuse it, not exit.
+    ProvingService two(makeDgxA100(4));
+    EXPECT_EQ(two.submit(spec(1, JobKind::NttForward, 1), 0).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(two.submit(spec(2, JobKind::NttInverse, 1), 0).code(),
+              StatusCode::InvalidArgument);
+    ASSERT_TRUE(two.submit(spec(3, JobKind::NttInverse, 2), 0).ok());
+    two.drain();
+    ASSERT_EQ(two.outcomes().size(), 1u);
+    EXPECT_TRUE(two.outcomes()[0].verified);
+
+    ServiceConfig one_gpu;
+    one_gpu.jobGpus = 1;
+    ProvingService one(makeDgxA100(4), one_gpu);
+    EXPECT_EQ(one.submit(spec(1, JobKind::NttForward, 0), 0).code(),
+              StatusCode::InvalidArgument);
+    one.drain();
+}
+
+TEST(ProvingService, RejectsTransformsBeyondTheTwoAdicity)
+{
+    // Goldilocks has two-adicity 32. Larger sizes are refused before
+    // anything is allocated, as are shifts past 63.
+    ProvingService svc(makeDgxA100(4));
+    for (unsigned log_n : {33u, 64u, 200u})
+        EXPECT_EQ(svc.submit(spec(log_n, JobKind::NttForward, log_n), 0)
+                      .code(),
+                  StatusCode::InvalidArgument)
+            << "logN " << log_n;
+    svc.drain();
+    EXPECT_TRUE(svc.outcomes().empty());
+}
+
+TEST(ProvingService, RejectsProofsWhoseLdeExceedsTheTwoAdicity)
+{
+    // A proof runs its trace's LDE at 2^(logN + logBlowup).
+    ProvingService svc(makeDgxA100(4));
+    const unsigned log_n = 33 - StarkParams{}.logBlowup;
+    EXPECT_EQ(svc.submit(spec(1, JobKind::Proof, log_n), 0).code(),
+              StatusCode::InvalidArgument);
+    svc.drain();
+    EXPECT_TRUE(svc.outcomes().empty());
 }
 
 TEST(ProvingService, CompletesAndVerifiesCleanJobs)
