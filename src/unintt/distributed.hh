@@ -29,10 +29,10 @@ namespace unintt {
 /**
  * Elements from which forShardSlices runs on the pool. Measured at the
  * proving service's shapes (Goldilocks 2^10-2^16 on 1-2 shards, two
- * lanes, AVX-512 slots): below 2^16 a fill or hash slice is done
- * before a woken worker joins, and the fork/join only adds to it.
+ * lanes, AVX-512 slots) against a worker still spinning from the last
+ * fork (EXPERIMENTS.md, "A fork/join team").
  */
-inline constexpr uint64_t kMinPooledSliceElems = 1ULL << 16;
+inline constexpr uint64_t kMinPooledSliceElems = 1ULL << 13;
 
 /**
  * Run @p fn(g, b, e) over element slices [b, e) of @p shards shards
@@ -98,7 +98,11 @@ class DistributedVector
                       "size must divide evenly across GPUs");
         DistributedVector out(num_gpus);
         size_t chunk = global.size() / num_gpus;
-        // Chunks are disjoint, so sharding copies concurrently.
+        // Allocated here, so the heap a chunk comes from does not depend
+        // on which lane copies it; the chunks are disjoint, so sharding
+        // copies (and first touches) them concurrently.
+        for (auto &c : out.chunks_)
+            c.reserve(chunk);
         hostParallelFor(num_gpus, chunk, 0, [&](size_t g) {
             out.chunks_[g].assign(global.begin() + g * chunk,
                                   global.begin() + (g + 1) * chunk);

@@ -36,6 +36,7 @@
 #define UNINTT_UNINTT_ENGINE_HH
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -357,8 +358,10 @@ class UniNttEngine
     /**
      * Spot-check seed counter: each check mixes the configured base
      * with its next value (ResilientStepExecutor::spotCheckStep).
+     * Atomic, so overlapping resilient runs on one engine each draw a
+     * distinct value.
      */
-    mutable uint64_t spotCheckEpoch_ = 0;
+    mutable std::atomic<uint64_t> spotCheckEpoch_{0};
     /** Lent to one resilient run at a time (ResilientScratch). */
     mutable std::mutex scratchMutex_;
     mutable ResilientScratch<F> scratch_;

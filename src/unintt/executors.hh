@@ -36,6 +36,7 @@
 #define UNINTT_UNINTT_EXECUTORS_HH
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -441,7 +442,7 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
                           DeviceHealthTracker *health,
                           const TwiddleSlabs<F> &slabs, NttPlan pl,
                           NttDirection dir, unsigned lanes,
-                          uint64_t &spot_epoch, FaultStats &fs,
+                          std::atomic<uint64_t> &spot_epoch, FaultStats &fs,
                           ResilientScratch<F> &scratch,
                           const FieldKernels<F> &fk)
         : Base(sys, perf, report, batch, slabs, pl.logN, dir, lanes, fk),
@@ -789,7 +790,7 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
         // stays deterministic. Drawn only when the check actually
         // executes, so earlier-failing runs do not advance it.
         const uint64_t spot_seed =
-            mix64(rc_.spotCheckSeed ^ mix64(++spotEpoch_));
+            mix64(rc_.spotCheckSeed ^ mix64(spotEpoch_.fetch_add(1) + 1));
         SpanList<F> shards;
         for (unsigned g = 0; g < data().numGpus(); ++g)
             shards.emplace_back(data().chunk(g));
@@ -862,6 +863,8 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
         if (abftInjectOn()) {
             const unsigned G = data().numGpus();
             abftSnap_.resize(G);
+            for (auto &snap : abftSnap_) // on this thread, as fromGlobal
+                snap.reserve(data().chunkSize());
             hostParallelFor(G, data().chunkSize(), lanes_,
                             [&](size_t g) {
                                 abftSnap_[g] = data().chunk(
@@ -1112,7 +1115,7 @@ class ResilientStepExecutor : public FunctionalStepExecutor<F>
     NttPlan pl_;
     const unsigned logMg0_;
     /** The engine's spot-check counter (spotCheckStep). */
-    uint64_t &spotEpoch_;
+    std::atomic<uint64_t> &spotEpoch_;
     /** The caller's counters (may already hold health exclusions). */
     FaultStats &fs_;
     unsigned resumeStage_ = 0;

@@ -1,17 +1,40 @@
 #include "util/thread_pool.hh"
 
-#include <algorithm>
-#include <chrono>
+#include <memory>
+#include <mutex>
 
 #include "util/logging.hh"
 
 namespace unintt {
 
+namespace {
+
+/** Ranges a fork cuts per lane it may use. */
+constexpr size_t kRangesPerLane = 4;
+
+// The dispenser word holds a fork's epoch (bits 32-63), its helper
+// workers (bits 16-31) and its ranges left (bits 0-15), so a claim is
+// one compare-and-swap that succeeds only on the fork it read.
+constexpr uint64_t kField = 0xFFFF;
+
+/** One step of a spin-wait: the CPU's pause hint where it has one. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
+
+} // namespace
+
 ThreadPool::ThreadPool(unsigned workers)
 {
-    queues_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        queues_.push_back(std::make_unique<WorkQueue>());
+    // Helpers and ranges (kRangesPerLane per lane) fit 16 bits each.
+    UNINTT_ASSERT((workers + 1ULL) * kRangesPerLane <= kField,
+                  "too many pool workers");
     threads_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
         threads_.emplace_back([this, i] { workerLoop(i); });
@@ -20,86 +43,59 @@ ThreadPool::ThreadPool(unsigned workers)
 ThreadPool::~ThreadPool()
 {
     stop_.store(true);
-    sleepCv_.notify_all();
+    // A new epoch with no helpers wakes every worker to see stop_.
+    dispenser_.store(((dispenser_.load() >> 32) + 1) << 32);
+    dispenser_.notify_all();
     for (auto &t : threads_)
         t.join();
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::workerLoop(unsigned self)
 {
-    const size_t w = queues_.size();
-    UNINTT_ASSERT(w > 0, "submit on a worker-less pool");
-    WorkQueue &q = *queues_[nextQueue_.fetch_add(1) % w];
-    {
-        std::lock_guard<std::mutex> lk(q.mutex);
-        q.tasks.push_back(std::move(task));
+    uint64_t seen = 0;
+    bool enlisted = true;
+    while (!stop_.load(std::memory_order_relaxed)) {
+        // A worker the last fork's max_lanes left out parks at once:
+        // the forks of one run ask for the same lanes.
+        seen = awaitFork(seen, enlisted ? kSpinWindow
+                                        : std::chrono::microseconds{0});
+        enlisted = self < (seen >> 16 & kField);
+        if (enlisted)
+            runRanges(seen);
     }
-    pending_.fetch_add(1);
-    sleepCv_.notify_one();
 }
 
-bool
-ThreadPool::tryRunOne(unsigned self)
+uint64_t
+ThreadPool::awaitFork(uint64_t seen, std::chrono::microseconds window)
 {
-    std::function<void()> task;
-    // Own queue first, newest work (LIFO keeps caches warm)...
-    {
-        WorkQueue &q = *queues_[self];
-        std::lock_guard<std::mutex> lk(q.mutex);
-        if (!q.tasks.empty()) {
-            task = std::move(q.tasks.back());
-            q.tasks.pop_back();
-        }
+    const auto until = std::chrono::steady_clock::now() + window;
+    for (unsigned spin = 1;; ++spin) {
+        const uint64_t d = dispenser_.load(std::memory_order_acquire);
+        if (d >> 32 != seen >> 32)
+            return d;
+        if (spin % 64 != 0 || std::chrono::steady_clock::now() < until)
+            cpuRelax();
+        else
+            dispenser_.wait(d); // parked until a fork notifies
     }
-    // ...then steal the oldest work of the next non-empty victim.
-    if (!task) {
-        const size_t w = queues_.size();
-        for (size_t k = 1; k < w && !task; ++k) {
-            WorkQueue &q = *queues_[(self + k) % w];
-            std::lock_guard<std::mutex> lk(q.mutex);
-            if (!q.tasks.empty()) {
-                task = std::move(q.tasks.front());
-                q.tasks.pop_front();
-            }
-        }
-    }
-    if (!task)
-        return false;
-    pending_.fetch_sub(1);
-    task();
-    return true;
-}
-
-bool
-ThreadPool::tryRunOneExternal()
-{
-    std::function<void()> task;
-    for (auto &qp : queues_) {
-        std::lock_guard<std::mutex> lk(qp->mutex);
-        if (!qp->tasks.empty()) {
-            task = std::move(qp->tasks.front());
-            qp->tasks.pop_front();
-            break;
-        }
-    }
-    if (!task)
-        return false;
-    pending_.fetch_sub(1);
-    task();
-    return true;
 }
 
 void
-ThreadPool::workerLoop(unsigned self)
+ThreadPool::runRanges(uint64_t ticket)
 {
-    while (!stop_.load()) {
-        if (tryRunOne(self))
+    uint64_t d = ticket;
+    while (d >> 32 == ticket >> 32 && (d & kField) > 0) {
+        if (!dispenser_.compare_exchange_weak(d, d - 1,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed))
             continue;
-        std::unique_lock<std::mutex> lk(sleepMutex_);
-        sleepCv_.wait(lk, [this] {
-            return stop_.load() || pending_.load() > 0;
-        });
+        // The claim makes this fork's job slot visible, and the fork
+        // cannot end before this range is done.
+        const size_t r = ranges_ - (d & kField);
+        (*body_)(count_ * r / ranges_, count_ * (r + 1) / ranges_);
+        done_.fetch_add(1, std::memory_order_release);
+        d = dispenser_.load(std::memory_order_relaxed);
     }
 }
 
@@ -109,51 +105,26 @@ ThreadPool::parallelFor(size_t count, unsigned max_lanes,
 {
     if (count == 0)
         return;
-    unsigned lanes_avail = lanes();
-    unsigned L = max_lanes == 0 ? lanes_avail
-                                : std::min(max_lanes, lanes_avail);
-    if (L <= 1 || count == 1 || queues_.empty()) {
+    const unsigned L =
+        max_lanes == 0 ? lanes() : std::min(max_lanes, lanes());
+    if (L <= 1 || count == 1 ||
+        busy_.exchange(true, std::memory_order_acquire)) {
         range_fn(0, count);
         return;
     }
-
-    // Oversplit so the stealing can rebalance ranges of uneven cost.
-    const size_t ntasks =
-        std::min(count, static_cast<size_t>(L) * 4);
-
-    struct Join
-    {
-        std::atomic<size_t> remaining;
-        std::mutex mutex;
-        std::condition_variable done;
-    };
-    auto join = std::make_shared<Join>();
-    join->remaining.store(ntasks);
-
-    auto run_range = [&range_fn, join](size_t begin, size_t end) {
-        range_fn(begin, end);
-        if (join->remaining.fetch_sub(1) == 1) {
-            std::lock_guard<std::mutex> lk(join->mutex);
-            join->done.notify_all();
-        }
-    };
-
-    for (size_t t = 1; t < ntasks; ++t) {
-        size_t begin = count * t / ntasks;
-        size_t end = count * (t + 1) / ntasks;
-        submit([run_range, begin, end] { run_range(begin, end); });
-    }
-    // The calling thread takes the first range, then helps drain the
-    // queues until every range of this loop has completed.
-    run_range(0, count * 1 / ntasks);
-    while (join->remaining.load() > 0) {
-        if (tryRunOneExternal())
-            continue;
-        std::unique_lock<std::mutex> lk(join->mutex);
-        join->done.wait_for(lk, std::chrono::milliseconds(1), [&] {
-            return join->remaining.load() == 0;
-        });
-    }
+    body_ = &range_fn;
+    count_ = count;
+    ranges_ = std::min(count, size_t{L} * kRangesPerLane);
+    done_.store(0, std::memory_order_relaxed);
+    const uint64_t epoch =
+        (dispenser_.load(std::memory_order_relaxed) >> 32) + 1;
+    const uint64_t ticket = epoch << 32 | uint64_t{L - 1} << 16 | ranges_;
+    dispenser_.store(ticket, std::memory_order_release);
+    dispenser_.notify_all();
+    runRanges(ticket);
+    while (done_.load(std::memory_order_acquire) != ranges_)
+        cpuRelax();
+    busy_.store(false, std::memory_order_release);
 }
 
 namespace {

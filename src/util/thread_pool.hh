@@ -1,12 +1,17 @@
 /**
  * @file
- * Work-stealing thread pool for the host-side functional execution.
+ * Fork/join thread pool for the host-side functional execution.
  *
  * The simulator computes every simulated GPU's butterflies on the host;
  * the pool lets those per-GPU (and per-tile) loops genuinely run
- * concurrently. Each worker owns a deque: it pops its own work LIFO and
- * steals FIFO from the other workers when it runs dry, so uneven task
- * ranges rebalance without a central queue bottleneck.
+ * concurrently. The pool is one team with one job slot. A fork cuts
+ * its index space into a few ranges per lane behind one atomic
+ * dispenser; every lane, the caller included, claims ranges by index
+ * until none is left, and the caller spins until the last one is done.
+ * Nothing is allocated, queued or locked per range. Between forks a
+ * worker spins for kSpinWindow, so the forks of one run find it awake,
+ * then parks. A fork that finds the team busy (one nested in a body,
+ * or one from a second thread) runs its whole range inline.
  *
  * Determinism contract: parallelFor() invokes the body exactly once per
  * index and joins before returning. Callers hand it bodies whose writes
@@ -19,38 +24,47 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace unintt {
 
-/** Work-stealing pool; one instance is shared process-wide (global()). */
+/** Fork/join team; one instance is shared process-wide (global()). */
 class ThreadPool
 {
   public:
+    /**
+     * How long an idle worker spins for the next fork before it parks
+     * (one the last fork left out parks at once). It spans the serial
+     * gaps between one proving-service job's forks and between
+     * back-to-back jobs; a longer one bought no wall time and cost
+     * more CPU (EXPERIMENTS.md, "A fork/join team").
+     */
+    static constexpr std::chrono::microseconds kSpinWindow{200};
+
     /** Spawn a pool with @p workers worker threads (may be 0). */
     explicit ThreadPool(unsigned workers);
 
+    /** Wakes and joins the workers; no fork may be running. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** Execution lanes: the workers plus the calling thread. */
-    unsigned lanes() const { return static_cast<unsigned>(queues_.size()) + 1; }
+    unsigned lanes() const { return static_cast<unsigned>(threads_.size()) + 1; }
 
     /**
      * Run @p range_fn over disjoint contiguous subranges covering
      * [0, count), using at most @p max_lanes threads (0 = all lanes).
      * The calling thread participates and the call returns only after
      * every index has been processed (a barrier). Ranges are oversplit
-     * relative to the lane count so stealing can rebalance uneven work.
+     * relative to the lane count so a lane that joins late, or runs a
+     * slow range, leaves the rest to the others. @p range_fn must not
+     * throw.
      */
     void parallelFor(size_t count, unsigned max_lanes,
                      const std::function<void(size_t, size_t)> &range_fn);
@@ -69,26 +83,28 @@ class ThreadPool
     static unsigned defaultLanes();
 
   private:
-    struct WorkQueue
-    {
-        std::deque<std::function<void()>> tasks;
-        std::mutex mutex;
-    };
-
     void workerLoop(unsigned self);
-    void submit(std::function<void()> task);
-    /** Pop own work or steal someone else's; false if nothing found. */
-    bool tryRunOne(unsigned self);
-    /** Steal a task from any queue (for non-worker helper threads). */
-    bool tryRunOneExternal();
+    /**
+     * The dispenser once a fork newer than @p seen is published;
+     * spins for @p window, then parks.
+     */
+    uint64_t awaitFork(uint64_t seen, std::chrono::microseconds window);
+    /** Claim and run ranges of @p ticket's fork until none is left. */
+    void runRanges(uint64_t ticket);
 
-    std::vector<std::unique_ptr<WorkQueue>> queues_;
-    std::vector<std::thread> threads_;
-    std::mutex sleepMutex_;
-    std::condition_variable sleepCv_;
-    std::atomic<uint64_t> pending_{0};
-    std::atomic<uint64_t> nextQueue_{0};
+    // The job slot: written by the fork that owns the team (busy_)
+    // before it publishes the dispenser, read by a lane only after it
+    // claimed one of that fork's ranges.
+    const std::function<void(size_t, size_t)> *body_ = nullptr;
+    size_t count_ = 0;
+    size_t ranges_ = 0;
+    /** The current fork's epoch, helper count and ranges left. */
+    std::atomic<uint64_t> dispenser_{0};
+    /** Ranges of the current fork that have finished. */
+    std::atomic<size_t> done_{0};
+    std::atomic<bool> busy_{false};
     std::atomic<bool> stop_{false};
+    std::vector<std::thread> threads_;
 };
 
 /**
@@ -118,7 +134,7 @@ void
 hostParallelFor(size_t count, uint64_t work_per_index, unsigned max_lanes,
                 Fn &&fn)
 {
-    constexpr uint64_t kMinParallelWork = 1ULL << 14;
+    constexpr uint64_t kMinParallelWork = 1ULL << 12;
     if (count == 0)
         return;
     const bool serial = max_lanes == 1 || count == 1 ||

@@ -473,8 +473,8 @@ TEST(ConcurrentExecution, OverlappingResilientRunsOnOneEngineStayExact)
     // The engine lends its host buffers (ResilientScratch) to one
     // resilient run at a time; an overlapping run allocates its own.
     // Threads racing faulty resilient forwards through one engine must
-    // all get the exact transform. Spot checks stay off: their seed
-    // sequence is per engine and unsynchronised by design.
+    // all get the exact transform. Spot checks run too: they draw
+    // their seeds from the engine's one atomic counter.
     const MultiGpuSystem sys = makeDgxA100(4);
     const UniNttEngine<F> engine(sys);
     const size_t n = size_t{1} << 12;
@@ -487,7 +487,7 @@ TEST(ConcurrentExecution, OverlappingResilientRunsOnOneEngineStayExact)
         return data.toGlobal();
     }();
     ResilienceConfig rc;
-    rc.spotChecks = 0;
+    rc.spotChecks = 4;
 
     std::atomic<unsigned> exact{0};
     race([&](unsigned t) {
